@@ -235,7 +235,8 @@ void bench_two_phase(FILE* json, std::size_t n_requests, std::size_t n_users) {
   common.min_batch = batch;
   common.batch_window_ms = 50.0;
 
-  // Exact reference: the unmasked PR 3 data path.
+  // Exact reference: slot-scoped exact retrieval (each row scores its whole
+  // slot), so the sweep isolates what the router prunes inside the slot.
   serve::StatsSnapshot es;
   std::vector<std::size_t> exact_idx;
   const double exact_rps = waves_with_indices(w, common, batch, &es, &exact_idx);
@@ -255,9 +256,9 @@ void bench_two_phase(FILE* json, std::size_t n_requests, std::size_t n_users) {
     cfg.two_phase.enabled = true;
     cfg.two_phase.nprobe = nprobe;
     // Production-default recall sampling stays on (every 16th routed pass
-    // reruns exact scoring), so timings include the telemetry the knob
-    // ships with; recall@1 below is computed exactly against the reference
-    // run's indices, not sampled.
+    // reruns slot-scoped exact scoring), so timings include the telemetry
+    // the knob ships with; recall@1 below is computed exactly against the
+    // reference run's indices, not sampled.
     serve::StatsSnapshot s;
     std::vector<std::size_t> idx;
     const double rps = waves_with_indices(w, cfg, batch, &s, &idx);
@@ -1120,10 +1121,12 @@ void bench_kernel(FILE* json) {
 /// Retrieval-bound scenario: 48 keys per user over 4 shards makes the
 /// crossbar search dominate per-request cost (the regime PR 2 left the
 /// engine in). The baseline runs PR 2's data path — legacy reference kernel
-/// plus the serial shard loop — against the same workload; the new path
-/// fuses the slice kernel and fans per-shard retrieval out across the worker
-/// pool. Results are bit-identical between the two (property-tested), so
-/// the speedup is pure wall-clock.
+/// plus the serial shard loop — against the same workload. The reference
+/// kernel ignores the candidate mask, so the baseline scores every column of
+/// a shard; the new path fuses the slice kernel, scores only each request's
+/// slot and fans per-shard retrieval out across the worker pool. Results are
+/// bit-identical between the two (property-tested), so the speedup is pure
+/// wall-clock.
 void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_users) {
   WorkloadConfig wc;
   wc.d_model = 16;

@@ -55,11 +55,11 @@ int main() {
   scfg.max_batch = 8;
   scfg.run_inference = true;  // classify with the shared frozen backbone
   scfg.variation = fcfg.variation;
-  // Two-phase retrieval: probe every cluster (nprobe = 0) — bit-identical
-  // winners, but other tenants' key columns are pruned from the crossbar
-  // pass. Lower nprobe for more pruning at a sampled-recall cost. (In
-  // lifecycle mode a full pass covers the whole provisioned capacity, so
-  // the pruned fraction counts skipped free columns too; see bench_serve's
+  // Two-phase retrieval: probe every cluster (nprobe = 0) — winners
+  // bit-identical to exact retrieval, which already scores only each
+  // tenant's slot. Lower nprobe prunes within the slot at a sampled-recall
+  // cost. (The pruned fraction is measured against a full-capacity pass, so
+  // in lifecycle mode it counts skipped free columns too; see bench_serve's
   // two-phase sweep for the effect at serving geometry.)
   scfg.two_phase.enabled = true;
   scfg.two_phase.nprobe = 0;

@@ -398,13 +398,12 @@ class ServingEngine {
     Matrix shard_queries;
     Matrix shard_scores;
     retrieval::CimRetriever::Scratch retrieve;
-    // Two-phase retrieval: per-row users, the routed candidate bitmaps and
-    // a second scores/scratch pair for the sampled exact-recall passes.
-    std::vector<std::size_t> row_users;
+    // Per-row candidate bitmaps of a shard pass (slot spans, or routed
+    // shortlists); two-phase retrieval adds per-row users and the router's
+    // scratch.
     cim::CandidateSet candidates;
+    std::vector<std::size_t> row_users;
     ShardedOvtStore::RouteScratch route;
-    Matrix exact_scores;
-    retrieval::CimRetriever::Scratch exact_retrieve;
     // Batched decode: the stacked missed payload codes and the one-GEMM
     // decode output.
     Matrix decode_stacked;

@@ -38,8 +38,9 @@ struct TwoPhaseConfig {
   /// than the paper's training buffers, so the cap is raised.
   cluster::KSelectionConfig k_select{2, 16, 5.0, 1.5};
   cluster::KMeansConfig kmeans;
-  /// Every Nth routed shard pass also runs the unmasked exact scoring and
-  /// records recall-vs-exact into EngineStats. 0 disables sampling.
+  /// Every Nth routed shard pass also scores each row's whole slot (the
+  /// exact path) and records recall-vs-exact into EngineStats. 0 disables
+  /// sampling.
   std::size_t recall_sample_every = 16;
 };
 
@@ -314,7 +315,9 @@ class ShardedOvtStore {
                          const cim::CandidateSet* candidates = nullptr);
 
   /// Serial reference path: best user-local OVT index for one query,
-  /// through the single-query retrieval pipeline.
+  /// through the single-query retrieval pipeline. Stays an unmasked
+  /// full-width pass: it is the oracle the slot-masked batch path is
+  /// tested against.
   std::size_t retrieve_user(std::size_t user_id, const Matrix& query);
 
   /// User-local argmax of one scores row restricted to the user's key range.

@@ -80,8 +80,8 @@ struct StatsSnapshot {
   std::size_t candidates_possible = 0;
   /// 1 − examined/possible: the fraction of exact crossbar work pruned.
   double pruned_fraction = 0.0;
-  /// Sampled recall-vs-exact: every Nth routed shard pass also runs the
-  /// unmasked scoring and counts rows whose argmax matches.
+  /// Sampled recall-vs-exact: every Nth routed shard pass also scores each
+  /// row's whole slot and counts rows whose argmax matches.
   std::size_t recall_samples = 0;
   std::size_t recall_matches = 0;
   double sampled_recall_at1 = 0.0;  ///< matches/samples (0 with no samples)

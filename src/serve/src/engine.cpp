@@ -909,39 +909,37 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
   const double encode_ms = lap();
   trace_stage("encode", encode_t0, tick);
 
-  // ---- Stage 2: shard-grouped retrieval. One batched MVM pass per shard;
-  // each row is then masked to its user's slot. Shard ids are dense, so a
-  // plain vector replaces the old per-batch std::map. When the batch spans
-  // several shards, the per-shard passes are independent (distinct crossbar
-  // banks, disjoint request rows): they are fanned out onto the worker
-  // pool's aux queue, idle workers steal them, and this worker helps drain
-  // tasks until its group completes — so results are identical to the
-  // serial shard loop, just overlapped in time.
+  // ---- Stage 2: shard-grouped retrieval. One batched, masked MVM pass per
+  // shard: each row scores only its tenant's slot columns (exact mode) or
+  // the router's shortlist inside that slot (two-phase), so the crossbar work
+  // and the modelled ADC cost cover just the columns the request reads.
+  // When the batch spans several shards, the per-shard passes are independent
+  // (distinct crossbar banks, disjoint request rows): they are fanned out
+  // onto the worker pool's aux queue, idle workers steal them, and this
+  // worker helps drain tasks until its group completes — so results are
+  // identical to the serial shard loop, just overlapped in time.
   std::vector<std::size_t> ovt_index(B, 0);
   const bool routed = cfg_.two_phase.enabled && store_.routed();
   std::vector<std::vector<std::size_t>> by_shard(store_.n_shards());
   for (std::size_t i = 0; i < B; ++i)
     if (!failed[i]) by_shard[pinned.slot(batch[i].user_id).shard].push_back(i);
-  if (routed) {
-    // Group a shard pass's rows by user: the masked kernel skips an
-    // accumulator block only when none of its 4-query register tile needs
-    // it, so packing one user's queries adjacently keeps each tile's
-    // candidate columns confined to (mostly) one slot. Row order does not
-    // affect any row's scores — each query's accumulation is independent.
-    for (auto& members : by_shard)
-      std::stable_sort(members.begin(), members.end(),
-                       [&](std::size_t a, std::size_t b2) {
-                         return pinned.slot(batch[a].user_id).begin <
-                                pinned.slot(batch[b2].user_id).begin;
-                       });
-  }
+  // Group a shard pass's rows by slot: the masked kernel skips an
+  // accumulator block only when none of its 4-query register tile needs it,
+  // so packing one slot's queries adjacently keeps each tile's candidate
+  // columns confined to (mostly) one slot. Row order does not affect any
+  // row's scores — each query's accumulation is independent.
+  for (auto& members : by_shard)
+    std::stable_sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b2) {
+      return pinned.slot(batch[a].user_id).begin < pinned.slot(batch[b2].user_id).begin;
+    });
 
   // One shard's retrieval, on the *executing* worker's scratch: pack that
-  // shard's representation rows, (with two-phase retrieval) route their
-  // candidate bitmaps, score them against the shard's banks — masked to the
-  // candidates when routed — and mask each row to its user's slot. A
-  // failure poisons only the shard's own requests (their indices are
-  // touched by no other task).
+  // shard's representation rows, build their candidate bitmaps (slot spans,
+  // or routed shortlists), score them in one masked pass against the shard's
+  // banks and take each row's winner among its candidates. Computed entries
+  // are bit-identical to the unmasked pass, so every answer equals
+  // retrieve_serial()'s full-width one. A failure poisons only the shard's
+  // own requests (their indices are touched by no other task).
   const auto retrieve_shard = [&](std::size_t shard, WorkerState& tws) {
     const std::vector<std::size_t>& members = by_shard[shard];
     const Clock::time_point t0 = Clock::now();
@@ -951,41 +949,49 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       for (std::size_t r = 0; r < members.size(); ++r)
         std::memcpy(queries.data() + r * rep_size_, reps.data() + members[r] * rep_size_,
                     rep_size_ * sizeof(float));
+      // Bitmaps are sized to the pinned epoch's score width; columns an
+      // admit added since are never candidates.
+      const auto slot_mask = [&] {
+        tws.candidates.reset(members.size(), pinned.snap->shard_capacity[shard]);
+        for (std::size_t r = 0; r < members.size(); ++r) {
+          const UserSlot& us = pinned.slot(batch[members[r]].user_id);
+          tws.candidates.set_range(r, us.begin, us.end);
+        }
+      };
+      const auto winner = [&](std::size_t r) {
+        return ShardedOvtStore::best_in_slot_candidates(
+            tws.shard_scores, r, pinned.slot(batch[members[r]].user_id), tws.candidates);
+      };
+      std::size_t examined = 0;
       if (routed) {
         tws.row_users.clear();
         tws.row_users.reserve(members.size());
         for (const std::size_t i : members) tws.row_users.push_back(batch[i].user_id);
-        const std::size_t examined = store_.route_candidates(
-            *pinned.snap, shard, queries, tws.row_users, tws.candidates, tws.route);
-        store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve,
-                                 &tws.candidates);
-        for (std::size_t r = 0; r < members.size(); ++r) {
-          const std::size_t i = members[r];
-          ovt_index[i] = ShardedOvtStore::best_in_slot_candidates(
-              tws.shard_scores, r, pinned.slot(batch[i].user_id), tws.candidates);
-          stats_.record_tenant_candidates(batch[i].user_id, tws.candidates.count_row(r));
-        }
+        examined = store_.route_candidates(*pinned.snap, shard, queries, tws.row_users,
+                                           tws.candidates, tws.route);
+      } else {
+        slot_mask();
+      }
+      store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve, &tws.candidates);
+      for (std::size_t r = 0; r < members.size(); ++r) ovt_index[members[r]] = winner(r);
+      if (routed) {
+        for (std::size_t r = 0; r < members.size(); ++r)
+          stats_.record_tenant_candidates(batch[members[r]].user_id,
+                                          tws.candidates.count_row(r));
         stats_.record_two_phase(examined,
                                 members.size() * pinned.snap->shard_capacity[shard]);
-        // Sampled recall-vs-exact: every Nth routed pass also runs the
-        // unmasked scoring and counts rows whose winner matches.
+        // Sampled recall-vs-exact: every Nth routed pass also scores each
+        // row's whole slot (reusing the pass's buffers — its winners are
+        // already taken) and counts rows whose winner matches.
         const std::size_t every = cfg_.two_phase.recall_sample_every;
         if (every > 0 && routed_passes_++ % every == 0) {
-          store_.shard_scores_into(shard, queries, tws.exact_scores, tws.exact_retrieve);
+          slot_mask();
+          store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve,
+                                   &tws.candidates);
           std::size_t matches = 0;
-          for (std::size_t r = 0; r < members.size(); ++r) {
-            const UserSlot& us = pinned.slot(batch[members[r]].user_id);
-            if (ShardedOvtStore::best_in_slot(tws.exact_scores, r, us) == ovt_index[members[r]])
-              ++matches;
-          }
+          for (std::size_t r = 0; r < members.size(); ++r)
+            if (winner(r) == ovt_index[members[r]]) ++matches;
           stats_.record_recall_sample(members.size(), matches);
-        }
-      } else {
-        store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve);
-        for (std::size_t r = 0; r < members.size(); ++r) {
-          const std::size_t i = members[r];
-          ovt_index[i] =
-              ShardedOvtStore::best_in_slot(tws.shard_scores, r, pinned.slot(batch[i].user_id));
         }
       }
     } catch (...) {
