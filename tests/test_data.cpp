@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "nvcim/data/lamp.hpp"
 
 namespace nvcim::data {
+
+// gtest appends the printed parameter to each LampTaskParam test name; without
+// this it prints a raw byte dump whose std::string pointer bytes change from
+// run to run, so the names would not be stable.
+void PrintTo(const LampConfig& config, std::ostream* os) { *os << config.name; }
+
 namespace {
 
 TEST(LampConfigs, FiveBenchmarks) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nvcim/nvm/device.hpp"
 
 namespace nvcim::nvm {
+
+// gtest appends the printed parameter to each DeviceSweep test name; without
+// this it prints a raw byte dump whose std::string pointer bytes change from
+// run to run, so the names would not be stable.
+void PrintTo(const DeviceModel& device, std::ostream* os) { *os << device.name; }
+
 namespace {
 
 TEST(DeviceModel, TableTwoValuesVerbatim) {
