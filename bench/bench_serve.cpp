@@ -2,12 +2,12 @@
 // nvcim::serve::ServingEngine as a function of retrieval batch size and
 // worker-thread count, an encode-bound scenario exercising the staged
 // batched encode pipeline (cross-user fused autoencoder GEMMs), a
-// retrieval-bound scenario comparing the fused slice kernel + parallel
-// per-shard fan-out against the PR 2 data path, a crossbar-kernel
-// microbench, a fault-storm scrub/self-repair scenario, and a microbench
-// of batched vs per-query retrieval. Results
-// are also emitted as machine-readable BENCH_serve.json so the perf
-// trajectory accumulates across PRs (CI gates regressions against it).
+// retrieval-bound scenario comparing parallel per-shard fan-out against
+// the serial shard loop, a crossbar-kernel microbench, a fault-storm
+// scrub/self-repair scenario, and a microbench of batched vs per-query
+// retrieval. Results are also emitted as machine-readable BENCH_serve.json
+// so the perf trajectory accumulates across PRs (CI gates regressions
+// against it).
 //
 // Deployments are synthetic (untrained autoencoder, random keys): the bench
 // exercises the serving data path — encode, sharded crossbar search, decode,
@@ -327,10 +327,7 @@ void bench_two_phase(FILE* json, std::size_t n_requests, std::size_t n_users) {
 /// single-core host floors at the programming/serving CPU ratio of
 /// ~3.3-3.7× no matter how the work is scheduled). Lifecycle + two-phase are
 /// on in BOTH passes, so the ratios isolate the churn operations, not the
-/// subsystem's bookkeeping. Also times the cold store build with the
-/// batched programming primitives against the column-at-a-time path — the
-/// results are bit-identical, so build_speedup is pure programming-path
-/// overhead.
+/// subsystem's bookkeeping. Also times the cold store build (build_ms).
 void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
   WorkloadConfig wc;
   wc.d_model = 16;
@@ -362,27 +359,18 @@ void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
   cfg.lifecycle.max_pending_admissions = 16;
   cfg.two_phase.enabled = true;       // router refresh is part of the admit cost
 
-  // Cold-build timing: batched per-(subarray, tile) programming vs the
-  // column-at-a-time path. Bit-identical stores; best of two per side.
-  double build_per_column_ms = 1e300, build_batched_ms = 1e300;
-  for (const bool batched : {false, true}) {
-    serve::ServingConfig bcfg = cfg;
-    bcfg.lifecycle.batched_programming = batched;
-    double& best = batched ? build_batched_ms : build_per_column_ms;
-    for (int pass = 0; pass < 2; ++pass) {
-      serve::ServingEngine engine(w.model, w.task, bcfg);
-      for (std::size_t u = 0; u < w.n_users; ++u)
-        engine.add_deployment(u, w.make_deployment(u));
-      const double t0 = now_ms();
-      engine.start();  // builds the sharded store
-      best = std::min(best, now_ms() - t0);
-      engine.stop();
-    }
+  // Cold-build timing (per-(subarray, tile) span programming), best of two.
+  double build_ms = 1e300;
+  for (int pass = 0; pass < 2; ++pass) {
+    serve::ServingEngine engine(w.model, w.task, cfg);
+    for (std::size_t u = 0; u < w.n_users; ++u)
+      engine.add_deployment(u, w.make_deployment(u));
+    const double t0 = now_ms();
+    engine.start();  // builds the sharded store
+    build_ms = std::min(build_ms, now_ms() - t0);
+    engine.stop();
   }
-  const double build_speedup =
-      build_batched_ms > 0.0 ? build_per_column_ms / build_batched_ms : 1.0;
-  std::printf("  cold build: %.1f ms batched vs %.1f ms per-column (%.2fx)\n",
-              build_batched_ms, build_per_column_ms, build_speedup);
+  std::printf("  cold build: %.1f ms\n", build_ms);
 
   // `churn_every` = admit one new tenant per this many waves (write-behind,
   // overlapped with the wave's traffic); the following wave joins the
@@ -490,9 +478,7 @@ void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
                "    \"program_batches\": %zu, \"admission_p50_ms\": %.3f, "
                "\"admission_p95_ms\": %.3f,\n",
                churny.program_batches, churny.admission_p50_ms, churny.admission_p95_ms);
-  std::fprintf(json, "    \"build_ms\": %.1f, \"build_per_column_ms\": %.1f, "
-               "\"build_speedup\": %.2f,\n",
-               build_batched_ms, build_per_column_ms, build_speedup);
+  std::fprintf(json, "    \"build_ms\": %.1f,\n", build_ms);
   std::fprintf(json, "    \"churn_p95_impact\": %.3f, \"churn_slowdown\": %.3f\n  },\n", impact,
                slowdown);
 }
@@ -1076,9 +1062,9 @@ void bench_batched_vs_per_query(FILE* json) {
 }
 
 /// Microbench of the crossbar MVM kernels on one programmed subarray: the
-/// retained legacy two-plane reference kernel (PR 2's matvec_batch) vs the
-/// fused interleaved slice kernel, exact and FastAccumulate. Same inputs,
-/// B=16 — the serving engine's retrieval batch shape.
+/// scalar per-query matvec() loop vs the fused interleaved slice kernel,
+/// exact and FastAccumulate. Same inputs, B=16 — the serving engine's
+/// retrieval batch shape.
 void bench_kernel(FILE* json) {
   std::printf("\n-- crossbar slice-kernel microbench (384x128, int16, B=16) --\n");
   cim::CrossbarConfig base;  // paper-default subarray
@@ -1090,41 +1076,38 @@ void bench_kernel(FILE* json) {
   const Matrix x = Matrix::randn(16, base.rows, qr);
 
   const int reps = 8;
-  auto time_kernel = [&](cim::CrossbarConfig cfg) {
+  auto time_kernel = [&](cim::CrossbarConfig cfg, bool scalar) {
     cim::Crossbar xb(cfg);
     Rng pr(7);  // identical programming stream for every variant
     xb.program(w, {nvm::fefet3(), 0.1}, pr);
-    (void)xb.matvec_batch(x);  // warmup
+    const auto run = [&] { (void)(scalar ? xb.matvec(x) : xb.matvec_batch(x)); };
+    run();  // warmup
     const double t0 = now_ms();
-    for (int i = 0; i < reps; ++i) (void)xb.matvec_batch(x);
+    for (int i = 0; i < reps; ++i) run();
     return (now_ms() - t0) / reps;
   };
 
-  cim::CrossbarConfig ref_cfg = base;
-  ref_cfg.reference_kernel = true;
   cim::CrossbarConfig fast_cfg = base;
   fast_cfg.fast_accumulate = true;
 
-  const double ref_ms = time_kernel(ref_cfg);
-  const double fused_ms = time_kernel(base);
-  const double fast_ms = time_kernel(fast_cfg);
-  std::printf("  %-22s %8.2f ms/batch\n", "reference (PR2)", ref_ms);
-  std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused exact", fused_ms, ref_ms / fused_ms);
+  const double scalar_ms = time_kernel(base, /*scalar=*/true);
+  const double fused_ms = time_kernel(base, false);
+  const double fast_ms = time_kernel(fast_cfg, false);
+  std::printf("  %-22s %8.2f ms/batch\n", "scalar matvec", scalar_ms);
+  std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused exact", fused_ms,
+              scalar_ms / fused_ms);
   std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused fast-accumulate", fast_ms,
-              ref_ms / fast_ms);
+              scalar_ms / fast_ms);
   std::fprintf(json,
-               "  \"kernel_microbench\": {\"reference_ms\": %.3f, \"fused_ms\": %.3f, "
+               "  \"kernel_microbench\": {\"scalar_ms\": %.3f, \"fused_ms\": %.3f, "
                "\"fast_ms\": %.3f, \"fused_speedup\": %.2f, \"fast_speedup\": %.2f},\n",
-               ref_ms, fused_ms, fast_ms, ref_ms / fused_ms, ref_ms / fast_ms);
+               scalar_ms, fused_ms, fast_ms, scalar_ms / fused_ms, scalar_ms / fast_ms);
 }
 
 /// Retrieval-bound scenario: 48 keys per user over 4 shards makes the
-/// crossbar search dominate per-request cost (the regime PR 2 left the
-/// engine in). The baseline runs PR 2's data path — legacy reference kernel
-/// plus the serial shard loop — against the same workload. The reference
-/// kernel ignores the candidate mask, so the baseline scores every column of
-/// a shard; the new path fuses the slice kernel, scores only each request's
-/// slot and fans per-shard retrieval out across the worker pool. Results are
+/// crossbar search dominate per-request cost. The baseline runs the serial
+/// shard loop on the fused kernel against the same workload; the measured
+/// path fans per-shard retrieval out across the worker pool. Results are
 /// bit-identical between the two (property-tested), so the speedup is pure
 /// wall-clock.
 void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_users) {
@@ -1155,14 +1138,13 @@ void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_use
   common.min_batch = batch;
   common.batch_window_ms = 50.0;
 
-  // PR 2 baseline: legacy kernel, serial shard loop.
+  // Baseline: fused kernel, serial shard loop.
   serve::ServingConfig baseline = common;
-  baseline.crossbar.reference_kernel = true;
   baseline.parallel_retrieval = false;
   serve::StatsSnapshot bs;
   const double baseline_rps = waves_with_indices(w, baseline, batch, &bs, nullptr);
 
-  // New path: fused kernel + parallel per-shard fan-out.
+  // Measured path: fused kernel + parallel per-shard fan-out.
   serve::StatsSnapshot ns;
   const double new_rps = waves_with_indices(w, common, batch, &ns, nullptr);
 
@@ -1173,10 +1155,10 @@ void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_use
   const double fast_rps = waves_with_indices(w, fastc, batch, &fs, nullptr);
 
   const double retrieve_speedup = bs.retrieve_ms / ns.retrieve_ms;
-  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms\n", "PR2 baseline (serial)",
+  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms\n", "serial shard loop",
               baseline_rps, bs.retrieve_ms);
   std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms  (stage %.2fx, rps %.2fx)\n",
-              "fused + parallel shards", new_rps, ns.retrieve_ms, retrieve_speedup,
+              "parallel shard fan-out", new_rps, ns.retrieve_ms, retrieve_speedup,
               new_rps / baseline_rps);
   std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms  (stage %.2fx)\n",
               "    + fast-accumulate", fast_rps, fs.retrieve_ms,

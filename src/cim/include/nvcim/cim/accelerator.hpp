@@ -36,18 +36,12 @@ class Accelerator {
   /// Program `keys` (n × len, one key per row) into columns
   /// [col_begin, col_begin + n). Requires init_mutable() and enough
   /// capacity (grow first with ensure_capacity()). Reprogramming an
-  /// occupied column overwrites it.
+  /// occupied column overwrites it. Every key is quantized once, then each
+  /// touched (row band, column tile) subarray programs its whole column span
+  /// in one Crossbar::program_columns call. Each column draws from its own
+  /// (subarray, column)-derived stream, so a span programs bit-identically
+  /// to the same keys programmed one call at a time, in any order.
   void program_keys(const Matrix& keys, std::size_t col_begin);
-
-  /// program_keys() restructured tile-major: all keys are quantized once,
-  /// then every touched (subarray, tile) is visited exactly once and its
-  /// whole column span programmed in one Crossbar::program_columns call —
-  /// hoisting the per-key segment rebuild, the per-(key, subarray) stream
-  /// construction and the per-call validation out of the inner loop. Each
-  /// column still draws from the same (subarray, column)-derived stream, so
-  /// the programmed cells are bit-identical to program_keys()
-  /// (property-tested); this is the admission/build fast path.
-  void program_keys_batched(const Matrix& keys, std::size_t col_begin);
 
   /// Grow capacity to at least `n_cols` key columns by appending blank
   /// column subarrays. Existing columns (cells, scales) are untouched.

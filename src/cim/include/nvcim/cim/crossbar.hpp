@@ -30,12 +30,6 @@ struct CrossbarConfig {
   /// the exact path within tolerance, not bit-identical.
   bool fast_accumulate = false;
 
-  /// Run the legacy two-plane kernel (the pre-fusion implementation) on
-  /// plane-separated storage. Kept for bit-identity property tests and as an
-  /// in-situ perf baseline for benches; costs one extra copy of the cell
-  /// planes, so leave it off in production configs.
-  bool reference_kernel = false;
-
   std::size_t levels() const { return 1ull << bits_per_cell; }
   std::size_t n_slices() const {
     const std::size_t magnitude_bits = value_bits - (differential ? 1 : 0);
@@ -102,36 +96,29 @@ class Crossbar {
   /// Allocate an unprogrammed active_rows×active_cols region: every cell is
   /// exactly zero (it was never pulsed), so unprogrammed columns contribute
   /// exactly zero to the MVM. The entry point of the mutable (lifecycle)
-  /// storage path — columns are then programmed individually.
+  /// storage path — columns are then written with program_columns().
   void init_blank(std::size_t active_rows, std::size_t active_cols);
 
-  /// (Re)program one column in place. `int_values` is a 1×active_rows row
-  /// vector of exact integers. The caller owns the noise stream: passing a
-  /// per-(subarray, column) derived Rng makes the programmed cells a pure
-  /// function of (position, values, stream) — independent of programming
-  /// order and of every other column — which is what keeps untouched
-  /// columns bit-identical across admits and lets an incremental program
-  /// reproduce a from-scratch one exactly. Other columns' cells are not
-  /// touched. `verify_mask` is not supported on this path.
-  void program_column(const Matrix& int_values, std::size_t col,
-                      const nvm::VariationModel& var, Rng& rng,
-                      const ProgramOptions& opts = {});
-
-  /// Program a span of columns [col_begin, col_begin + n) in one visit.
+  /// (Re)program a span of columns [col_begin, col_begin + n) in place.
   /// `int_values` is n×active_rows (row j holds column col_begin + j's
   /// integer values) and `rngs` points at n per-column noise streams, one
-  /// per column in span order. Bit-identical to n program_column() calls
-  /// with the same streams — each column's cells draw from its own stream
-  /// in the same row-ascending order — but the geometry checks, value-range
-  /// validation and per-call overhead are paid once per span instead of
-  /// once per column. The write-behind admission path programs whole
-  /// per-subarray batches through this.
+  /// per column in span order. The caller owns the noise streams: passing
+  /// per-(subarray, column) derived Rngs makes each column's programmed
+  /// cells a pure function of (position, values, stream) — independent of
+  /// span boundaries, programming order and every other column — which is
+  /// what keeps untouched columns bit-identical across admits and lets an
+  /// incremental program reproduce a from-scratch one exactly. Other
+  /// columns' cells are not touched. The whole span is validated before any
+  /// cell is written. `verify_mask` is not supported on this path.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
                        const nvm::VariationModel& var, Rng* rngs,
                        const ProgramOptions& opts = {});
 
   /// y = x · W for x of shape m×r (r = programmed rows). Returns m×c in the
-  /// stored-integer scale. Non-const: accumulates op counters.
+  /// stored-integer scale. Non-const: accumulates op counters. A plain
+  /// per-query, per-column double-precision loop over the interleaved
+  /// storage (fast_accumulate does not apply): the scalar oracle the fused
+  /// kernel is tested against.
   Matrix matvec(const Matrix& x);
 
   /// Batched y = x · W with identical semantics (and bit-identical results:
@@ -157,9 +144,7 @@ class Crossbar {
   /// value when a candidate shares its block — callers must argmax over
   /// candidates only. ADC-conversion counters advance only
   /// for computed (query, column) pairs, so pruning is visible in the cost
-  /// model; subarray activations still follow the input-side schedule. The
-  /// legacy reference kernel ignores the mask (it exists as the full-compute
-  /// baseline).
+  /// model; subarray activations still follow the input-side schedule.
   void matvec_batch_into(const Matrix& x, Matrix& y,
                          const CandidateSet* candidates = nullptr,
                          std::size_t col_offset = 0);
@@ -227,14 +212,14 @@ class Crossbar {
   ColumnProbe probe_column(std::size_t col, double eps = 1e-6) const;
 
  private:
-  /// Pin one flat cell index at `level`, keeping slice-zero flags and the
-  /// reference-kernel planes consistent with the clamped value.
+  /// Pin one flat cell index at `level`, keeping the slice-zero flags
+  /// consistent with the clamped value.
   void clamp_cell(std::size_t idx, float level);
 
   double adc_quantize(double analog, double full_scale) const;
 
   /// Program every slice (both polarities) of cell (r, c) with value `v`,
-  /// drawing noise from `rng`. Shared by whole-matrix and per-column
+  /// drawing noise from `rng`. Shared by whole-matrix and column-span
   /// programming so the two paths are cell-for-cell identical given the
   /// same streams.
   void program_cell_slices(std::size_t r, std::size_t c, long v, const nvm::VariationModel& var,
@@ -248,18 +233,12 @@ class Crossbar {
   void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                     std::size_t col_offset);
 
-  Matrix matvec_reference(const Matrix& x);
-  Matrix matvec_batch_reference(const Matrix& x);
-
   CrossbarConfig cfg_;
   /// Interleaved analog cell levels (0..levels-1 plus noise): slice-major,
   /// then row-major, each row `active_cols_ × pitch()` floats.
   std::vector<float> cells_;
   std::vector<double> slice_shift_;        ///< 2^(s·bits_per_cell)
   std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
-  /// Legacy plane-separated storage, populated only with reference_kernel.
-  std::vector<Matrix> pos_planes_;
-  std::vector<Matrix> neg_planes_;
   Matrix reference_;
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;

@@ -92,35 +92,6 @@ void Accelerator::program_keys(const Matrix& keys, std::size_t col_begin) {
   NVCIM_CHECK_MSG(mutable_mode_, "program_keys requires init_mutable");
   NVCIM_CHECK_MSG(keys.rows() > 0 && keys.cols() == key_len_,
                   "keys must be Nx" << key_len_);
-  NVCIM_CHECK_MSG(col_begin + keys.rows() <= n_keys_,
-                  "columns [" << col_begin << ", " << col_begin + keys.rows()
-                              << ") exceed capacity " << n_keys_);
-  Matrix seg;
-  for (std::size_t j = 0; j < keys.rows(); ++j) {
-    const std::size_t col = col_begin + j;
-    const QuantizedMatrix q =
-        quantize_symmetric(keys.row(j), static_cast<int>(cfg_.value_bits));
-    col_scale_[col] = q.scale;
-    for (std::size_t i = 0; i < key_len_; ++i) keys_ref_(col, i) = q.q(0, i) * q.scale;
-    const std::size_t ct = col / cfg_.cols;
-    for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-      const std::size_t r0 = rt * cfg_.rows;
-      const std::size_t r1 = std::min(r0 + cfg_.rows, key_len_);
-      seg.resize(1, r1 - r0);
-      for (std::size_t i = r0; i < r1; ++i) seg(0, i - r0) = q.q(0, i);
-      // One stream per (subarray row band, global column): the draw
-      // sequence for a column's cells never depends on what else is or was
-      // programmed — the bit-identity anchor of the lifecycle path.
-      Rng col_rng = base_rng_.split(rt * 0x100000001B3ull + col);
-      tiles_[rt * col_tiles_ + ct].program_column(seg, col % cfg_.cols, var_, col_rng, opts_);
-    }
-  }
-}
-
-void Accelerator::program_keys_batched(const Matrix& keys, std::size_t col_begin) {
-  NVCIM_CHECK_MSG(mutable_mode_, "program_keys_batched requires init_mutable");
-  NVCIM_CHECK_MSG(keys.rows() > 0 && keys.cols() == key_len_,
-                  "keys must be Nx" << key_len_);
   const std::size_t n = keys.rows();
   NVCIM_CHECK_MSG(col_begin + n <= n_keys_,
                   "columns [" << col_begin << ", " << col_begin + n
@@ -154,8 +125,9 @@ void Accelerator::program_keys_batched(const Matrix& keys, std::size_t col_begin
       for (std::size_t c = c0; c < c1; ++c) {
         const std::size_t j = c - col_begin;
         for (std::size_t i = r0; i < r1; ++i) seg(c - c0, i - r0) = qall(j, i);
-        // Same (row band, global column) stream derivation as program_keys:
-        // a column's draws never depend on batch composition or order.
+        // One stream per (row band, global column): a column's draws never
+        // depend on batch composition, programming order or what else is or
+        // was programmed — the bit-identity anchor of the lifecycle path.
         rngs.push_back(base_rng_.split(rt * 0x100000001B3ull + c));
       }
       tiles_[rt * col_tiles_ + ct].program_columns(seg, c0 % cfg_.cols, var_, rngs.data(),

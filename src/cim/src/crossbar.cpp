@@ -53,10 +53,6 @@ void Crossbar::program_cell_slices(std::size_t r, std::size_t c, long v,
       }
     }
     if (cell[0] != 0.0f || (cfg_.differential && cell[1] != 0.0f)) slice_zero_[s] = 0;
-    if (cfg_.reference_kernel) {
-      pos_planes_[s](r, c) = cell[0];
-      if (cfg_.differential) neg_planes_[s](r, c) = cell[1];
-    }
     counters_.cells_programmed += cfg_.differential ? 2 : 1;
   }
 }
@@ -110,37 +106,6 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
   killed_ = false;
   age_ = 0;
   reference_ = Matrix(active_rows_, active_cols_, 0.0f);
-  if (cfg_.reference_kernel) {
-    pos_planes_.assign(S, Matrix(active_rows_, active_cols_, 0.0f));
-    neg_planes_.assign(S, Matrix(active_rows_, active_cols_, 0.0f));
-  } else {
-    pos_planes_.clear();
-    neg_planes_.clear();
-  }
-}
-
-void Crossbar::program_column(const Matrix& int_values, std::size_t col,
-                              const nvm::VariationModel& var, Rng& rng,
-                              const ProgramOptions& opts) {
-  NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar region not initialized");
-  NVCIM_CHECK_MSG(col < active_cols_, "column " << col << " out of range");
-  NVCIM_CHECK_MSG(int_values.rows() == 1 && int_values.cols() == active_rows_,
-                  "column values must be 1x" << active_rows_);
-  NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
-                  "device level count must match bits_per_cell");
-  NVCIM_CHECK_MSG(opts.verify_mask == nullptr,
-                  "verify_mask is not supported on the per-column path");
-  const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
-  const bool verify = opts.verify_tolerance > 0.0;
-  for (std::size_t r = 0; r < active_rows_; ++r) {
-    const double vf = int_values(0, r);
-    NVCIM_CHECK_MSG(std::fabs(vf - std::round(vf)) < 1e-3,
-                    "crossbar expects integer-valued entries");
-    const long v = static_cast<long>(std::llround(vf));
-    NVCIM_CHECK_MSG(std::labs(v) <= vmax, "value " << v << " exceeds int" << cfg_.value_bits);
-    reference_(r, col) = static_cast<float>(v);
-    program_cell_slices(r, col, v, var, rng, opts, verify);
-  }
 }
 
 void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
@@ -155,7 +120,7 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
                   "device level count must match bits_per_cell");
   NVCIM_CHECK_MSG(opts.verify_mask == nullptr,
-                  "verify_mask is not supported on the per-column path");
+                  "verify_mask is not supported on column programming");
   const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
   const bool verify = opts.verify_tolerance > 0.0;
   // Validate the whole span up front, so a bad value can never leave the
@@ -172,8 +137,8 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t col = col_begin + j;
     Rng& rng = rngs[j];
-    // Rows ascending per column, exactly like program_column: a column's
-    // cells are a pure function of (values, position, its own stream).
+    // Rows ascending per column: a column's cells are a pure function of
+    // (values, position, its own stream), whatever span it was written in.
     for (std::size_t r = 0; r < active_rows_; ++r) {
       const long v = static_cast<long>(std::llround(int_values(j, r)));
       reference_(r, col) = static_cast<float>(v);
@@ -189,16 +154,6 @@ void Crossbar::clamp_cell(std::size_t idx, float level) {
   // A nonzero clamp makes the plane non-elidable; a zero clamp leaves the
   // (conservative) flag alone — the cell really does read zero.
   if (level != 0.0f) slice_zero_[s] = 0;
-  if (cfg_.reference_kernel) {
-    const std::size_t rem = idx % slice_stride();
-    const std::size_t r = rem / row_stride();
-    const std::size_t cp = rem % row_stride();
-    const std::size_t c = cp / pitch();
-    if (cfg_.differential && cp % pitch() == 1)
-      neg_planes_[s](r, c) = level;
-    else
-      pos_planes_[s](r, c) = level;
-  }
 }
 
 std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
@@ -254,12 +209,6 @@ void Crossbar::advance_age(std::uint64_t ticks) {
           if (cells_[idx] == 0.0f) continue;  // zero decays to zero
           if (!stuck_.empty() && stuck_.find(idx) != stuck_.end()) continue;
           cells_[idx] = static_cast<float>(static_cast<double>(cells_[idx]) * f);
-          if (cfg_.reference_kernel) {
-            if (cfg_.differential && p == 1)
-              neg_planes_[s](r, c) = cells_[idx];
-            else
-              pos_planes_[s](r, c) = cells_[idx];
-          }
         }
       }
     }
@@ -318,7 +267,6 @@ Matrix Crossbar::matvec(const Matrix& x) {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
   NVCIM_CHECK_MSG(x.cols() == active_rows_, "input width " << x.cols() << " != programmed rows "
                                                            << active_rows_);
-  if (cfg_.reference_kernel) return matvec_reference(x);
   const std::size_t S = cfg_.n_slices();
   const double denorm = static_cast<double>(cfg_.levels() - 1);
   const std::size_t P = pitch();
@@ -356,14 +304,14 @@ Matrix Crossbar::matvec(const Matrix& x) {
 /// Fused slice kernel shared by the exact (double) and FastAccumulate
 /// (float) paths, iterated slice-major with register/L1 blocking: each
 /// slice's interleaved [G+ G−] plane is swept once per query tile (the
-/// legacy kernel re-streamed all S planes per query), feeding a resident
+/// scalar matvec() re-streams every plane per query), feeding a resident
 /// kTile×kBlk accumulator block, then one ADC/shift pass with a hoisted
-/// per-query LSB folds the block into the output rows. Bit-identity with
-/// the legacy kernel holds because (a) every accumulator element still sums
-/// rows r = 0..R-1 in ascending order starting from zero, and (b) each
-/// output element still receives its per-slice contributions in ascending
-/// slice order — only the interleaving of independent (query, column)
-/// partial sums changed.
+/// per-query LSB folds the block into the output rows. The exact (double)
+/// path is bit-identical to matvec() because (a) every accumulator element
+/// still sums rows r = 0..R-1 in ascending order starting from zero, and
+/// (b) each output element still receives its per-slice contributions in
+/// ascending slice order — only the interleaving of independent (query,
+/// column) partial sums changed.
 template <typename Acc>
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                             std::size_t col_offset) {
@@ -391,15 +339,14 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
 
   // Register blocking: kTile queries × kBlk accumulator columns per pass.
   // The four per-query blocks live in vector registers across the entire
-  // row sweep (the naive kernel re-loads and re-stores its full accumulator
-  // lane every row — that L1 traffic, not the FMAs, was the wall-clock),
+  // row sweep (a kernel that re-loads and re-stores a full accumulator lane
+  // every row is bound by that L1 traffic, not by the FMAs),
   // each plane element is loaded once per query tile and feeds all four
   // queries' FMAs, and each pass reads a kBlk-wide column stripe of the
   // plane exactly once. Iteration order over (query, column block) changes
   // only WHICH element's sum is formed when; every accumulator element
   // still sums rows r = 0..R-1 in ascending order starting from zero,
-  // exactly as the legacy kernel's std::fill + accumulate — so results are
-  // bit-identical.
+  // exactly as matvec()'s per-column loop — so results are bit-identical.
   constexpr std::size_t kTile = 4;
   constexpr std::size_t kBlk = kAccumulatorLanes;
   const std::size_t rows = active_rows_;
@@ -547,10 +494,6 @@ void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const CandidateSet*
     // against an earlier epoch. Columns beyond n_keys are simply never
     // candidates (they belong to users admitted after the batch pinned).
   }
-  if (cfg_.reference_kernel) {
-    y = matvec_batch_reference(x);  // full-compute baseline: mask ignored
-    return;
-  }
   y.resize(x.rows(), active_cols_);
   y.fill(0.0f);
   if (cfg_.fast_accumulate)
@@ -562,80 +505,6 @@ void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const CandidateSet*
 Matrix Crossbar::matvec_batch(const Matrix& x) {
   Matrix y;
   matvec_batch_into(x, y);
-  return y;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy (pre-fusion) kernels, selected by CrossbarConfig::reference_kernel.
-// These run on the plane-separated storage exactly as before the interleaved
-// layout landed: std::pow per slice, std::fill per accumulator pass, and two
-// separate polarity loops. They exist as the comparator for bit-identity
-// property tests and as the in-situ perf baseline for benches.
-// ---------------------------------------------------------------------------
-
-Matrix Crossbar::matvec_reference(const Matrix& x) {
-  const std::size_t S = cfg_.n_slices();
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  Matrix y(x.rows(), active_cols_, 0.0f);
-
-  for (std::size_t m = 0; m < x.rows(); ++m) {
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(x(m, i));
-    const double full_scale = abs_in * denorm;
-
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = std::pow(2.0, static_cast<double>(s * cfg_.bits_per_cell));
-      counters_.subarray_activations += cfg_.differential ? 2 : 1;
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        double acc_pos = 0.0, acc_neg = 0.0;
-        for (std::size_t r = 0; r < active_rows_; ++r) {
-          acc_pos += static_cast<double>(x(m, r)) * pos_planes_[s](r, c);
-          if (cfg_.differential) acc_neg += static_cast<double>(x(m, r)) * neg_planes_[s](r, c);
-        }
-        counters_.adc_conversions += cfg_.differential ? 2 : 1;
-        const double v =
-            adc_quantize(acc_pos, full_scale) - adc_quantize(acc_neg, full_scale);
-        y(m, c) += static_cast<float>(shift * v);
-      }
-    }
-  }
-  return y;
-}
-
-Matrix Crossbar::matvec_batch_reference(const Matrix& x) {
-  const std::size_t S = cfg_.n_slices();
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  Matrix y(x.rows(), active_cols_, 0.0f);
-  std::vector<double> acc_pos(active_cols_), acc_neg(active_cols_);
-
-  for (std::size_t m = 0; m < x.rows(); ++m) {
-    const float* xrow = x.data() + m * x.cols();
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(xrow[i]);
-    const double full_scale = abs_in * denorm;
-
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = std::pow(2.0, static_cast<double>(s * cfg_.bits_per_cell));
-      counters_.subarray_activations += cfg_.differential ? 2 : 1;
-      std::fill(acc_pos.begin(), acc_pos.end(), 0.0);
-      if (cfg_.differential) std::fill(acc_neg.begin(), acc_neg.end(), 0.0);
-      for (std::size_t r = 0; r < active_rows_; ++r) {
-        const double xv = xrow[r];
-        const float* prow = pos_planes_[s].data() + r * active_cols_;
-        for (std::size_t c = 0; c < active_cols_; ++c) acc_pos[c] += xv * prow[c];
-        if (cfg_.differential) {
-          const float* nrow = neg_planes_[s].data() + r * active_cols_;
-          for (std::size_t c = 0; c < active_cols_; ++c) acc_neg[c] += xv * nrow[c];
-        }
-      }
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        counters_.adc_conversions += cfg_.differential ? 2 : 1;
-        const double neg = cfg_.differential ? adc_quantize(acc_neg[c], full_scale) : 0.0;
-        const double v = adc_quantize(acc_pos[c], full_scale) - neg;
-        y(m, c) += static_cast<float>(shift * v);
-      }
-    }
-  }
   return y;
 }
 

@@ -63,7 +63,9 @@ class HttpServer {
   const HttpServerConfig& config() const { return cfg_; }
 
  private:
-  void accept_loop();
+  /// Takes the listen fd by value: stop() owns listen_fd_ and closes it
+  /// only after joining this loop.
+  void accept_loop(int listen_fd);
   void handler_loop();
   void serve_connection(int fd);
 

@@ -108,7 +108,7 @@ bool HttpServer::start() {
     started_ = true;
     stopping_ = false;
   }
-  acceptor_ = std::thread(&HttpServer::accept_loop, this);
+  acceptor_ = std::thread(&HttpServer::accept_loop, this, fd);
   handlers_.reserve(cfg_.handler_threads);
   for (std::size_t i = 0; i < cfg_.handler_threads; ++i) {
     handlers_.emplace_back(&HttpServer::handler_loop, this);
@@ -124,15 +124,14 @@ void HttpServer::stop() {
     if (!started_ || stopping_) return;
     stopping_ = true;
   }
-  // Unblock the accept thread: shutdown() makes a blocked accept() return,
-  // close() releases the fd.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Unblock the accept thread: shutdown() makes a blocked accept() return.
+  // The fd is closed only after the join, so the kernel cannot hand its
+  // number to another socket while the loop may still call accept() on it.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (auto& t : handlers_) {
     if (t.joinable()) t.join();
   }
@@ -152,9 +151,9 @@ bool HttpServer::running() const {
   return started_ && !stopping_;
 }
 
-void HttpServer::accept_loop() {
+void HttpServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
+    const int conn = ::accept(listen_fd, nullptr, nullptr);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (stopping_) {

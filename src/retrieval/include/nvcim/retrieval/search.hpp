@@ -38,11 +38,6 @@ class CimRetriever {
     cim::CrossbarConfig crossbar;
     nvm::VariationModel variation;
     cim::ProgramOptions program;
-    /// Route program_keys() through the tile-major batched programming
-    /// primitive (Accelerator::program_keys_batched). Bit-identical to the
-    /// column-at-a-time path — kept as a toggle for A/B benches and the
-    /// bit-identity property tests.
-    bool batched_programming = true;
   };
 
   explicit CimRetriever(Config cfg) : cfg_(std::move(cfg)) {}

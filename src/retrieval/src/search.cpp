@@ -112,12 +112,7 @@ void CimRetriever::program_keys(std::size_t col_begin, const std::vector<Matrix>
     Matrix pooled(keys.size(), pooled_len);
     for (std::size_t i = 0; i < keys.size(); ++i)
       pooled.set_row(i, average_pool_flat(keys[i], scale));
-    // Same pooled values, same per-column streams either way — the batched
-    // path is a wall-clock rewrite, not a semantic one (property-tested).
-    if (cfg_.batched_programming)
-      banks_[b]->program_keys_batched(pooled, col_begin);
-    else
-      banks_[b]->program_keys(pooled, col_begin);
+    banks_[b]->program_keys(pooled, col_begin);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -139,7 +138,7 @@ class RequestHandle {
   RequestHandle() = default;
 
   /// False ⇔ the submission was rejected (queue full under
-  /// OverloadPolicy::Reject) — the legacy try_submit() nullopt.
+  /// OverloadPolicy::Reject).
   bool valid() const { return engine_ != nullptr; }
   std::uint64_t id() const { return id_; }
 
@@ -164,8 +163,8 @@ class RequestHandle {
   std::future<Response> future_;
 };
 
-/// Handle to one admission: valid() ⇔ the admission was accepted (false is
-/// the legacy try_admit_user() == false rejection), wait() joins a
+/// Handle to one admission: valid() ⇔ the admission was accepted (false ⇔
+/// rejected under AdmitOptions::non_blocking), wait() joins a
 /// write-behind admission (rethrows its error on rollback). The handle must
 /// not outlive its engine.
 class AdmissionHandle {
@@ -214,7 +213,7 @@ class AdmissionHandle {
 /// Per-stage wall-clock is accumulated into EngineStats. Batched results
 /// are bit-identical to the serial reference path (retrieve_serial).
 ///
-/// Lifecycle: construct → add_deployment()× → start() → submit()/serve()×
+/// Lifecycle: construct → add_deployment()× → start() → submit()×
 /// → stop() (or destruction). The backbone and task outlive the engine.
 class ServingEngine {
  public:
@@ -262,18 +261,10 @@ class ServingEngine {
   /// backpressure — the pre-PR 8 submit().
   std::future<Response> submit(std::size_t user_id, data::Sample query);
 
-  /// DEPRECATED shim: submit() under OverloadPolicy::Reject — nullopt when
-  /// the queue is full (the pre-PR 8 try_submit()).
-  std::optional<std::future<Response>> try_submit(std::size_t user_id, data::Sample query);
-
-  /// DEPRECATED shim: submit and wait.
-  Response serve(std::size_t user_id, const data::Sample& query);
-
   // ---- Online tenant lifecycle (requires ServingConfig::lifecycle) ----
 
   /// Admit a user while serving (one entry point; AdmitOptions carries the
-  /// non-blocking / join-before-return semantics the admit_user /
-  /// try_admit_user / wait_admitted trio used to encode in function names).
+  /// non-blocking / join-before-return semantics).
   /// Returns an invalid handle ⇔ the write-behind pending-admission bound
   /// rejected the call under `opts.non_blocking`. Before start() this is
   /// equivalent to add_deployment(). See admit_user() for the write-behind
@@ -294,16 +285,9 @@ class ServingEngine {
   /// last span lands — bit-identical to the synchronous path (same staged
   /// protocol, same per-column noise streams). Join with wait_admitted().
   /// At LifecycleConfig::max_pending_admissions staged admissions the call
-  /// blocks (backpressure); try_admit_user() rejects instead.
+  /// blocks (backpressure); admit(..., {.non_blocking = true}) rejects
+  /// instead.
   void admit_user(std::size_t user_id, core::TrainedDeployment deployment);
-
-  /// DEPRECATED shim for admit(..., {.non_blocking = true}).valid().
-  ///
-  /// Non-blocking admission control for admit_user(): when the write-behind
-  /// pending bound is hit the admission is REJECTED — returns false (the
-  /// engine is Overloaded, EngineStats::rejected_admissions bumps) instead
-  /// of blocking. Synchronous-path admissions always proceed (return true).
-  bool try_admit_user(std::size_t user_id, core::TrainedDeployment deployment);
 
   /// Join one write-behind admission (AdmissionHandle::wait()'s
   /// implementation): block until the user's staged columns
@@ -453,7 +437,7 @@ class ServingEngine {
   /// Settle a batch of already-expired requests with DeadlineExceeded and
   /// account them (stats + tracer). Called outside queue_mu_.
   void expire_requests(std::vector<QueuedRequest>&& expired);
-  /// Shared body of admit_user()/try_admit_user(). Returns false only when
+  /// Body of admit(). Returns false only when
   /// `may_block` is false and the pending-admission bound rejects the call.
   bool admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment, bool may_block);
   /// Program one staged span; the last span to finish settles the admission

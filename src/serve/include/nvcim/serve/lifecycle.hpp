@@ -39,11 +39,6 @@ struct LifecycleConfig {
   /// pruning blocks with as few other tenants as possible. Only applied
   /// when two-phase routing is enabled (block pruning is what benefits).
   bool align_slots_to_blocks = true;
-  /// Program key columns through the tile-major batched primitive
-  /// (Accelerator::program_keys_batched) instead of one column at a time.
-  /// Bit-identical either way — the toggle exists for A/B benches and the
-  /// property tests.
-  bool batched_programming = true;
   /// Write-behind admission: admit_user() publishes the tenant's slot as
   /// PENDING and returns immediately; column programming runs as worker-pool
   /// aux tasks in per-subarray batches, and the tenant flips to live
@@ -53,7 +48,8 @@ struct LifecycleConfig {
   bool write_behind = false;
   /// Backpressure bound on the write-behind path: at most this many
   /// admissions may be in flight (staged, not yet live) at once.
-  /// try_admit_user() returns Overloaded beyond it; admit_user() blocks.
+  /// A non-blocking admit() returns an invalid handle beyond it;
+  /// admit_user() blocks.
   std::size_t max_pending_admissions = 8;
   /// Maximum key columns per programming span. Spans never cross subarray
   /// boundaries; this additionally splits a wide slot inside one subarray so

@@ -46,7 +46,7 @@ struct Request {
 /// What submit() does when the bounded queue is at capacity.
 enum class OverloadPolicy {
   Block,   ///< wait for space (backpressure) — the old submit() behaviour
-  Reject,  ///< return an invalid handle and bump rejected_requests — try_submit()
+  Reject,  ///< return an invalid handle and bump rejected_requests
 };
 
 /// Per-request scheduling contract. Defaults reproduce the legacy behaviour:

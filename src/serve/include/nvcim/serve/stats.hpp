@@ -115,8 +115,8 @@ struct StatsSnapshot {
   // Admission latency (stage → live) percentiles from the histogram.
   double admission_p50_ms = 0.0;
   double admission_p95_ms = 0.0;
-  /// try_admit_user() calls bounced with Overloaded (pending-admission
-  /// backpressure bound hit).
+  /// Non-blocking admit() calls rejected (pending-admission backpressure
+  /// bound hit).
   std::size_t rejected_admissions = 0;
   // Device-fault tolerance accounting (zero without scrubbing in play).
   std::size_t scrub_passes = 0;          ///< per-subarray scrub-and-repair passes
@@ -233,7 +233,7 @@ class EngineStats {
   void record_program_batch(std::size_t columns);
   /// One admission went stage → live in `ms` wall-clock.
   void record_admission_latency(double ms);
-  /// One try_admit_user() bounced on the pending-admission bound.
+  /// One non-blocking admit() rejected on the pending-admission bound.
   void record_admission_rejection();
 
   // ---- Device-fault scrubbing / repair ----

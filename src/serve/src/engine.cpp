@@ -79,11 +79,6 @@ void ServingEngine::admit_user(std::size_t user_id, core::TrainedDeployment depl
   admit(user_id, std::move(deployment));
 }
 
-bool ServingEngine::try_admit_user(std::size_t user_id, core::TrainedDeployment deployment) {
-  return admit(user_id, std::move(deployment), AdmitOptions{/*non_blocking=*/true, false})
-      .valid();
-}
-
 bool ServingEngine::admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment,
                                     bool may_block) {
   if (!store_.built()) {
@@ -685,19 +680,6 @@ void ServingEngine::set_rate_limit(std::size_t user_id, double rps) {
 
 std::future<Response> ServingEngine::submit(std::size_t user_id, data::Sample query) {
   return submit(Request{user_id, std::move(query)}).take_future();
-}
-
-std::optional<std::future<Response>> ServingEngine::try_submit(std::size_t user_id,
-                                                               data::Sample query) {
-  SubmitOptions opts;
-  opts.overload_policy = OverloadPolicy::Reject;
-  RequestHandle handle = submit(Request{user_id, std::move(query)}, std::move(opts));
-  if (!handle.valid()) return std::nullopt;
-  return handle.take_future();
-}
-
-Response ServingEngine::serve(std::size_t user_id, const data::Sample& query) {
-  return submit(Request{user_id, query}).get();
 }
 
 void ServingEngine::worker_loop() {

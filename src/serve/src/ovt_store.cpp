@@ -16,7 +16,6 @@ retrieval::CimRetriever::Config retriever_config(const OvtStoreConfig& cfg) {
   rcfg.crossbar = cfg.crossbar;
   rcfg.variation = cfg.variation;
   rcfg.program = cfg.program;
-  rcfg.batched_programming = cfg.lifecycle.batched_programming;
   return rcfg;
 }
 
@@ -315,7 +314,7 @@ ShardedOvtStore::StagedAdmission ShardedOvtStore::stage_admit(std::size_t user_i
   staged.begin = begin;
   staged.keys = std::make_shared<const std::vector<Matrix>>(keys);
   // Spans never cross a subarray boundary (each programming batch visits a
-  // single row-tile column range — what the batched primitive hoists
+  // single row-tile column range — what Accelerator::program_keys hoists
   // per-visit work out of) and are further capped at program_span_cols so a
   // wide slot fans out across several workers instead of serializing on one.
   const std::size_t cap = cfg_.lifecycle.program_span_cols == 0

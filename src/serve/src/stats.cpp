@@ -58,7 +58,7 @@ EngineStats::EngineStats(obs::WindowConfig window)
       rebalance_ms_(&registry_.counter("nvcim_rebalance_ms_total", {},
                                        "cumulative rebalance() wall-clock (ms)")),
       rejected_(&registry_.counter("nvcim_requests_rejected_total", {},
-                                   "try_submit() rejections (queue full)")),
+                                   "submissions rejected (queue full)")),
       programming_queue_depth_(&registry_.gauge("nvcim_programming_queue_depth", {},
                                                 "staged programming spans not yet executed")),
       admission_latency_(&registry_.histogram("nvcim_admission_latency_ms", {},
@@ -68,7 +68,7 @@ EngineStats::EngineStats(obs::WindowConfig window)
                                                   "key columns per programming batch",
                                                   latency_buckets())),
       rejected_admissions_(&registry_.counter("nvcim_admissions_rejected_total", {},
-                                              "try_admit_user() rejections (pending bound)")),
+                                              "admissions rejected (pending bound)")),
       expired_(&registry_.counter("nvcim_requests_expired_total", {},
                                   "requests dropped in-queue past their deadline")),
       deadline_missed_(&registry_.counter("nvcim_deadline_missed_total", {},

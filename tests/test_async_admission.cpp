@@ -1,11 +1,10 @@
-// Churn fast path (PR 7): batched programming primitives and write-behind
-// admission, overlapped with serving.
+// Churn fast path: span programming and write-behind admission, overlapped
+// with serving.
 //
-//  - Crossbar::program_columns is cell-for-cell identical to a loop of
-//    program_column calls with the same per-column streams
-//  - Accelerator::program_keys_batched matches program_keys bit-for-bit
-//    (multi-tile geometry, unaligned span, reprogramming included)
-//  - the CimRetriever batched_programming toggle changes nothing observable
+//  - one Crossbar::program_columns span is cell-for-cell identical to the
+//    same columns written as 1-wide spans in reverse order
+//  - one Accelerator::program_keys span matches per-key program_keys calls
+//    bit-for-bit (multi-tile geometry, unaligned span, reprogramming included)
 //  - the staged admission protocol (stage → program_span× → commit) matches
 //    a synchronous admit_user bit-identically, with spans executed in ANY
 //    order; staged tenants are Pending (not queryable, not evictable,
@@ -13,8 +12,9 @@
 //  - engine-level write-behind admission: wait_admitted() joins, results
 //    bit-identical to a synchronous-admission engine, untouched tenants
 //    unchanged, stats expose queue depth / batch count / admission latency
-//  - try_admit_user() bounces with Overloaded on the pending-admission
-//    bound instead of blocking; rejected users leave no trace
+//  - admit(..., {.non_blocking = true}) returns an invalid handle on the
+//    pending-admission bound instead of blocking; rejected users leave no
+//    trace
 //  - evict_user() of an in-flight admission joins it first
 //  - stress: concurrent admit/wait/evict churn, serving traffic and a
 //    rebalance on one engine (runs under ASan/TSan in CI)
@@ -32,14 +32,13 @@
 #include <vector>
 
 #include "nvcim/cim/accelerator.hpp"
-#include "nvcim/retrieval/search.hpp"
 #include "nvcim/serve/engine.hpp"
 
 namespace nvcim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Batched programming primitives.
+// Span programming primitives.
 // ---------------------------------------------------------------------------
 
 TEST(BatchedProgramming, CrossbarSpanMatchesPerColumnCellForCell) {
@@ -57,13 +56,15 @@ TEST(BatchedProgramming, CrossbarSpanMatchesPerColumnCellForCell) {
     for (std::size_t r = 0; r < cfg.rows; ++r)
       vals(j, r) = static_cast<float>(static_cast<long>(vr.uniform_index(201)) - 100);
 
+  // The same columns as 1-wide spans, last column first: a column's cells
+  // depend on its values, position and stream only.
   cim::Crossbar one_at_a_time(cfg);
   one_at_a_time.init_blank(cfg.rows, cfg.cols);
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = n; j-- > 0;) {
     Matrix col(1, cfg.rows);
     for (std::size_t r = 0; r < cfg.rows; ++r) col(0, r) = vals(j, r);
     Rng stream = base.split(1000 + j);
-    one_at_a_time.program_column(col, col0 + j, var, stream);
+    one_at_a_time.program_columns(col, col0 + j, var, &stream);
   }
 
   cim::Crossbar span(cfg);
@@ -91,11 +92,15 @@ TEST(BatchedProgramming, AcceleratorBatchedMatchesPerKeyQueries) {
   Rng kr(21);
   const Matrix keys = Matrix::rand_uniform(20, 32, kr, -1.0f, 1.0f);
 
+  // One program_keys call per key vs one call over the whole span.
+  const auto program_per_key = [](cim::Accelerator& acc, const Matrix& ks, std::size_t col0) {
+    for (std::size_t j = 0; j < ks.rows(); ++j) acc.program_keys(ks.row(j), col0 + j);
+  };
   cim::Accelerator per_key(cfg, var), batched(cfg, var);
   per_key.init_mutable(32, 24, base);
   batched.init_mutable(32, 24, base);
-  per_key.program_keys(keys, 3);
-  batched.program_keys_batched(keys, 3);
+  program_per_key(per_key, keys, 3);
+  batched.program_keys(keys, 3);
 
   Rng qr(22);
   const Matrix queries = Matrix::randn(4, 32, qr);
@@ -107,8 +112,8 @@ TEST(BatchedProgramming, AcceleratorBatchedMatchesPerKeyQueries) {
 
   // Reprogramming an occupied sub-span stays bit-identical too.
   const Matrix fresh = Matrix::rand_uniform(6, 32, kr, -1.0f, 1.0f);
-  per_key.program_keys(fresh, 7);
-  batched.program_keys_batched(fresh, 7);
+  program_per_key(per_key, fresh, 7);
+  batched.program_keys(fresh, 7);
   const Matrix ya2 = per_key.query_batch(queries);
   const Matrix yb2 = batched.query_batch(queries);
   for (std::size_t i = 0; i < ya2.size(); ++i)
@@ -120,41 +125,6 @@ std::vector<Matrix> random_keys(std::size_t n, std::size_t rows, std::size_t col
   for (std::size_t i = 0; i < n; ++i)
     keys.push_back(Matrix::rand_uniform(rows, cols, rng, -1.0f, 1.0f));
   return keys;
-}
-
-retrieval::CimRetriever::Config small_retriever_config(bool batched) {
-  retrieval::CimRetriever::Config cfg;
-  cfg.crossbar.rows = 48;
-  cfg.crossbar.cols = 8;
-  cfg.variation = {nvm::fefet3(), 0.1};
-  cfg.batched_programming = batched;
-  return cfg;
-}
-
-TEST(BatchedProgramming, RetrieverToggleIsUnobservable) {
-  Rng kr(31);
-  const std::vector<Matrix> a = random_keys(6, 4, 8, kr);
-  const std::vector<Matrix> b = random_keys(5, 4, 8, kr);
-  const Rng base(2025);
-
-  retrieval::CimRetriever batched(small_retriever_config(true));
-  retrieval::CimRetriever per_key(small_retriever_config(false));
-  for (retrieval::CimRetriever* r : {&batched, &per_key}) {
-    r->store_mutable(32, 6, base);
-    r->program_keys(0, a);
-    r->ensure_capacity(a.size() + b.size());
-    r->program_keys(a.size(), b);
-  }
-
-  Rng qr(32);
-  const Matrix queries = Matrix::randn(3, 32, qr);
-  retrieval::CimRetriever::Scratch s1, s2;
-  Matrix yb, yp;
-  batched.scores_batch_into(queries, yb, s1);
-  per_key.scores_batch_into(queries, yp, s2);
-  ASSERT_TRUE(yb.same_shape(yp));
-  for (std::size_t i = 0; i < yb.size(); ++i)
-    ASSERT_EQ(yb.at_flat(i), yp.at_flat(i)) << "flat index " << i;
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +323,7 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
     const data::Sample probe = f.query(qr);
     const std::size_t want = sync.retrieve_serial(100, probe);
     EXPECT_EQ(wb.retrieve_serial(100, probe), want) << "probe " << t;
-    EXPECT_EQ(wb.serve(100, probe).ovt_index, want) << "probe " << t;
+    EXPECT_EQ(wb.submit(serve::Request{100, probe}).get().ovt_index, want) << "probe " << t;
   }
   // Untouched tenants are bit-identical through the write-behind admit.
   for (std::size_t t = 0; t < probes.size(); ++t)
@@ -386,7 +356,8 @@ TEST(AsyncAdmission, TryAdmitBouncesOnPendingBound) {
   // Overloaded and leave no trace.
   std::vector<std::size_t> accepted, rejected;
   for (std::size_t u = 200; u < 206; ++u) {
-    if (engine.try_admit_user(u, f.make_deployment(u, 24)))
+    if (engine.admit(u, f.make_deployment(u, 24), serve::AdmitOptions{/*non_blocking=*/true})
+            .valid())
       accepted.push_back(u);
     else
       rejected.push_back(u);
@@ -426,7 +397,7 @@ TEST(AsyncAdmission, EvictJoinsInFlightAdmission) {
   // The id is immediately re-admittable.
   engine.admit_user(300, f.make_deployment(300));
   engine.wait_admitted(300);
-  EXPECT_EQ(engine.serve(300, f.query(qr)).user_id, 300u);
+  EXPECT_EQ(engine.submit(serve::Request{300, f.query(qr)}).get().user_id, 300u);
   engine.stop();
 }
 
@@ -470,7 +441,7 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   EXPECT_EQ(served.load(), stable_probes.size());
 
   // The engine is intact after the churn: stable tenants still serve.
-  EXPECT_EQ(engine.serve(0, stable_probes[0]).user_id, 0u);
+  EXPECT_EQ(engine.submit(serve::Request{0, stable_probes[0]}).get().user_id, 0u);
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_EQ(s.users_admitted, 6u);
   EXPECT_EQ(s.users_evicted, 6u);

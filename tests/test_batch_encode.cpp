@@ -266,7 +266,7 @@ TEST(BatchedEncode, SingleMemberBatchThroughEngineMatchesSerial) {
     data::Sample q;
     q.input = random_tokens(1 + qr.uniform_index(8), task.vocab_size(), qr);
     const std::size_t expect = engine.retrieve_serial(0, q);
-    EXPECT_EQ(engine.serve(0, q).ovt_index, expect) << "trial " << t;
+    EXPECT_EQ(engine.submit(serve::Request{0, q}).get().ovt_index, expect) << "trial " << t;
   }
   engine.stop();
 }

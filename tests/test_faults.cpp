@@ -516,7 +516,7 @@ TEST(FaultEngine, ManualScrubRepairsStuckColumnByMigration) {
                                         detect);
   ASSERT_TRUE(engine.store().user_degraded(victim));
   Rng qr(811);
-  const serve::Response degraded_resp = engine.serve(victim, f.query(qr));
+  const serve::Response degraded_resp = engine.submit(serve::Request{victim, f.query(qr)}).get();
   EXPECT_TRUE(degraded_resp.degraded);
   EXPECT_GT(engine.stats().degraded_responses, 0u);
 
@@ -528,7 +528,7 @@ TEST(FaultEngine, ManualScrubRepairsStuckColumnByMigration) {
   EXPECT_EQ(out.migrated_users[0], victim);
   EXPECT_EQ(engine.store().slot(victim).shard, 1u);
   EXPECT_FALSE(engine.store().user_degraded(victim));
-  const serve::Response healthy_resp = engine.serve(victim, f.query(qr));
+  const serve::Response healthy_resp = engine.submit(serve::Request{victim, f.query(qr)}).get();
   EXPECT_FALSE(healthy_resp.degraded);
 
   const serve::StatsSnapshot st = engine.stats();

@@ -414,7 +414,8 @@ TEST(Introspection, MetricsScrapeByteIdenticalToInProcessExposition) {
   ASSERT_NE(port, 0);
 
   Rng qr(901);
-  for (int t = 0; t < 6; ++t) engine.serve(static_cast<std::size_t>(t) % 2, f.query(qr));
+  for (int t = 0; t < 6; ++t)
+    engine.submit(serve::Request{static_cast<std::size_t>(t) % 2, f.query(qr)}).get();
 
   // The batch worker records its stage-time totals just after fulfilling the
   // response futures, so poll until the traffic quiesces: once it has, the
@@ -556,7 +557,8 @@ TEST(Introspection, LatencySloBurnDrivesHealthzCritical) {
   ASSERT_NE(port, 0);
 
   Rng qr(921);
-  for (int t = 0; t < 8; ++t) engine.serve(static_cast<std::size_t>(t) % 2, f.query(qr));
+  for (int t = 0; t < 8; ++t)
+    engine.submit(serve::Request{static_cast<std::size_t>(t) % 2, f.query(qr)}).get();
 
   // 100% bad against a 1% budget: 100x burn in both (warm-up) windows.
   const serve::HealthReport r = engine.health();
@@ -599,7 +601,8 @@ TEST(Introspection, EvictedTenantSeriesRetiredFromLiveExposition) {
   engine.start();
 
   Rng qr(931);
-  for (int t = 0; t < 6; ++t) engine.serve(static_cast<std::size_t>(t) % 3, f.query(qr));
+  for (int t = 0; t < 6; ++t)
+    engine.submit(serve::Request{static_cast<std::size_t>(t) % 3, f.query(qr)}).get();
   std::string text = engine.metrics().prometheus_text();
   EXPECT_NE(text.find("tenant=\"0\""), std::string::npos);
 
@@ -612,7 +615,7 @@ TEST(Introspection, EvictedTenantSeriesRetiredFromLiveExposition) {
   // Re-admission revives the labelled series from zero.
   engine.admit_user(0, f.make_deployment(0));
   engine.wait_admitted(0);
-  engine.serve(0, f.query(qr));
+  engine.submit(serve::Request{0, f.query(qr)}).get();
   text = engine.metrics().prometheus_text();
   EXPECT_NE(text.find("nvcim_tenant_requests_total{tenant=\"0\"} 1"), std::string::npos);
   engine.stop();

@@ -13,7 +13,8 @@
 //  - two-phase recall stays >= 0.95 for users admitted via router refresh
 //  - the engine serves through admits/evictions/rebalances (parallel shard
 //    fan-out on), with lifecycle counters in EngineStats
-//  - try_submit() returns Overloaded instead of blocking on a full queue
+//  - submit() under OverloadPolicy::Reject returns an invalid handle
+//    instead of blocking on a full queue
 //  - add_user() after build(): hard error without lifecycle, live admission
 //    with it.
 //
@@ -499,7 +500,8 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
   }
   // Admitted results match the serial reference path (same banks).
   const data::Sample probe100 = f.query(qr);
-  EXPECT_EQ(engine.serve(100, probe100).ovt_index, engine.retrieve_serial(100, probe100));
+  EXPECT_EQ(engine.submit(serve::Request{100, probe100}).get().ovt_index,
+            engine.retrieve_serial(100, probe100));
 
   // Live eviction: in-flight traffic drains, then submits are rejected.
   engine.evict_user(2);
@@ -509,7 +511,8 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
   // Untouched users are bit-identical through the whole churn.
   for (std::size_t t = 0; t < probes.size(); ++t) {
     EXPECT_EQ(engine.retrieve_serial(0, probes[t]), expected[t]) << "probe " << t;
-    EXPECT_EQ(engine.serve(0, probes[t]).ovt_index, expected[t]) << "probe " << t;
+    EXPECT_EQ(engine.submit(serve::Request{0, probes[t]}).get().ovt_index, expected[t])
+        << "probe " << t;
   }
 
   const serve::StatsSnapshot s = engine.stats();
@@ -587,19 +590,24 @@ TEST(LifecycleEngine, TrySubmitOverloadedInsteadOfBlocking) {
   engine.start();
 
   Rng qr(521);
-  auto f1 = engine.try_submit(0, f.query(qr));
-  ASSERT_TRUE(f1.has_value());  // room in the queue → accepted
-  auto f2 = engine.try_submit(1, f.query(qr));
-  ASSERT_TRUE(f2.has_value());
+  const auto try_submit = [&](std::size_t user) {
+    serve::SubmitOptions opts;
+    opts.overload_policy = serve::OverloadPolicy::Reject;
+    return engine.submit(serve::Request{user, f.query(qr)}, std::move(opts));
+  };
+  serve::RequestHandle h1 = try_submit(0);
+  ASSERT_TRUE(h1.valid());  // room in the queue → accepted
+  serve::RequestHandle h2 = try_submit(1);
+  ASSERT_TRUE(h2.valid());
   // Queue is at capacity and the worker is inside its batch window: a
-  // blocking submit would stall here — try_submit reports Overloaded.
-  auto f3 = engine.try_submit(0, f.query(qr));
-  EXPECT_FALSE(f3.has_value());
+  // blocking submit would stall here — Reject returns an invalid handle.
+  serve::RequestHandle h3 = try_submit(0);
+  EXPECT_FALSE(h3.valid());
   EXPECT_EQ(engine.stats().rejected_requests, 1u);
 
   // The accepted requests still complete (window expiry flushes them).
-  (void)f1->get();
-  (void)f2->get();
+  (void)h1.get();
+  (void)h2.get();
   engine.stop();
 }
 
@@ -617,7 +625,8 @@ TEST(LifecycleEngine, TwoPhaseServingAcrossAdmissions) {
   for (int t = 0; t < 10; ++t) {
     const std::size_t u = t % 2 == 0 ? 200u : 1u;
     const data::Sample q = f.query(qr);
-    EXPECT_EQ(engine.serve(u, q).ovt_index, engine.retrieve_serial(u, q)) << "request " << t;
+    EXPECT_EQ(engine.submit(serve::Request{u, q}).get().ovt_index, engine.retrieve_serial(u, q))
+        << "request " << t;
   }
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_GT(s.candidates_examined, 0u);

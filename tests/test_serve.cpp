@@ -288,7 +288,7 @@ TEST(ServingEngine, MatchesSingleUserFrameworkAcrossEightUsersTwoShards) {
   EXPECT_GE(engine.store().n_shards(), 2u);
   for (std::size_t u = 0; u < n_users; ++u)
     for (std::size_t q = 0; q < n_queries; ++q) {
-      const Response r = engine.serve(u, queries[u][q]);
+      const Response r = engine.submit(Request{u, queries[u][q]}).get();
       EXPECT_EQ(r.ovt_index, expected[u][q]) << "user " << u << " query " << q;
       EXPECT_EQ(r.user_id, u);
     }
@@ -424,7 +424,7 @@ TEST(ServingEngine, BadRequestFailsItsFutureNotTheWorker) {
 
   // The worker survived and keeps serving valid traffic.
   Rng qr(111);
-  const Response r = engine.serve(0, f.task.sample(0, qr));
+  const Response r = engine.submit(Request{0, f.task.sample(0, qr)}).get();
   EXPECT_LT(r.ovt_index, engine.deployment(0).n_ovts());
   engine.stop();
 }

@@ -7,8 +7,8 @@
 //  - engine answers equal the full-width retrieve_serial oracle with the
 //    lifecycle store off and on, on 48-key slots straddling the 128-column
 //    subarray boundary, after an admit grew the shard past the batch's
-//    pinned bitmap width, with stuck-fault columns inside and outside the
-//    queried slot, and with the mask-ignoring reference kernel
+//    pinned bitmap width, and with stuck-fault columns inside and outside
+//    the queried slot
 //  - one request's OpCounters delta is its slot's block-granular ADC count
 //    and activations of the subarrays its slot overlaps, nothing more.
 
@@ -211,13 +211,6 @@ TEST(SlotScopedRetrieval, MatchesSerialLifecycleOn) {
   SlotScopedFixture f;
   for (const std::uint64_t seed : {1511u, 1512u})
     run_equivalence(f, SlotScopedFixture::config(true, 2, 2, 16), 6, seed);
-}
-
-TEST(SlotScopedRetrieval, ReferenceKernelIgnoresMaskAndMatchesSerial) {
-  SlotScopedFixture f;
-  serve::ServingConfig cfg = SlotScopedFixture::config(false, 2, 2, 16);
-  cfg.crossbar.reference_kernel = true;
-  run_equivalence(f, cfg, 6, 1521);
 }
 
 TEST(SlotScopedRetrieval, StuckFaultsInsideAndOutsideSlotMatchSerial) {
