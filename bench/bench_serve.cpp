@@ -140,7 +140,8 @@ double run_engine_cfg(Workload& w, serve::ServingConfig cfg, serve::StatsSnapsho
   const double t0 = now_ms();
   std::vector<std::future<serve::Response>> futures;
   futures.reserve(w.requests.size());
-  for (const auto& [u, q] : w.requests) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : w.requests)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   for (auto& f : futures) f.get();
   const double elapsed_ms = now_ms() - t0;
   if (out_stats != nullptr) *out_stats = engine.stats();
@@ -187,7 +188,8 @@ double waves_with_indices(Workload& w, const serve::ServingConfig& cfg, std::siz
       const std::size_t stop = std::min(start + wave, w.requests.size());
       futures.clear();
       for (std::size_t i = start; i < stop; ++i)
-        futures.push_back(engine.submit(w.requests[i].first, w.requests[i].second));
+        futures.push_back(
+            engine.submit(serve::Request{w.requests[i].first, w.requests[i].second}).take_future());
       for (auto& f : futures) got.push_back(f.get().ovt_index);
     }
     const double elapsed_ms = now_ms() - t0;
@@ -319,7 +321,7 @@ void bench_two_phase(FILE* json, std::size_t n_requests, std::size_t n_users) {
 /// the same traffic with zero churn. Admissions run write-behind: admit
 /// returns once the slot is staged, the column programming overlaps the
 /// next wave of traffic as worker aux tasks, and the hot tenant takes over
-/// serving one wave later (after a wait_admitted join that is usually a
+/// serving one wave later (after an AdmissionHandle::wait() join that is usually a
 /// no-op by then). Reports the p95 latency impact as a ratio (churn p95 /
 /// steady p95, gate ceiling 1.25×) and the throughput collapse as
 /// churn_slowdown = steady_rps / churn_rps (gate ceiling 5×; it was 6.3×
@@ -385,7 +387,7 @@ void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
     const std::size_t churn_every = 2;
     std::size_t wave_id = 0, churned = 0;
     std::size_t live_churn_user = npos;
-    std::deque<std::size_t> pending_churn;  // staged, not yet taking traffic
+    std::deque<serve::AdmissionHandle> pending_churn;  // staged, not yet taking traffic
     const double t0 = now_ms();
     std::vector<std::future<serve::Response>> futures;
     for (std::size_t start = 0; start < w.requests.size(); start += batch) {
@@ -395,19 +397,18 @@ void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
         // returns once the slot is staged; its column programming runs
         // behind the following waves' serving traffic.
         const std::size_t fresh = 100000 + churned++;
-        engine.admit_user(fresh, w.make_deployment(fresh, /*keys_mult=*/2));
-        pending_churn.push_back(fresh);
+        pending_churn.push_back(engine.admit(fresh, w.make_deployment(fresh, /*keys_mult=*/2)));
         if (churned % 2 == 0) (void)engine.rebalance();
       }
       if (churn && !pending_churn.empty() &&
-          engine.store().user_live(pending_churn.front())) {
+          engine.store().user_live(pending_churn.front().user_id())) {
         // The write-behind programming settled behind earlier waves
         // (checked without blocking — traffic never stalls on an admission):
         // join the residual bookkeeping, retire the previous hot tenant and
         // hand the traffic slot to the fresh one.
-        engine.wait_admitted(pending_churn.front());
+        pending_churn.front().wait();
         if (live_churn_user != npos) engine.evict_user(live_churn_user);
-        live_churn_user = pending_churn.front();
+        live_churn_user = pending_churn.front().user_id();
         pending_churn.pop_front();
       }
       const std::size_t stop = std::min(start + batch, w.requests.size());
@@ -420,7 +421,7 @@ void bench_churn(FILE* json, std::size_t n_requests, std::size_t n_users) {
         // churn operations).
         const bool redirect = churn && i == start && live_churn_user != npos;
         const std::size_t user = redirect ? live_churn_user : w.requests[i].first;
-        futures.push_back(engine.submit(user, w.requests[i].second));
+        futures.push_back(engine.submit(serve::Request{user, w.requests[i].second}).take_future());
       }
       for (auto& f : futures) f.get();
       ++wave_id;
@@ -541,7 +542,8 @@ void bench_obs(FILE* json, std::size_t n_requests, std::size_t n_users) {
       const std::size_t stop = std::min(start + batch, w.requests.size());
       futures.clear();
       for (std::size_t i = start; i < stop; ++i)
-        futures.push_back(engine.submit(w.requests[i].first, w.requests[i].second));
+        futures.push_back(
+            engine.submit(serve::Request{w.requests[i].first, w.requests[i].second}).take_future());
       for (auto& f : futures) f.get();
     }
     const double elapsed_ms = now_ms() - t0;
@@ -865,7 +867,8 @@ void bench_faults(FILE* json, std::size_t n_requests, std::size_t n_users) {
       const std::size_t stop = std::min(start + batch, w.requests.size());
       futures.clear();
       for (std::size_t i = start; i < stop; ++i)
-        futures.push_back(engine.submit(w.requests[i].first, w.requests[i].second));
+        futures.push_back(
+            engine.submit(serve::Request{w.requests[i].first, w.requests[i].second}).take_future());
       for (auto& f : futures) {
         const serve::Response r = f.get();
         if (idx != nullptr) idx->push_back(r.ovt_index);

@@ -7,7 +7,7 @@
 // exact crossbar rerank) and an LRU cache of decoded prompts.
 //
 // The tenant lifecycle subsystem keeps the store mutable while serving: a
-// seventh user signs up mid-stream (admit_user programs its key columns into
+// seventh user signs up mid-stream (admit() programs its key columns into
 // the live crossbars and builds its router — nobody else's bits change), an
 // early user is evicted (its slot is reclaimed once in-flight batches
 // drain), and a rebalance cycle migrates slots if shard loads have skewed.
@@ -64,9 +64,9 @@ int main() {
   scfg.two_phase.enabled = true;
   scfg.two_phase.nprobe = 0;
   // Online tenant lifecycle: live admission/eviction + shard rebalancing.
-  // Write-behind admission: admit_user returns once the slot is staged and
-  // the key columns program as worker aux tasks, overlapped with serving;
-  // wait_admitted() joins before the tenant takes traffic.
+  // Write-behind admission: admit() returns once the slot is staged and the
+  // key columns program as worker aux tasks, overlapped with serving; the
+  // handle's wait() joins before the tenant takes traffic.
   scfg.lifecycle.enabled = true;
   scfg.lifecycle.write_behind = true;
   // Per-request span tracing + slow-request exemplars (threshold in ms).

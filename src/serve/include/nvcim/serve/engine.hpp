@@ -98,7 +98,7 @@ struct ServingConfig {
   /// still skipped; smaller nprobe trades recall for pruned crossbar work
   /// (see EngineStats::pruned_fraction / sampled_recall_at1).
   TwoPhaseConfig two_phase;
-  /// Online tenant lifecycle: admit_user()/evict_user()/rebalance() while
+  /// Online tenant lifecycle: admit()/evict_user()/rebalance() while
   /// serving, over an epoch-versioned mutable store. Off by default — the
   /// build-once PR 4 store.
   LifecycleConfig lifecycle;
@@ -163,30 +163,36 @@ class RequestHandle {
   std::future<Response> future_;
 };
 
+/// Join state of one admission, shared by the engine and its
+/// AdmissionHandle (defined in engine.cpp).
+struct AdmissionJoin;
+
 /// Handle to one admission: valid() ⇔ the admission was accepted (false ⇔
-/// rejected under AdmitOptions::non_blocking), wait() joins a
-/// write-behind admission (rethrows its error on rollback). The handle must
-/// not outlive its engine.
+/// rejected under AdmitOptions::non_blocking); wait() joins it. The handle
+/// holds its own admission's join state, so it stays meaningful after the
+/// tenant is evicted or its id re-admitted.
 class AdmissionHandle {
  public:
   AdmissionHandle() = default;
 
   /// False ⇔ the admission was rejected (pending-admission bound hit under
   /// AdmitOptions::non_blocking).
-  bool valid() const { return engine_ != nullptr; }
+  bool valid() const { return join_ != nullptr; }
   std::size_t user_id() const { return user_id_; }
 
-  /// Block until the tenant is live (immediately for synchronous
-  /// admissions). Rethrows the admission's error if programming failed.
+  /// Block until this admission has settled: returns once the tenant went
+  /// live (immediately if it already did), rethrows the admission's error if
+  /// programming failed and it was rolled back. Callable any number of
+  /// times.
   void wait();
 
  private:
   friend class ServingEngine;
-  AdmissionHandle(ServingEngine* engine, std::size_t user_id)
-      : engine_(engine), user_id_(user_id) {}
+  AdmissionHandle(std::size_t user_id, std::shared_ptr<AdmissionJoin> join)
+      : user_id_(user_id), join_(std::move(join)) {}
 
-  ServingEngine* engine_ = nullptr;
   std::size_t user_id_ = 0;
+  std::shared_ptr<AdmissionJoin> join_;
 };
 
 /// Multi-tenant serving engine over one frozen backbone: owns N users'
@@ -235,7 +241,7 @@ class ServingEngine {
   /// after shutdown began; in-flight batches complete normally). Idempotent.
   void stop();
 
-  // ---- Submission (the one entry point; the rest are shims over it) ----
+  // ---- Submission ----
 
   /// Enqueue one request under its scheduling contract and return a handle
   /// carrying the future, the request id and cancel-before-dispatch.
@@ -255,46 +261,27 @@ class ServingEngine {
   /// tenants are scheduled. Callable while serving.
   void set_rate_limit(std::size_t user_id, double rps);
 
-  // ---- Deprecated submission shims (prefer submit(Request, SubmitOptions)) ----
-
-  /// DEPRECATED shim: submit({user, query}).take_future() with blocking
-  /// backpressure — the pre-PR 8 submit().
-  std::future<Response> submit(std::size_t user_id, data::Sample query);
-
   // ---- Online tenant lifecycle (requires ServingConfig::lifecycle) ----
 
-  /// Admit a user while serving (one entry point; AdmitOptions carries the
-  /// non-blocking / join-before-return semantics).
-  /// Returns an invalid handle ⇔ the write-behind pending-admission bound
-  /// rejected the call under `opts.non_blocking`. Before start() this is
-  /// equivalent to add_deployment(). See admit_user() for the write-behind
-  /// protocol details.
+  /// Admit a user: program its keys into the store (new epoch; in-flight
+  /// batches are untouched) and take ownership of the deployment. Before
+  /// start() this is add_deployment() and the handle is already settled.
+  ///
+  /// Every admission is staged: stage_admit() publishes the tenant as
+  /// Pending, its columns are programmed span by span, and the last span to
+  /// land commits it live — or rolls the whole admission back on error.
+  /// With LifecycleConfig::write_behind and a pool accepting work, the spans
+  /// run as aux tasks on the worker pool, interleaved with serving batches,
+  /// and the call returns while the tenant is still Pending; otherwise they
+  /// run on the calling thread and the tenant is live on return. Both are
+  /// bit-identical (same placement, same per-column noise streams).
+  /// AdmissionHandle::wait() joins the admission and rethrows its error.
+  ///
+  /// At LifecycleConfig::max_pending_admissions admissions in flight the
+  /// call blocks (backpressure); `opts.non_blocking` returns an invalid
+  /// handle instead. `opts.wait` joins before returning.
   AdmissionHandle admit(std::size_t user_id, core::TrainedDeployment deployment,
                         AdmitOptions opts = {});
-
-  /// DEPRECATED shim for admit(): blocking admission, no join.
-  ///
-  /// Admit a user while serving: program its keys into the live store (new
-  /// epoch; in-flight batches are untouched) and take ownership of the
-  /// deployment. Before start() this is equivalent to add_deployment().
-  ///
-  /// With LifecycleConfig::write_behind (and a running pool), the call
-  /// stages the admission and returns immediately (tenant Pending): column
-  /// programming runs as per-subarray aux tasks on the worker pool,
-  /// interleaved with serving batches, and the tenant flips live when the
-  /// last span lands — bit-identical to the synchronous path (same staged
-  /// protocol, same per-column noise streams). Join with wait_admitted().
-  /// At LifecycleConfig::max_pending_admissions staged admissions the call
-  /// blocks (backpressure); admit(..., {.non_blocking = true}) rejects
-  /// instead.
-  void admit_user(std::size_t user_id, core::TrainedDeployment deployment);
-
-  /// Join one write-behind admission (AdmissionHandle::wait()'s
-  /// implementation): block until the user's staged columns
-  /// are fully programmed and the tenant is live. Rethrows the admission's
-  /// error if programming failed (the admission was rolled back). Returns
-  /// immediately for already-live users; throws for unknown ones.
-  void wait_admitted(std::size_t user_id);
 
   /// Evict a user while serving: unpublish its slot (freed columns are
   /// reused only after in-flight readers drain), drop the deployment and
@@ -395,8 +382,9 @@ class ServingEngine {
     std::vector<const Matrix*> decode_parts;
   };
 
-  /// A unit of stage work fanned out to the worker pool (currently one
-  /// shard's retrieval). Runs on the executing worker's own WorkerState.
+  /// A unit of work run on the worker pool: one shard's retrieval, one
+  /// admission span, one migration or one scrub round. Runs on the
+  /// executing thread's own WorkerState.
   using AuxTask = std::function<void(WorkerState&)>;
 
   /// One in-flight decode for single-flight misses: the first worker to miss
@@ -409,16 +397,10 @@ class ServingEngine {
     std::exception_ptr error;
   };
 
-  /// Join state of one in-flight write-behind admission: spans still to
-  /// program, the first programming error seen (if any) and the settled
-  /// flag wait_admitted() blocks on.
-  struct AdmissionJoin {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining = 0;
-    bool settled = false;
-    std::exception_ptr error;
-  };
+  /// One row of a decoded-prompt fetch and one batch in flight through the
+  /// four stages (both defined in engine.cpp).
+  struct PromptFetch;
+  struct Batch;
 
   void worker_loop();
   /// Ticker behind ScrubberConfig: wakes every interval_ms and enqueues one
@@ -428,7 +410,23 @@ class ServingEngine {
   /// Scrub-and-repair the next `budget` subarrays in round-robin order
   /// across all shards (0 = all of them), recording stats and spans.
   ScrubOutcome scrub_round(std::size_t budget);
-  void process_batch(std::vector<QueuedRequest>&& batch, WorkerState& ws);
+  /// Run one batch through the four stages below, timing and tracing each.
+  void process_batch(std::vector<QueuedRequest>&& requests, WorkerState& ws);
+  /// Stage 1: pin the directory, resolve deployments, and encode every live
+  /// request into ws.reps (one GEMM per shared autoencoder).
+  void encode_stage(Batch& b, WorkerState& ws);
+  /// Stage 2: one masked crossbar pass per shard, fanned out across the pool
+  /// when several shards are active; fills b.ovt_index.
+  void retrieve_stage(Batch& b, WorkerState& ws);
+  /// Stage 3: decoded prompts through fetch_prompts(); fills b.prompts.
+  void decode_stage(Batch& b, WorkerState& ws);
+  /// Stage 4: optional deduplicated classification, then settle every
+  /// surviving request. Returns the batch's slow-request exemplars, stage
+  /// times still unset.
+  std::vector<SlowRequest> finish_stage(Batch& b);
+  /// Single-flight decoded-prompt fetch through the LRU cache: concurrent
+  /// misses on one key share a single decode.
+  void fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& ws);
   /// Settle one request's future, then fire its on_complete (exactly once,
   /// in that order; callback exceptions are swallowed). The single funnel
   /// for every completion path: served, failed, expired, cancelled, stopped.
@@ -437,28 +435,38 @@ class ServingEngine {
   /// Settle a batch of already-expired requests with DeadlineExceeded and
   /// account them (stats + tracer). Called outside queue_mu_.
   void expire_requests(std::vector<QueuedRequest>&& expired);
-  /// Body of admit(). Returns false only when
-  /// `may_block` is false and the pending-admission bound rejects the call.
-  bool admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment, bool may_block);
-  /// Program one staged span; the last span to finish settles the admission
-  /// (commit on success, full rollback on error) and wakes the joiners.
+  /// Validate a deployment before it is taken over.
+  static void check_deployment(std::size_t user_id, const core::TrainedDeployment& deployment);
+  /// Register a deployment under a fresh admission generation.
+  void deploy(std::size_t user_id, std::shared_ptr<const core::TrainedDeployment> deployment);
+  /// Drop a user's deployment (if any) and purge its generation's decoded
+  /// prompts; in-flight batches keep their own shared_ptr.
+  void undeploy(std::size_t user_id);
+  /// Program one staged span; the last span to finish commits the tenant
+  /// live (or fails) and settles the admission.
   void run_admission_span(const std::shared_ptr<const ShardedOvtStore::StagedAdmission>& staged,
                           const std::shared_ptr<AdmissionJoin>& join, std::size_t idx,
-                          std::uint64_t generation, std::chrono::steady_clock::time_point t0);
+                          std::chrono::steady_clock::time_point t0);
+  /// Finish one admission: on error roll it back completely (slot,
+  /// deployment, generation), then release its pending-admission slot and
+  /// wake its joiners.
+  void settle_admission(std::size_t user_id, AdmissionJoin& join, std::exception_ptr error);
   /// Pinned deployment ref for `user_id`, or an empty DepRef when the user
   /// is gone (evicted between submit and batch assembly).
   DepRef find_deployment(std::size_t user_id) const;
-  std::shared_ptr<const Matrix> prompt_locked_fetch(const DepRef& ref, std::size_t ovt_index,
-                                                    bool* was_hit,
-                                                    compress::Autoencoder::Scratch* scratch);
-  /// Publish one finished decode: cache the value (best-effort), retire the
-  /// in-flight entry and wake every waiter. The single implementation of
-  /// the single-flight completion protocol, shared by the per-request fetch
-  /// and the batched stage-3 decode.
-  void complete_decode_flight(const std::pair<std::size_t, std::size_t>& key,
-                              const std::shared_ptr<InFlightDecode>& flight,
-                              const std::shared_ptr<const Matrix>& value,
-                              const std::exception_ptr& error);
+  /// The one way work reaches the pool: enqueue `tasks` onto aux_queue_
+  /// while the pool accepts work (running_ && !stopping_ under queue_mu_ —
+  /// stop() sets stopping_ under that lock, and workers empty the aux queue
+  /// before exiting, so every enqueued task is guaranteed a worker);
+  /// otherwise run them inline, in order, on `ws`.
+  void post(std::vector<AuxTask>&& tasks, WorkerState& ws);
+  /// Fork-join over post(): returns once every task has run. Until then the
+  /// caller helps drain the aux queue (its own tasks or anyone else's) on
+  /// `ws`. Tasks never block, so helping cannot deadlock; with one worker
+  /// this degenerates to a serial loop.
+  void fork_join(std::vector<AuxTask>&& tasks, WorkerState& ws);
+  /// Oldest queued aux task, or an empty one. Caller holds queue_mu_.
+  AuxTask pop_aux_locked();
 
   llm::TinyLM* model_;
   const data::LampTask* task_;
@@ -510,8 +518,8 @@ class ServingEngine {
   std::atomic<bool> scrub_inflight_{false};
 
   mutable std::mutex admissions_mu_;       ///< guards admissions_
-  std::condition_variable admissions_cv_;  ///< admit_user() backpressure waiters
-  /// In-flight write-behind admissions by user id. An entry exists from the
+  std::condition_variable admissions_cv_;  ///< admit() backpressure waiters
+  /// In-flight admissions by user id. An entry exists from the
   /// moment the pending slot is reserved until the admission settles — its
   /// size IS the backpressure bound's measure.
   std::unordered_map<std::size_t, std::shared_ptr<AdmissionJoin>> admissions_;
@@ -530,9 +538,5 @@ class ServingEngine {
 };
 
 inline bool RequestHandle::cancel() { return engine_ != nullptr && engine_->cancel(id_); }
-
-inline void AdmissionHandle::wait() {
-  if (engine_ != nullptr) engine_->wait_admitted(user_id_);
-}
 
 }  // namespace nvcim::serve

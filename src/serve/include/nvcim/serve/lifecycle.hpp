@@ -39,17 +39,17 @@ struct LifecycleConfig {
   /// pruning blocks with as few other tenants as possible. Only applied
   /// when two-phase routing is enabled (block pruning is what benefits).
   bool align_slots_to_blocks = true;
-  /// Write-behind admission: admit_user() publishes the tenant's slot as
-  /// PENDING and returns immediately; column programming runs as worker-pool
-  /// aux tasks in per-subarray batches, and the tenant flips to live
-  /// (queryable) only once every span is programmed. Deferred admission is
-  /// bit-identical to synchronous admission (same per-column streams). Off =
-  /// the synchronous caller-thread path.
+  /// Write-behind admission: ServingEngine::admit() publishes the tenant's
+  /// slot as PENDING and returns immediately; column programming runs as
+  /// worker-pool aux tasks in per-subarray batches, and the tenant flips to
+  /// live (queryable) only once every span is programmed. Deferred admission
+  /// is bit-identical to synchronous admission (same per-column streams).
+  /// Off = the same spans run on the calling thread.
   bool write_behind = false;
   /// Backpressure bound on the write-behind path: at most this many
   /// admissions may be in flight (staged, not yet live) at once.
-  /// A non-blocking admit() returns an invalid handle beyond it;
-  /// admit_user() blocks.
+  /// A non-blocking admit() returns an invalid handle beyond it; a blocking
+  /// one waits for a slot.
   std::size_t max_pending_admissions = 8;
   /// Maximum key columns per programming span. Spans never cross subarray
   /// boundaries; this additionally splits a wide slot inside one subarray so

@@ -13,7 +13,7 @@ namespace nvcim::serve {
 /// Least-recently-used cache with intrusive hit/miss accounting. Not
 /// thread-safe by itself — the serving engine guards each get/put with its
 /// own mutex and single-flights misses per key (see
-/// ServingEngine::prompt_locked_fetch), so a value is computed at most once
+/// ServingEngine::fetch_prompts), so a value is computed at most once
 /// however many workers miss on it concurrently.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {

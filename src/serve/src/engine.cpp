@@ -26,7 +26,72 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Completion count of a fork-join group.
+class Countdown {
+ public:
+  explicit Countdown(std::size_t n) : remaining_(n) {}
+  void count_down() {
+    // Notify under the lock: the waiter may destroy this object as soon as
+    // it can observe zero.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--remaining_ == 0) cv_.notify_all();
+  }
+  bool done() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return remaining_ == 0;
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return remaining_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t remaining_;
+};
+
+/// Indices [0, n) grouped by autoencoder identity, in first-appearance
+/// order; `ae_of(i)` returns null for an index that joins no group.
+template <class AeOf>
+std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>>
+group_by_autoencoder(std::size_t n, AeOf ae_of) {
+  std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>> groups;
+  for (std::size_t i = 0; i < n; ++i) {
+    const compress::Autoencoder* ae = ae_of(i);
+    if (ae == nullptr) continue;
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [ae](const auto& g) { return g.first == ae; });
+    if (it == groups.end()) it = groups.emplace(groups.end(), ae, std::vector<std::size_t>{});
+    it->second.push_back(i);
+  }
+  return groups;
+}
+
 }  // namespace
+
+/// Spans still to program, the first programming error seen (if any) and
+/// the settled flag joiners block on.
+struct AdmissionJoin {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t remaining = 0;
+  bool settled = false;
+  std::exception_ptr error;
+
+  /// Block until the admission settles; returns its error (null ⇔ the
+  /// tenant went live).
+  std::exception_ptr join() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return settled; });
+    return error;
+  }
+};
+
+void AdmissionHandle::wait() {
+  if (join_ == nullptr) return;
+  if (std::exception_ptr error = join_->join()) std::rethrow_exception(error);
+}
 
 ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, ServingConfig cfg)
     : model_(&model),
@@ -45,17 +110,26 @@ ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, Ser
 ServingEngine::~ServingEngine() { stop(); }
 
 void ServingEngine::add_deployment(std::size_t user_id, core::TrainedDeployment deployment) {
-  NVCIM_CHECK_MSG(!running_, "cannot add deployments while running (use admit_user)");
+  NVCIM_CHECK_MSG(!running_, "cannot add deployments while running (use admit)");
+  check_deployment(user_id, deployment);
+  store_.add_user(user_id, deployment.keys);
+  deploy(user_id, std::make_shared<const core::TrainedDeployment>(std::move(deployment)));
+}
+
+void ServingEngine::check_deployment(std::size_t user_id,
+                                     const core::TrainedDeployment& deployment) {
   NVCIM_CHECK_MSG(deployment.n_ovts() > 0, "deployment for user " << user_id << " is empty");
   NVCIM_CHECK_MSG(deployment.autoencoder != nullptr,
                   "deployment for user " << user_id << " has no autoencoder");
-  store_.add_user(user_id, deployment.keys);
-  auto owned = std::make_shared<const core::TrainedDeployment>(std::move(deployment));
+}
+
+void ServingEngine::deploy(std::size_t user_id,
+                           std::shared_ptr<const core::TrainedDeployment> deployment) {
   std::uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(deployments_mu_);
     generation = next_generation_++;
-    deployments_[user_id] = DepRef{std::move(owned), generation};
+    deployments_[user_id] = DepRef{std::move(deployment), generation};
   }
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -66,273 +140,171 @@ void ServingEngine::add_deployment(std::size_t user_id, core::TrainedDeployment 
   stats_.revive_tenant(user_id);
 }
 
+void ServingEngine::undeploy(std::size_t user_id) {
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(deployments_mu_);
+    auto it = deployments_.find(user_id);
+    if (it == deployments_.end()) return;
+    generation = it->second.generation;
+    deployments_.erase(it);
+  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  live_generations_.erase(generation);  // late decode completions won't re-cache
+  cache_.erase_if([generation](const std::pair<std::size_t, std::size_t>& key) {
+    return key.first == generation;
+  });
+}
+
 AdmissionHandle ServingEngine::admit(std::size_t user_id, core::TrainedDeployment deployment,
                                      AdmitOptions opts) {
-  if (!admit_user_impl(user_id, std::move(deployment), /*may_block=*/!opts.non_blocking))
-    return AdmissionHandle{};  // rejected: pending-admission bound hit
-  AdmissionHandle handle(this, user_id);
-  if (opts.wait) handle.wait();
-  return handle;
-}
-
-void ServingEngine::admit_user(std::size_t user_id, core::TrainedDeployment deployment) {
-  admit(user_id, std::move(deployment));
-}
-
-bool ServingEngine::admit_user_impl(std::size_t user_id, core::TrainedDeployment deployment,
-                                    bool may_block) {
+  auto join = std::make_shared<AdmissionJoin>();
   if (!store_.built()) {
     add_deployment(user_id, std::move(deployment));
-    return true;
+    join->settled = true;
+    return AdmissionHandle(user_id, std::move(join));
   }
   NVCIM_CHECK_MSG(cfg_.lifecycle.enabled, "tenant lifecycle disabled in this engine");
-  NVCIM_CHECK_MSG(deployment.n_ovts() > 0, "deployment for user " << user_id << " is empty");
-  NVCIM_CHECK_MSG(deployment.autoencoder != nullptr,
-                  "deployment for user " << user_id << " has no autoencoder");
+  check_deployment(user_id, deployment);
   auto owned = std::make_shared<const core::TrainedDeployment>(std::move(deployment));
   obs::Span span(&tracer_, "admit_user", "lifecycle", "user",
                  static_cast<std::int64_t>(user_id));
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Write-behind only with a pool to write behind: before start() (or after
-  // stop()) the synchronous path keeps the call self-contained.
-  const bool deferred = cfg_.lifecycle.write_behind && running_;
-  std::shared_ptr<AdmissionJoin> join;
-  if (deferred) {
+  {
     std::unique_lock<std::mutex> lock(admissions_mu_);
-    if (!may_block && admissions_.size() >= cfg_.lifecycle.max_pending_admissions) {
+    if (opts.non_blocking && admissions_.size() >= cfg_.lifecycle.max_pending_admissions) {
       // Overloaded: the programming backlog is at its bound — reject and
       // let the caller shed or retry. The counter is the observable signal.
       stats_.record_admission_rejection();
-      return false;
+      return AdmissionHandle{};
     }
     admissions_cv_.wait(lock, [this] {
       return admissions_.size() < cfg_.lifecycle.max_pending_admissions;
     });
     NVCIM_CHECK_MSG(admissions_.count(user_id) == 0,
                     "user " << user_id << " admission already in flight");
-    join = std::make_shared<AdmissionJoin>();
+    NVCIM_CHECK_MSG(find_deployment(user_id).dep == nullptr,
+                    "user " << user_id << " already deployed");
     admissions_.emplace(user_id, join);  // reserves one pending-admission slot
   }
 
   // Deployment first, directory second: the moment a batch can see the
-  // user's slot, its deployment must resolve.
-  std::uint64_t generation = 0;
-  try {
-    std::lock_guard<std::mutex> lock(deployments_mu_);
-    NVCIM_CHECK_MSG(deployments_.count(user_id) == 0,
-                    "user " << user_id << " already deployed");
-    generation = next_generation_++;
-    deployments_[user_id] = DepRef{owned, generation};
-    stats_.revive_tenant(user_id);  // re-admitted id => fresh labelled series
-  } catch (...) {
-    if (join != nullptr) {
-      {
-        std::lock_guard<std::mutex> lock(admissions_mu_);
-        admissions_.erase(user_id);
-      }
-      admissions_cv_.notify_all();
-    }
-    throw;
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    live_generations_.insert(generation);
-  }
-
-  if (!deferred) {
-    try {
-      store_.admit_user(user_id, owned->keys);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(deployments_mu_);
-        deployments_.erase(user_id);
-      }
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      live_generations_.erase(generation);
-      throw;
-    }
-    stats_.record_admission(/*router_refreshed=*/store_.routed());
-    stats_.record_admission_latency(ms_between(t0, std::chrono::steady_clock::now()));
-    return true;
-  }
-
-  // Write-behind: stage now (placement, allocation, router, Pending
-  // publish — the cheap part), program later. Each per-subarray span
-  // becomes one aux task; workers interleave them with serving batches,
-  // and the last span to land commits the tenant live.
+  // user's slot, its deployment must resolve. Staging (placement,
+  // allocation, router, Pending publish) is the cheap part; the columns
+  // are programmed span by span below.
   std::shared_ptr<const ShardedOvtStore::StagedAdmission> staged;
   try {
+    deploy(user_id, owned);
     staged = std::make_shared<const ShardedOvtStore::StagedAdmission>(
         store_.stage_admit(user_id, owned->keys));
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(deployments_mu_);
-      deployments_.erase(user_id);
-    }
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      live_generations_.erase(generation);
-    }
-    {
-      std::lock_guard<std::mutex> lock(admissions_mu_);
-      admissions_.erase(user_id);
-    }
-    admissions_cv_.notify_all();
+    settle_admission(user_id, *join, std::current_exception());
     throw;
   }
   join->remaining = staged->spans.size();
   stats_.record_programming_enqueued(staged->spans.size());
 
-  // Same enqueue gate as rebalance(): tasks enqueued while running_ &&
-  // !stopping_ holds UNDER queue_mu_ are guaranteed a live worker to drain
-  // them (workers empty the aux queue before exiting); otherwise program
-  // inline — the admission still settles through run_admission_span.
-  bool enqueued = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (running_ && !stopping_) {
-      for (std::size_t i = 0; i < staged->spans.size(); ++i)
-        aux_queue_.emplace_back([this, staged, join, i, generation, t0](WorkerState&) {
-          run_admission_span(staged, join, i, generation, t0);
-        });
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    queue_cv_.notify_all();
+  // Each span is one task; the last one to land settles the admission.
+  // Write-behind hands them to the pool (workers interleave them with
+  // serving batches); otherwise, or when the pool is not accepting work,
+  // they run here and the tenant is live when admit() returns.
+  std::vector<AuxTask> tasks;
+  tasks.reserve(staged->spans.size());
+  for (std::size_t i = 0; i < staged->spans.size(); ++i)
+    tasks.emplace_back(
+        [this, staged, join, i, t0](WorkerState&) { run_admission_span(staged, join, i, t0); });
+  WorkerState ws;
+  if (cfg_.lifecycle.write_behind) {
+    post(std::move(tasks), ws);
   } else {
-    for (std::size_t i = 0; i < staged->spans.size(); ++i)
-      run_admission_span(staged, join, i, generation, t0);
+    for (AuxTask& task : tasks) task(ws);
   }
-  return true;
+  AdmissionHandle handle(user_id, std::move(join));
+  // A synchronous admission reports its failure from admit() itself.
+  if (opts.wait || !cfg_.lifecycle.write_behind) handle.wait();
+  return handle;
 }
 
 void ServingEngine::run_admission_span(
     const std::shared_ptr<const ShardedOvtStore::StagedAdmission>& staged,
-    const std::shared_ptr<AdmissionJoin>& join, std::size_t idx, std::uint64_t generation,
+    const std::shared_ptr<AdmissionJoin>& join, std::size_t idx,
     std::chrono::steady_clock::time_point t0) {
+  std::exception_ptr error;
   {
     obs::Span span(&tracer_, "program_span", "lifecycle", "user",
                    static_cast<std::int64_t>(staged->user_id), "span",
                    static_cast<std::int64_t>(idx));
-    std::exception_ptr error;
     try {
       store_.program_span(*staged, idx);
     } catch (...) {
       error = std::current_exception();
     }
     stats_.record_program_batch(staged->spans[idx].second - staged->spans[idx].first);
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(join->mu);
-      if (error != nullptr && join->error == nullptr) join->error = error;
-      last = --join->remaining == 0;
-    }
-    if (!last) return;
   }
-
-  // Last span settles the admission: commit on success, full rollback
-  // (slot, deployment, generation) on any span's error.
-  std::exception_ptr final_error;
   {
     std::lock_guard<std::mutex> lock(join->mu);
-    final_error = join->error;
+    if (error != nullptr && join->error == nullptr) join->error = error;
+    if (--join->remaining != 0) return;
+    error = join->error;
   }
-  if (final_error == nullptr) {
+  // The last span commits the tenant live, unless any span failed.
+  if (error == nullptr) {
     try {
       store_.commit_admit(staged->user_id);
       stats_.record_admission(/*router_refreshed=*/store_.routed());
       stats_.record_admission_latency(ms_between(t0, std::chrono::steady_clock::now()));
     } catch (...) {
-      final_error = std::current_exception();
+      error = std::current_exception();
     }
   }
-  if (final_error != nullptr) {
-    store_.abort_admit(staged->user_id);
-    {
-      std::lock_guard<std::mutex> lock(deployments_mu_);
-      deployments_.erase(staged->user_id);
-    }
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    live_generations_.erase(generation);
+  settle_admission(staged->user_id, *join, error);
+}
+
+void ServingEngine::settle_admission(std::size_t user_id, AdmissionJoin& join,
+                                     std::exception_ptr error) {
+  if (error != nullptr) {  // full rollback: slot, deployment, generation
+    store_.abort_admit(user_id);
+    undeploy(user_id);
   }
   // Settle order matters: the store is consistent (committed or rolled
-  // back) BEFORE the admissions_ entry disappears, so a wait_admitted()
-  // that misses the entry can trust user_live()/find_deployment().
+  // back) BEFORE the admissions_ entry disappears, so an evict_user() that
+  // misses the entry sees the admission's final state.
   {
     std::lock_guard<std::mutex> lock(admissions_mu_);
-    admissions_.erase(staged->user_id);
+    admissions_.erase(user_id);
   }
   admissions_cv_.notify_all();
   {
-    std::lock_guard<std::mutex> lock(join->mu);
-    join->error = final_error;
-    join->settled = true;
+    std::lock_guard<std::mutex> lock(join.mu);
+    join.error = std::move(error);
+    join.settled = true;
   }
-  join->cv.notify_all();
-}
-
-void ServingEngine::wait_admitted(std::size_t user_id) {
-  std::shared_ptr<AdmissionJoin> join;
-  {
-    std::lock_guard<std::mutex> lock(admissions_mu_);
-    auto it = admissions_.find(user_id);
-    if (it != admissions_.end()) join = it->second;
-  }
-  if (join == nullptr) {
-    // No admission in flight: either it already settled (user is live) or
-    // the user was never admitted / its admission failed and rolled back.
-    NVCIM_CHECK_MSG(find_deployment(user_id).dep != nullptr && store_.user_live(user_id),
-                    "user " << user_id << " has no admission to wait for");
-    return;
-  }
-  std::unique_lock<std::mutex> lock(join->mu);
-  join->cv.wait(lock, [&join] { return join->settled; });
-  if (join->error != nullptr) std::rethrow_exception(join->error);
+  join.cv.notify_all();
 }
 
 void ServingEngine::evict_user(std::size_t user_id) {
   NVCIM_CHECK_MSG(cfg_.lifecycle.enabled, "tenant lifecycle disabled in this engine");
   obs::Span span(&tracer_, "evict_user", "lifecycle", "user",
                  static_cast<std::int64_t>(user_id));
-  // A write-behind admission still in flight must settle first (the store
-  // refuses to evict pending slots). A failed admission rolls itself back,
-  // and the evict below then throws unknown-user — same as if the user had
-  // never been admitted.
+  // An admission still in flight must settle first (the store refuses to
+  // evict pending slots). A failed admission rolls itself back, and the
+  // evict below then throws unknown-user — same as if the user had never
+  // been admitted.
+  std::shared_ptr<AdmissionJoin> join;
   {
-    std::shared_ptr<AdmissionJoin> join;
-    {
-      std::lock_guard<std::mutex> lock(admissions_mu_);
-      auto it = admissions_.find(user_id);
-      if (it != admissions_.end()) join = it->second;
-    }
-    if (join != nullptr) {
-      std::unique_lock<std::mutex> jlock(join->mu);
-      join->cv.wait(jlock, [&join] { return join->settled; });
-    }
+    std::lock_guard<std::mutex> lock(admissions_mu_);
+    auto it = admissions_.find(user_id);
+    if (it != admissions_.end()) join = it->second;
   }
+  if (join != nullptr) join->join();
   // Unpublish the slot first (new batches stop seeing the user), then drop
-  // the deployment (in-flight batches hold their own shared_ptr), then
-  // purge the user's decoded prompts. Cache keys carry the admission
-  // generation, so a late single-flight insert from a still-draining batch
-  // can never be served to a future re-admission of this user id.
+  // the deployment (in-flight batches hold their own shared_ptr) and purge
+  // the user's decoded prompts. Cache keys carry the admission generation,
+  // so a late single-flight insert from a still-draining batch can never be
+  // served to a future re-admission of this user id.
   store_.evict_user(user_id);  // throws for unknown users
-  std::uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(deployments_mu_);
-    auto it = deployments_.find(user_id);
-    NVCIM_CHECK_MSG(it != deployments_.end(), "user " << user_id << " has no deployment");
-    generation = it->second.generation;
-    deployments_.erase(it);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    live_generations_.erase(generation);  // late decode completions won't re-cache
-    cache_.erase_if([generation](const std::pair<std::size_t, std::size_t>& key) {
-      return key.first == generation;
-    });
-  }
+  undeploy(user_id);
   stats_.record_eviction();
   // Cardinality control: drop the evicted tenant's labelled series so a
   // churn workload cannot grow the exposition without bound.
@@ -343,59 +315,28 @@ std::size_t ServingEngine::rebalance() {
   NVCIM_CHECK_MSG(cfg_.lifecycle.enabled, "tenant lifecycle disabled in this engine");
   obs::Span span(&tracer_, "rebalance", "lifecycle");
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<Migration> plan = store_.plan_rebalance();
   std::atomic<std::size_t> migrated{0};
-  if (plan.empty()) {
-    stats_.record_rebalance(ms_between(t0, std::chrono::steady_clock::now()));
-    return 0;
-  }
-  // Each migration programs one user's columns into the target shard and
-  // republishes the directory. A migration that fails (e.g. the user was
-  // evicted between planning and execution) is skipped, never fatal.
-  const auto migrate_one = [&](const Migration& m) {
-    obs::Span mspan(&tracer_, "migrate_user", "lifecycle", "user",
-                    static_cast<std::int64_t>(m.user_id), "to_shard",
-                    static_cast<std::int64_t>(m.to_shard));
-    try {
-      store_.migrate_user(m.user_id, m.to_shard);
-      stats_.record_migration();
-      ++migrated;
-    } catch (...) {
-    }
-  };
-  // Fan the migrations out as aux tasks: workers run them between (and
-  // with priority over) serving batches, exactly like per-shard retrieval
-  // subtasks — quiesce-free by construction. The enqueue is gated on
-  // running_ && !stopping_ UNDER queue_mu_ (the lock stop() sets stopping_
-  // under): tasks enqueued while that holds are guaranteed a live worker to
-  // drain them (workers empty the aux queue before exiting); otherwise the
-  // migrations run inline on this thread instead of waiting forever.
-  struct Group {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  } group;
-  group.remaining = plan.size();
-  bool enqueued = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (running_ && !stopping_) {
-      for (const Migration& m : plan)
-        aux_queue_.emplace_back([&migrate_one, &group, m](WorkerState&) {
-          migrate_one(m);
-          std::lock_guard<std::mutex> glock(group.mu);
-          if (--group.remaining == 0) group.cv.notify_all();
-        });
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    queue_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(group.mu);
-    group.cv.wait(lock, [&group] { return group.remaining == 0; });
-  } else {
-    for (const Migration& m : plan) migrate_one(m);
-  }
+  // One aux task per migration: workers run them between (and with
+  // priority over) serving batches, exactly like per-shard retrieval
+  // subtasks — quiesce-free by construction. Each programs one user's
+  // columns into the target shard and republishes the directory. A
+  // migration that fails (e.g. the user was evicted between planning and
+  // execution) is skipped, never fatal.
+  std::vector<AuxTask> tasks;
+  for (const Migration& m : store_.plan_rebalance())
+    tasks.emplace_back([this, &migrated, m](WorkerState&) {
+      obs::Span mspan(&tracer_, "migrate_user", "lifecycle", "user",
+                      static_cast<std::int64_t>(m.user_id), "to_shard",
+                      static_cast<std::int64_t>(m.to_shard));
+      try {
+        store_.migrate_user(m.user_id, m.to_shard);
+        stats_.record_migration();
+        ++migrated;
+      } catch (...) {
+      }
+    });
+  WorkerState ws;
+  fork_join(std::move(tasks), ws);
   stats_.record_rebalance(ms_between(t0, std::chrono::steady_clock::now()));
   return migrated.load();
 }
@@ -448,6 +389,7 @@ ScrubOutcome ServingEngine::scrub_round(std::size_t budget) {
 }
 
 void ServingEngine::scrubber_loop() {
+  WorkerState ws;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(scrub_mu_);
@@ -459,24 +401,57 @@ void ServingEngine::scrubber_loop() {
     // One round in flight at a time: a tick that lands while a slow repair
     // is still running is skipped, not queued behind it.
     if (scrub_inflight_.exchange(true)) continue;
-    bool enqueued = false;
-    {
-      // Same gate as rebalance(): tasks enqueued while running_ &&
-      // !stopping_ holds UNDER queue_mu_ are guaranteed a live worker to
-      // drain them (workers empty the aux queue before exiting).
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (running_ && !stopping_) {
-        aux_queue_.emplace_back([this](WorkerState&) {
-          scrub_round(cfg_.scrubber.subarrays_per_round);
-          scrub_inflight_.store(false);
-        });
-        enqueued = true;
-      }
+    post({[this](WorkerState&) {
+           scrub_round(cfg_.scrubber.subarrays_per_round);
+           scrub_inflight_.store(false);
+         }},
+         ws);
+  }
+}
+
+void ServingEngine::post(std::vector<AuxTask>&& tasks, WorkerState& ws) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (running_ && !stopping_) {
+      for (AuxTask& task : tasks) aux_queue_.push_back(std::move(task));
+      tasks.clear();
     }
-    if (enqueued)
-      queue_cv_.notify_one();
-    else
-      scrub_inflight_.store(false);
+  }
+  if (tasks.empty()) {
+    queue_cv_.notify_all();
+    return;
+  }
+  for (AuxTask& task : tasks) task(ws);
+}
+
+ServingEngine::AuxTask ServingEngine::pop_aux_locked() {
+  if (aux_queue_.empty()) return {};
+  AuxTask task = std::move(aux_queue_.front());
+  aux_queue_.pop_front();
+  return task;
+}
+
+void ServingEngine::fork_join(std::vector<AuxTask>&& tasks, WorkerState& ws) {
+  Countdown pending(tasks.size());
+  for (AuxTask& task : tasks)
+    task = [&pending, inner = std::move(task)](WorkerState& tws) {
+      inner(tws);
+      pending.count_down();
+    };
+  post(std::move(tasks), ws);
+  // Help while tasks are queued; once every remaining task is claimed by
+  // some worker, wait for the last to finish.
+  while (!pending.done()) {
+    AuxTask task;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      task = pop_aux_locked();
+    }
+    if (!task) {
+      pending.wait();
+      return;
+    }
+    task(ws);
   }
 }
 
@@ -614,16 +589,8 @@ RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   // handle's future settles with UnknownUser, so async callers (who may
   // race a submit against an eviction or a still-pending admission) learn
   // of it on the same channel as every other per-request error.
-  if (find_deployment(request.user_id).dep == nullptr || !store_.user_live(request.user_id)) {
-    QueuedRequest qr;
-    qr.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    qr.user_id = request.user_id;
-    qr.on_complete = std::move(opts.on_complete);
-    RequestHandle handle(this, qr.id, qr.promise.get_future());
-    finish_error(qr, std::make_exception_ptr(UnknownUser(
-                         "unknown or not-yet-live user " + std::to_string(request.user_id))));
-    return handle;
-  }
+  const bool known =
+      find_deployment(request.user_id).dep != nullptr && store_.user_live(request.user_id);
   QueuedRequest qr;
   qr.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   qr.user_id = request.user_id;
@@ -636,6 +603,11 @@ RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   qr.on_complete = std::move(opts.on_complete);
   const QueuedRequest::Clock::time_point enqueued = qr.enqueued;
   RequestHandle handle(this, qr.id, qr.promise.get_future());
+  if (!known) {
+    finish_error(qr, std::make_exception_ptr(UnknownUser(
+                         "unknown or not-yet-live user " + std::to_string(qr.user_id))));
+    return handle;
+  }
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
     if (opts.overload_policy == OverloadPolicy::Reject) {
@@ -678,10 +650,6 @@ void ServingEngine::set_rate_limit(std::size_t user_id, double rps) {
   sched_.set_rate_limit(user_id, rps);
 }
 
-std::future<Response> ServingEngine::submit(std::size_t user_id, data::Sample query) {
-  return submit(Request{user_id, std::move(query)}).take_future();
-}
-
 void ServingEngine::worker_loop() {
   using Clock = std::chrono::steady_clock;
   WorkerState ws;
@@ -695,16 +663,15 @@ void ServingEngine::worker_loop() {
                      [this] { return !aux_queue_.empty() || !sched_.empty() || stopping_; });
       // Aux tasks first: they belong to a batch already in flight, and the
       // coordinating worker is blocked until they finish.
-      if (!aux_queue_.empty()) {
-        aux = std::move(aux_queue_.front());
-        aux_queue_.pop_front();
-      } else if (stopping_) {
+      aux = pop_aux_locked();
+      if (!aux && stopping_) {
         // Queued-but-undispatched requests are NOT drained after stop():
         // they fail with EngineStopped (stop() settles them once every
         // worker has joined). Aux tasks above still run — they belong to
         // batches already in flight.
         return;
-      } else {
+      }
+      if (!aux) {
         // Deadline-aware batch formation. Expire the already-dead first:
         // they must never reach the crossbar, and they must not count
         // toward min_batch.
@@ -726,10 +693,7 @@ void ServingEngine::worker_loop() {
                   return sched_.size() >= cfg_.min_batch || !aux_queue_.empty() || stopping_;
                 });
           }
-          if (!aux_queue_.empty()) {
-            aux = std::move(aux_queue_.front());
-            aux_queue_.pop_front();
-          }
+          aux = pop_aux_locked();
         }
         if (!aux) {
           // Re-check expiry at dispatch time (the window may have outlived a
@@ -774,43 +738,85 @@ void ServingEngine::expire_requests(std::vector<QueuedRequest>&& expired) {
   }
 }
 
-void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerState& ws) {
-  stats_.record_batch(batch.size());
-  const std::size_t B = batch.size();
+/// One row of a decoded-prompt fetch: the deployment and OVT to fetch (a
+/// null `ref` skips the row) and its outcome.
+struct ServingEngine::PromptFetch {
+  const DepRef* ref = nullptr;
+  std::size_t ovt_index = 0;
+  std::shared_ptr<const Matrix> value;
+  bool hit = false;  ///< served from the cache or another fetch's decode
+  std::exception_ptr error;
+};
 
-  // A bad request (e.g. a query the backbone rejects) must fail only its own
-  // future, never the worker thread — an exception escaping worker_loop
-  // would std::terminate the whole serving process.
-  std::vector<char> failed(B, 0);
-  const auto fail = [&](std::size_t i) {
+/// One batch in flight. Each stage reads what the stages before it filled
+/// in; a request that fails anywhere is settled at once and skipped by
+/// every later stage.
+struct ServingEngine::Batch {
+  std::size_t size() const { return reqs.size(); }
+
+  /// Fail request `i` alone: a bad request (e.g. a query the backbone
+  /// rejects) must fail only its own future, never the worker thread — an
+  /// exception escaping worker_loop would std::terminate the whole serving
+  /// process.
+  void fail(std::size_t i, std::exception_ptr error = std::current_exception()) {
     failed[i] = 1;
-    finish_error(batch[i], std::current_exception());
-  };
+    finish_error(reqs[i], std::move(error));
+  }
 
+  std::vector<QueuedRequest> reqs;
+  std::uint64_t id;  ///< links the batch's request, stage and shard spans
+  std::chrono::steady_clock::time_point start;  ///< queue wait ends here
+  /// encode: the epoch every stage resolves against
+  PinnedDirectory pinned{};
+  /// encode: each request's pinned deployment
+  std::vector<DepRef> deps = std::vector<DepRef>(reqs.size());
+  /// any stage: the request has already been settled with an error
+  std::vector<char> failed = std::vector<char>(reqs.size(), 0);
+  /// retrieve: the winning OVT per request
+  std::vector<std::size_t> ovt_index = std::vector<std::size_t>(reqs.size(), 0);
+  /// decode: the decoded prompt per request
+  std::vector<PromptFetch> prompts = std::vector<PromptFetch>(reqs.size());
+};
+
+void ServingEngine::process_batch(std::vector<QueuedRequest>&& requests, WorkerState& ws) {
   using Clock = std::chrono::steady_clock;
+  stats_.record_batch(requests.size());
   Clock::time_point tick = Clock::now();
-  const auto lap = [&tick] {
-    const Clock::time_point now = Clock::now();
-    const double ms = ms_between(tick, now);
-    tick = now;
-    return ms;
-  };
-
   // Ids link the span tree together: every stage/shard span carries this
   // batch id, every request span carries it too, so a Perfetto query can
   // walk request → batch → stage → shard.
   const std::uint64_t batch_id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-  const Clock::time_point batch_start = tick;
   obs::Span batch_span(&tracer_, "process_batch", "batch", "batch",
                        static_cast<std::int64_t>(batch_id), "B",
-                       static_cast<std::int64_t>(B));
-  const auto trace_stage = [&](const char* name, Clock::time_point t0,
-                               Clock::time_point t1) {
+                       static_cast<std::int64_t>(requests.size()));
+  Batch b{std::move(requests), batch_id, tick};
+  const auto stage = [&](const char* name, const auto& run) {
+    const Clock::time_point t0 = tick;
+    run();
+    tick = Clock::now();
     if (tracer_.enabled())
-      tracer_.complete(name, "stage", tracer_.to_us(t0), tracer_.to_us(t1), "batch",
+      tracer_.complete(name, "stage", tracer_.to_us(t0), tracer_.to_us(tick), "batch",
                        static_cast<std::int64_t>(batch_id));
+    return ms_between(t0, tick);
   };
+  const double encode_ms = stage("encode", [&] { encode_stage(b, ws); });
+  const double retrieve_ms = stage("retrieve", [&] { retrieve_stage(b, ws); });
+  const double decode_ms = stage("decode", [&] { decode_stage(b, ws); });
+  std::vector<SlowRequest> slow;
+  const double classify_ms = stage("classify", [&] { slow = finish_stage(b); });
 
+  stats_.record_stage_times(encode_ms, retrieve_ms, decode_ms, classify_ms);
+  for (SlowRequest& sr : slow) {
+    sr.encode_ms = encode_ms;
+    sr.retrieve_ms = retrieve_ms;
+    sr.decode_ms = decode_ms;
+    sr.classify_ms = classify_ms;
+    stats_.record_slow_request(sr);
+  }
+}
+
+void ServingEngine::encode_stage(Batch& b, WorkerState& ws) {
+  const std::size_t B = b.size();
   // Pin the tenant directory: every stage of this batch resolves slots,
   // routers and shard widths against this one epoch, however many admits /
   // evictions / migrations land while the batch is in flight. The pin also
@@ -818,38 +824,26 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
   // columns this batch reads cannot be reprogrammed underneath it.
   // Deployments are pinned the same way (shared_ptr per request): eviction
   // drops the map entry, not the object.
-  const PinnedDirectory pinned = store_.pin();
-  std::vector<DepRef> deps(B);
+  b.pinned = store_.pin();
   for (std::size_t i = 0; i < B; ++i) {
-    deps[i] = find_deployment(batch[i].user_id);
-    if (deps[i].dep == nullptr || !pinned.snap->is_live(batch[i].user_id)) {
+    b.deps[i] = find_deployment(b.reqs[i].user_id);
+    if (b.deps[i].dep == nullptr || !b.pinned.snap->is_live(b.reqs[i].user_id)) {
       // Evicted between submit and batch assembly (or evicted and
       // re-admitted as a still-Pending write-behind slot whose columns are
       // mid-programming) — fail just this request.
-      failed[i] = 1;
-      finish_error(batch[i], std::make_exception_ptr(Error(
-                                 "user " + std::to_string(batch[i].user_id) +
-                                 " was evicted")));
+      b.fail(i, std::make_exception_ptr(
+                    Error("user " + std::to_string(b.reqs[i].user_id) + " was evicted")));
     }
   }
 
-  // ---- Stage 1: batched encode, fused across users sharing an autoencoder.
-  // One row of `reps` per request (failed rows are never read); groups keyed
-  // by the deployment's autoencoder identity run as one stacked encode GEMM.
+  // One row of `reps` per request (failed rows are never read); requests
+  // sharing an autoencoder run as one stacked encode GEMM (cross-user
+  // fusion).
   Matrix& reps = ws.reps;
   reps.resize(B, rep_size_);
-  std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>> groups;
-  for (std::size_t i = 0; i < B; ++i) {
-    if (failed[i]) continue;
-    const compress::Autoencoder* ae = deps[i].dep->autoencoder.get();
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [ae](const auto& g) { return g.first == ae; });
-    if (it == groups.end()) {
-      groups.emplace_back(ae, std::vector<std::size_t>{});
-      it = std::prev(groups.end());
-    }
-    it->second.push_back(i);
-  }
+  const auto groups = group_by_autoencoder(B, [&](std::size_t i) -> const compress::Autoencoder* {
+    return b.failed[i] ? nullptr : b.deps[i].dep->autoencoder.get();
+  });
   for (const auto& [ae, members] : groups) {
     (void)ae;
     bool fused = false;
@@ -859,8 +853,8 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       group_deps.reserve(members.size());
       queries.reserve(members.size());
       for (const std::size_t i : members) {
-        group_deps.push_back(deps[i].dep.get());
-        queries.push_back(&batch[i].query);
+        group_deps.push_back(b.deps[i].dep.get());
+        queries.push_back(&b.reqs[i].query);
       }
       const Matrix group_reps =
           core::TrainedDeployment::query_representation_batch(*model_, group_deps, queries,
@@ -877,52 +871,49 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
     if (!fused) {
       for (const std::size_t i : members) {
         try {
-          const Matrix rep =
-              deps[i].dep->query_representation(*model_, batch[i].query);
+          const Matrix rep = b.deps[i].dep->query_representation(*model_, b.reqs[i].query);
           NVCIM_CHECK_MSG(rep.size() == rep_size_, "representation width mismatch");
           std::memcpy(reps.data() + i * rep_size_, rep.data(), rep_size_ * sizeof(float));
         } catch (...) {
-          fail(i);
+          b.fail(i);
         }
       }
     }
   }
-  const Clock::time_point encode_t0 = tick;
-  const double encode_ms = lap();
-  trace_stage("encode", encode_t0, tick);
+}
 
-  // ---- Stage 2: shard-grouped retrieval. One batched, masked MVM pass per
-  // shard: each row scores only its tenant's slot columns (exact mode) or
-  // the router's shortlist inside that slot (two-phase), so the crossbar work
-  // and the modelled ADC cost cover just the columns the request reads.
-  // When the batch spans several shards, the per-shard passes are independent
-  // (distinct crossbar banks, disjoint request rows): they are fanned out
-  // onto the worker pool's aux queue, idle workers steal them, and this
-  // worker helps drain tasks until its group completes — so results are
-  // identical to the serial shard loop, just overlapped in time.
-  std::vector<std::size_t> ovt_index(B, 0);
+void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
+  // One batched, masked MVM pass per shard: each row scores only its
+  // tenant's slot columns (exact mode) or the router's shortlist inside that
+  // slot (two-phase), so the crossbar work and the modelled ADC cost cover
+  // just the columns the request reads. The per-shard passes are
+  // independent (distinct crossbar banks, disjoint request rows), so fanning
+  // them out across the pool gives results identical to the serial loop.
+  const PinnedDirectory& pinned = b.pinned;
   const bool routed = cfg_.two_phase.enabled && store_.routed();
   std::vector<std::vector<std::size_t>> by_shard(store_.n_shards());
-  for (std::size_t i = 0; i < B; ++i)
-    if (!failed[i]) by_shard[pinned.slot(batch[i].user_id).shard].push_back(i);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    if (!b.failed[i]) by_shard[pinned.slot(b.reqs[i].user_id).shard].push_back(i);
   // Group a shard pass's rows by slot: the masked kernel skips an
   // accumulator block only when none of its 4-query register tile needs it,
   // so packing one slot's queries adjacently keeps each tile's candidate
   // columns confined to (mostly) one slot. Row order does not affect any
   // row's scores — each query's accumulation is independent.
   for (auto& members : by_shard)
-    std::stable_sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b2) {
-      return pinned.slot(batch[a].user_id).begin < pinned.slot(batch[b2].user_id).begin;
+    std::stable_sort(members.begin(), members.end(), [&](std::size_t x, std::size_t y) {
+      return pinned.slot(b.reqs[x].user_id).begin < pinned.slot(b.reqs[y].user_id).begin;
     });
 
-  // One shard's retrieval, on the *executing* worker's scratch: pack that
+  // One shard's retrieval, on the *executing* thread's scratch: pack that
   // shard's representation rows, build their candidate bitmaps (slot spans,
   // or routed shortlists), score them in one masked pass against the shard's
   // banks and take each row's winner among its candidates. Computed entries
   // are bit-identical to the unmasked pass, so every answer equals
   // retrieve_serial()'s full-width one. A failure poisons only the shard's
   // own requests (their indices are touched by no other task).
+  const Matrix& reps = ws.reps;
   const auto retrieve_shard = [&](std::size_t shard, WorkerState& tws) {
+    using Clock = std::chrono::steady_clock;
     const std::vector<std::size_t>& members = by_shard[shard];
     const Clock::time_point t0 = Clock::now();
     try {
@@ -936,29 +927,29 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       const auto slot_mask = [&] {
         tws.candidates.reset(members.size(), pinned.snap->shard_capacity[shard]);
         for (std::size_t r = 0; r < members.size(); ++r) {
-          const UserSlot& us = pinned.slot(batch[members[r]].user_id);
+          const UserSlot& us = pinned.slot(b.reqs[members[r]].user_id);
           tws.candidates.set_range(r, us.begin, us.end);
         }
       };
       const auto winner = [&](std::size_t r) {
         return ShardedOvtStore::best_in_slot_candidates(
-            tws.shard_scores, r, pinned.slot(batch[members[r]].user_id), tws.candidates);
+            tws.shard_scores, r, pinned.slot(b.reqs[members[r]].user_id), tws.candidates);
       };
       std::size_t examined = 0;
       if (routed) {
         tws.row_users.clear();
         tws.row_users.reserve(members.size());
-        for (const std::size_t i : members) tws.row_users.push_back(batch[i].user_id);
+        for (const std::size_t i : members) tws.row_users.push_back(b.reqs[i].user_id);
         examined = store_.route_candidates(*pinned.snap, shard, queries, tws.row_users,
                                            tws.candidates, tws.route);
       } else {
         slot_mask();
       }
       store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve, &tws.candidates);
-      for (std::size_t r = 0; r < members.size(); ++r) ovt_index[members[r]] = winner(r);
+      for (std::size_t r = 0; r < members.size(); ++r) b.ovt_index[members[r]] = winner(r);
       if (routed) {
         for (std::size_t r = 0; r < members.size(); ++r)
-          stats_.record_tenant_candidates(batch[members[r]].user_id,
+          stats_.record_tenant_candidates(b.reqs[members[r]].user_id,
                                           tws.candidates.count_row(r));
         stats_.record_two_phase(examined,
                                 members.size() * pinned.snap->shard_capacity[shard]);
@@ -972,229 +963,52 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
                                    &tws.candidates);
           std::size_t matches = 0;
           for (std::size_t r = 0; r < members.size(); ++r)
-            if (winner(r) == ovt_index[members[r]]) ++matches;
+            if (winner(r) == b.ovt_index[members[r]]) ++matches;
           stats_.record_recall_sample(members.size(), matches);
         }
       }
     } catch (...) {
       for (const std::size_t i : members)
-        if (!failed[i]) fail(i);
+        if (!b.failed[i]) b.fail(i);
     }
     const Clock::time_point t1 = Clock::now();
     stats_.record_shard_time(shard, ms_between(t0, t1));
     if (tracer_.enabled())
       tracer_.complete("shard_retrieve", "shard", tracer_.to_us(t0), tracer_.to_us(t1),
                        "shard", static_cast<std::int64_t>(shard), "batch",
-                       static_cast<std::int64_t>(batch_id));
+                       static_cast<std::int64_t>(b.id));
   };
 
-  std::vector<std::size_t> active_shards;
+  std::vector<AuxTask> tasks;
   for (std::size_t shard = 0; shard < by_shard.size(); ++shard)
-    if (!by_shard[shard].empty()) active_shards.push_back(shard);
-
-  if (cfg_.parallel_retrieval && active_shards.size() > 1) {
+    if (!by_shard[shard].empty())
+      tasks.emplace_back(
+          [&retrieve_shard, shard](WorkerState& tws) { retrieve_shard(shard, tws); });
+  if (cfg_.parallel_retrieval && tasks.size() > 1) {
     stats_.record_parallel_fanout();
-    struct Group {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining;
-    } group;
-    group.remaining = active_shards.size();
-    const auto finish_one = [&group] {
-      std::lock_guard<std::mutex> lock(group.mu);
-      if (--group.remaining == 0) group.cv.notify_all();
-    };
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      for (const std::size_t shard : active_shards)
-        aux_queue_.emplace_back([&retrieve_shard, &finish_one, shard](WorkerState& tws) {
-          retrieve_shard(shard, tws);
-          finish_one();
-        });
-    }
-    queue_cv_.notify_all();
-    // Help until this group is done: execute aux tasks (ours or another
-    // batch's) while any are queued; once every remaining task is claimed by
-    // some worker, wait for the group's completion signal. Tasks never
-    // block, so helping cannot deadlock — with one worker this degenerates
-    // to the serial loop.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(group.mu);
-        if (group.remaining == 0) break;
-      }
-      AuxTask task;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (!aux_queue_.empty()) {
-          task = std::move(aux_queue_.front());
-          aux_queue_.pop_front();
-        }
-      }
-      if (task) {
-        task(ws);
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(group.mu);
-      group.cv.wait(lock, [&group] { return group.remaining == 0; });
-      break;
-    }
+    fork_join(std::move(tasks), ws);
   } else {
-    for (const std::size_t shard : active_shards) retrieve_shard(shard, ws);
+    for (AuxTask& task : tasks) task(ws);
   }
-  const Clock::time_point retrieve_t0 = tick;
-  const double retrieve_ms = lap();
-  trace_stage("retrieve", retrieve_t0, tick);
+}
 
-  // ---- Stage 3: decoded-prompt fetch through the cache. One lock pass
-  // probes the cache and registers this worker as the single-flight leader
-  // for every distinct missed key; the batch's missed payload rows then
-  // stack into ONE decode GEMM per shared autoencoder (rows are independent
-  // under decode, so results are bit-identical to per-key decodes), results
-  // land in the cache, flights complete, and followers of other workers'
-  // flights wait last — leaders never block on followers, so the order is
-  // deadlock-free.
-  std::vector<std::shared_ptr<const Matrix>> prompts(B);
-  std::vector<char> cache_hit(B, 0);
-  using CacheKey = std::pair<std::size_t, std::size_t>;
-  struct LeaderDecode {
-    std::size_t req;  ///< first request index that missed on this key
-    CacheKey key;
-    std::shared_ptr<InFlightDecode> flight;
-    std::shared_ptr<const Matrix> value;
-    std::exception_ptr error;
-  };
-  std::vector<LeaderDecode> leaders;
-  std::vector<std::pair<std::size_t, std::shared_ptr<InFlightDecode>>> followers;
-  // Capacity up front: once a flight is registered in inflight_, the vector
-  // push recording it must not throw, or the key would wedge forever.
-  leaders.reserve(B);
-  followers.reserve(B);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (std::size_t i = 0; i < B; ++i) {
-      if (failed[i]) continue;
-      // Keyed by the admission generation, not the user id: a re-admitted
-      // user id must never see its predecessor's cached prompts.
-      const CacheKey key{deps[i].generation, ovt_index[i]};
-      if (auto hit = cache_.get(key)) {
-        prompts[i] = *hit;
-        cache_hit[i] = 1;
-        continue;
-      }
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        // Another worker (or an earlier request of this batch) is already
-        // decoding this key — coalesce onto its flight.
-        ++coalesced_fetches_;
-        followers.emplace_back(i, it->second);
-        continue;
-      }
-      LeaderDecode ld;
-      ld.req = i;
-      ld.key = key;
-      ld.flight = std::make_shared<InFlightDecode>();
-      inflight_.emplace(key, ld.flight);
-      leaders.push_back(std::move(ld));
-    }
+void ServingEngine::decode_stage(Batch& b, WorkerState& ws) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (b.failed[i]) continue;
+    b.prompts[i].ref = &b.deps[i];
+    b.prompts[i].ovt_index = b.ovt_index[i];
   }
+  fetch_prompts(b.prompts, ws);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    if (b.prompts[i].error) b.fail(i, b.prompts[i].error);
+}
 
-  if (!leaders.empty()) {
-    // Group the missed keys by autoencoder (cross-user groups share one
-    // decoder exactly as the encode stage shares encoders) and decode each
-    // group in a single stacked GEMM. A group failure falls back to per-key
-    // decodes so one bad payload cannot poison its neighbours. The whole
-    // region is fenced: every registered flight MUST reach the completion
-    // loop below — an escaped exception (e.g. bad_alloc in the grouping)
-    // becomes the error of every still-unfinished leader, never a wedged
-    // in-flight key that blocks future fetchers forever.
-    try {
-      std::vector<std::pair<const compress::Autoencoder*, std::vector<std::size_t>>> dgroups;
-      for (std::size_t l = 0; l < leaders.size(); ++l) {
-        const compress::Autoencoder* ae = deps[leaders[l].req].dep->autoencoder.get();
-        auto it = std::find_if(dgroups.begin(), dgroups.end(),
-                               [ae](const auto& g) { return g.first == ae; });
-        if (it == dgroups.end()) {
-          dgroups.emplace_back(ae, std::vector<std::size_t>{});
-          it = std::prev(dgroups.end());
-        }
-        it->second.push_back(l);
-      }
-      for (const auto& [ae, group] : dgroups) {
-        bool fused = false;
-        if (group.size() > 1) {
-          try {
-            ws.decode_parts.clear();
-            ws.decode_parts.reserve(group.size());
-            for (const std::size_t l : group)
-              ws.decode_parts.push_back(
-                  &deps[leaders[l].req].dep->stored_codes[leaders[l].key.second]);
-            stack_rows_into(ws.decode_parts, ws.decode_stacked);
-            ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
-            std::size_t r0 = 0;
-            for (std::size_t g = 0; g < group.size(); ++g) {
-              const std::size_t rows = ws.decode_parts[g]->rows();
-              leaders[group[g]].value =
-                  std::make_shared<const Matrix>(ws.decode_out.row_slice(r0, r0 + rows));
-              r0 += rows;
-              ++prompt_decodes_;
-            }
-            stats_.record_batched_decode();
-            fused = true;
-          } catch (...) {
-            for (const std::size_t l : group) leaders[l].value.reset();
-          }
-        }
-        if (!fused) {
-          for (const std::size_t l : group) {
-            try {
-              auto owned = std::make_shared<Matrix>();
-              deps[leaders[l].req].dep->decode_prompt_into(leaders[l].key.second, *owned,
-                                                           &ws.encode.autoencoder);
-              leaders[l].value = std::move(owned);
-              ++prompt_decodes_;
-            } catch (...) {
-              leaders[l].error = std::current_exception();
-            }
-          }
-        }
-      }
-    } catch (...) {
-      for (LeaderDecode& ld : leaders)
-        if (!ld.value && !ld.error) ld.error = std::current_exception();
-    }
-    for (LeaderDecode& ld : leaders) {
-      complete_decode_flight(ld.key, ld.flight, ld.value, ld.error);
-      if (ld.error) {
-        if (!failed[ld.req]) {
-          failed[ld.req] = 1;
-          finish_error(batch[ld.req], ld.error);
-        }
-      } else {
-        prompts[ld.req] = ld.value;
-      }
-    }
-  }
-
-  for (auto& [i, flight] : followers) {
-    try {
-      std::unique_lock<std::mutex> lock(flight->mu);
-      flight->cv.wait(lock, [&flight] { return flight->done; });
-      if (flight->error) std::rethrow_exception(flight->error);
-      prompts[i] = flight->value;
-      cache_hit[i] = 1;  // shared the leader's decode
-    } catch (...) {
-      fail(i);
-    }
-  }
-  const Clock::time_point decode_t0 = tick;
-  const double decode_ms = lap();
-  trace_stage("decode", decode_t0, tick);
-
-  // ---- Stage 4: optional classification — deduplicated up front, the
-  // unique forwards batched through TinyLM::classify_batch (one embedding
-  // gather pass + a reused tape instead of per-request tape construction) —
-  // then finish every surviving request.
+std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t B = b.size();
+  // Optional classification: deduplicated up front, the unique forwards
+  // batched through TinyLM::classify_batch (one embedding gather pass + a
+  // reused tape instead of per-request tape construction).
   const bool classify =
       cfg_.run_inference && task_->config().kind == data::TaskKind::Classification;
   std::vector<std::size_t> labels(B, 0);
@@ -1207,10 +1021,10 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
     std::vector<std::size_t> uniq;
     std::vector<std::size_t> dup_of(B, B);
     for (std::size_t i = 0; i < B; ++i) {
-      if (failed[i]) continue;
+      if (b.failed[i]) continue;
       for (std::size_t j = 0; j < i && dup_of[i] == B; ++j) {
-        if (!failed[j] && dup_of[j] == B && batch[j].user_id == batch[i].user_id &&
-            ovt_index[j] == ovt_index[i] && batch[j].query.input == batch[i].query.input)
+        if (!b.failed[j] && dup_of[j] == B && b.reqs[j].user_id == b.reqs[i].user_id &&
+            b.ovt_index[j] == b.ovt_index[i] && b.reqs[j].query.input == b.reqs[i].query.input)
           dup_of[i] = j;
       }
       if (dup_of[i] == B) uniq.push_back(i);
@@ -1222,8 +1036,8 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
         seqs.reserve(uniq.size());
         soft_prompts.reserve(uniq.size());
         for (const std::size_t i : uniq) {
-          seqs.push_back(&batch[i].query.input);
-          soft_prompts.push_back(prompts[i].get());
+          seqs.push_back(&b.reqs[i].query.input);
+          soft_prompts.push_back(b.prompts[i].value.get());
         }
         const std::vector<std::size_t> out =
             model_->classify_batch(seqs, task_->label_ids(), soft_prompts);
@@ -1237,23 +1051,24 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       }
     }
     for (std::size_t i = 0; i < B; ++i) {
-      if (failed[i] || labelled[i] || dup_of[i] == B) continue;
+      if (b.failed[i] || labelled[i] || dup_of[i] == B) continue;
       labels[i] = labels[dup_of[i]];
       labelled[i] = labelled[dup_of[i]];
     }
   }
   std::vector<SlowRequest> slow;
   for (std::size_t i = 0; i < B; ++i) {
-    if (failed[i]) continue;
-    QueuedRequest& p = batch[i];
+    if (b.failed[i]) continue;
+    QueuedRequest& p = b.reqs[i];
     try {
       Response resp;
       resp.user_id = p.user_id;
-      resp.ovt_index = ovt_index[i];
-      resp.cache_hit = cache_hit[i] != 0;
+      resp.ovt_index = b.ovt_index[i];
+      resp.cache_hit = b.prompts[i].hit;
       if (classify) {
         if (!labelled[i]) {  // batched pass failed — serial fallback
-          labels[i] = model_->classify(p.query.input, task_->label_ids(), prompts[i].get());
+          labels[i] =
+              model_->classify(p.query.input, task_->label_ids(), b.prompts[i].value.get());
           labelled[i] = 1;
         }
         resp.label = labels[i];
@@ -1264,7 +1079,7 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       // Queue wait = submit → batch dequeue; the rest of the latency is
       // service time. Clamped non-negative for requests enqueued mid-window.
       const double wait_ms =
-          std::max(0.0, std::min(resp.latency_ms, ms_between(p.enqueued, batch_start)));
+          std::max(0.0, std::min(resp.latency_ms, ms_between(p.enqueued, b.start)));
       resp.queue_wait_ms = wait_ms;
       // Dispatched in time but finished late: the answer is delivered (only
       // already-expired requests are dropped), the miss is accounted.
@@ -1282,7 +1097,7 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
         tracer_.complete("request", "request", tracer_.to_us(p.enqueued),
                          tracer_.to_us(done), "user",
                          static_cast<std::int64_t>(p.user_id), "batch",
-                         static_cast<std::int64_t>(batch_id));
+                         static_cast<std::int64_t>(b.id));
         // SLO-annotated sibling span for requests with a scheduling
         // contract: deadline slack (negative = missed) and priority.
         if (p.has_deadline() || p.priority != 0)
@@ -1299,107 +1114,157 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& batch, WorkerStat
       if (cfg_.slow_request_ms > 0.0 && resp.latency_ms >= cfg_.slow_request_ms) {
         SlowRequest sr;
         sr.user_id = p.user_id;
-        sr.batch_id = batch_id;
+        sr.batch_id = b.id;
         sr.latency_ms = resp.latency_ms;
         sr.queue_wait_ms = wait_ms;
-        slow.push_back(sr);  // stage times filled in below, once classify laps
+        slow.push_back(sr);
       }
       finish(p, std::move(resp));
     } catch (...) {
-      fail(i);
+      b.fail(i);
     }
   }
-  const Clock::time_point classify_t0 = tick;
-  const double classify_ms = lap();
-  trace_stage("classify", classify_t0, tick);
-
-  stats_.record_stage_times(encode_ms, retrieve_ms, decode_ms, classify_ms);
-  for (SlowRequest& sr : slow) {
-    sr.encode_ms = encode_ms;
-    sr.retrieve_ms = retrieve_ms;
-    sr.decode_ms = decode_ms;
-    sr.classify_ms = classify_ms;
-    stats_.record_slow_request(sr);
-  }
+  return slow;
 }
 
-std::shared_ptr<const Matrix> ServingEngine::prompt_locked_fetch(
-    const DepRef& ref, std::size_t ovt_index, bool* was_hit,
-    compress::Autoencoder::Scratch* scratch) {
-  const std::pair<std::size_t, std::size_t> key{ref.generation, ovt_index};
-  std::shared_ptr<InFlightDecode> flight;
-  bool leader = false;
+void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& ws) {
+  using CacheKey = std::pair<std::size_t, std::size_t>;
+  struct Leader {
+    std::size_t row;  ///< first row that missed on this key
+    CacheKey key;
+    std::shared_ptr<InFlightDecode> flight;
+  };
+  std::vector<Leader> leaders;
+  std::vector<std::pair<std::size_t, std::shared_ptr<InFlightDecode>>> followers;
+  // Capacity up front: once a flight is registered in inflight_, the vector
+  // push recording it must not throw, or the key would wedge forever.
+  leaders.reserve(rows.size());
+  followers.reserve(rows.size());
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (auto hit = cache_.get(key)) {
-      if (was_hit != nullptr) *was_hit = true;
-      return *hit;
-    }
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      flight = it->second;
-    } else {
-      flight = std::make_shared<InFlightDecode>();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      PromptFetch& row = rows[r];
+      if (row.ref == nullptr) continue;
+      // Keyed by the admission generation, not the user id: a re-admitted
+      // user id must never see its predecessor's cached prompts.
+      const CacheKey key{row.ref->generation, row.ovt_index};
+      if (auto hit = cache_.get(key)) {
+        row.value = *hit;
+        row.hit = true;
+        continue;
+      }
+      auto it = inflight_.find(key);
+      if (it != inflight_.end()) {
+        // Another thread (or an earlier row of this fetch) is already
+        // decoding this key — coalesce onto its flight.
+        ++coalesced_fetches_;
+        followers.emplace_back(r, it->second);
+        continue;
+      }
+      auto flight = std::make_shared<InFlightDecode>();
       inflight_.emplace(key, flight);
-      leader = true;
+      leaders.push_back(Leader{r, key, std::move(flight)});
     }
   }
 
-  if (!leader) {
-    // Single-flight: another worker is already decoding this key — wait for
-    // its result instead of duplicating the expensive decode.
-    ++coalesced_fetches_;
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (flight->error) std::rethrow_exception(flight->error);
-    if (was_hit != nullptr) *was_hit = true;  // shared the leader's decode
-    return flight->value;
-  }
-
-  // Leader: decode outside every lock — the autoencoder decode is the
-  // expensive step the cache exists to amortize, and it is const/thread-safe.
-  std::shared_ptr<const Matrix> decoded;
-  std::exception_ptr error;
-  try {
-    auto owned = std::make_shared<Matrix>();
-    ref.dep->decode_prompt_into(ovt_index, *owned, scratch);
-    decoded = std::move(owned);
-    ++prompt_decodes_;
-  } catch (...) {
-    error = std::current_exception();
-  }
-  complete_decode_flight(key, flight, decoded, error);
-  if (error) std::rethrow_exception(error);
-  if (was_hit != nullptr) *was_hit = false;
-  return decoded;
-}
-
-void ServingEngine::complete_decode_flight(const std::pair<std::size_t, std::size_t>& key,
-                                           const std::shared_ptr<InFlightDecode>& flight,
-                                           const std::shared_ptr<const Matrix>& value,
-                                           const std::exception_ptr& error) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    // A decode finishing after its user's eviction (dead generation) is
-    // delivered to its waiters but never cached — otherwise it would
-    // re-insert an unreachable entry right after the eviction purge.
-    if (!error && live_generations_.count(key.first) > 0) {
-      try {
-        cache_.put(key, value);
-      } catch (...) {
-        // A failed cache insert must not wedge the key: the flight is still
-        // completed and the decoded value delivered, just not cached.
+  if (!leaders.empty()) {
+    // Group the missed keys by autoencoder (cross-user groups share one
+    // decoder exactly as the encode stage shares encoders) and decode each
+    // group in a single stacked GEMM — rows are independent under decode, so
+    // results are bit-identical to per-key decodes. A group failure falls
+    // back to per-key decodes so one bad payload cannot poison its
+    // neighbours. The whole region is fenced: every registered flight MUST
+    // be completed below — an escaped exception (e.g. bad_alloc in the
+    // grouping) becomes the error of every still-unfinished leader, never a
+    // wedged in-flight key that blocks future fetchers forever.
+    const auto row_of = [&](std::size_t l) -> PromptFetch& { return rows[leaders[l].row]; };
+    try {
+      const auto groups =
+          group_by_autoencoder(leaders.size(), [&](std::size_t l) -> const compress::Autoencoder* {
+            return row_of(l).ref->dep->autoencoder.get();
+          });
+      for (const auto& [ae, group] : groups) {
+        bool fused = false;
+        if (group.size() > 1) {
+          try {
+            ws.decode_parts.clear();
+            ws.decode_parts.reserve(group.size());
+            for (const std::size_t l : group)
+              ws.decode_parts.push_back(&row_of(l).ref->dep->stored_codes[row_of(l).ovt_index]);
+            stack_rows_into(ws.decode_parts, ws.decode_stacked);
+            ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
+            std::size_t r0 = 0;
+            for (std::size_t g = 0; g < group.size(); ++g) {
+              const std::size_t n = ws.decode_parts[g]->rows();
+              row_of(group[g]).value =
+                  std::make_shared<const Matrix>(ws.decode_out.row_slice(r0, r0 + n));
+              r0 += n;
+              ++prompt_decodes_;
+            }
+            stats_.record_batched_decode();
+            fused = true;
+          } catch (...) {
+            for (const std::size_t l : group) row_of(l).value.reset();
+          }
+        }
+        if (!fused) {
+          for (const std::size_t l : group) {
+            PromptFetch& row = row_of(l);
+            try {
+              auto owned = std::make_shared<Matrix>();
+              row.ref->dep->decode_prompt_into(row.ovt_index, *owned, &ws.encode.autoencoder);
+              row.value = std::move(owned);
+              ++prompt_decodes_;
+            } catch (...) {
+              row.error = std::current_exception();
+            }
+          }
+        }
+      }
+    } catch (...) {
+      for (std::size_t l = 0; l < leaders.size(); ++l)
+        if (!row_of(l).value && !row_of(l).error) row_of(l).error = std::current_exception();
+    }
+    // Publish: cache each value (best-effort), retire the in-flight keys,
+    // then wake every flight's waiters.
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      for (std::size_t l = 0; l < leaders.size(); ++l) {
+        // A decode finishing after its user's eviction (dead generation) is
+        // delivered to its waiters but never cached — otherwise it would
+        // re-insert an unreachable entry right after the eviction purge.
+        if (!row_of(l).error && live_generations_.count(leaders[l].key.first) > 0) {
+          try {
+            cache_.put(leaders[l].key, row_of(l).value);
+          } catch (...) {
+            // A failed cache insert must not wedge the key: the flight is
+            // still completed and the value delivered, just not cached.
+          }
+        }
+        inflight_.erase(leaders[l].key);
       }
     }
-    inflight_.erase(key);
+    for (std::size_t l = 0; l < leaders.size(); ++l) {
+      InFlightDecode& flight = *leaders[l].flight;
+      {
+        std::lock_guard<std::mutex> lock(flight.mu);
+        flight.value = row_of(l).value;
+        flight.error = row_of(l).error;
+        flight.done = true;
+      }
+      flight.cv.notify_all();
+    }
   }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->value = value;
-    flight->error = error;
-    flight->done = true;
+
+  // Followers wait last, after this fetch's own flights are published: a
+  // leader never blocks on a follower, so the order is deadlock-free.
+  for (auto& [r, flight] : followers) {
+    std::unique_lock<std::mutex> lock(flight->mu);
+    flight->cv.wait(lock, [&flight] { return flight->done; });
+    rows[r].value = flight->value;
+    rows[r].error = flight->error;
+    rows[r].hit = flight->error == nullptr;  // shared the leader's decode
   }
-  flight->cv.notify_all();
 }
 
 std::shared_ptr<const Matrix> ServingEngine::prompt(std::size_t user_id, std::size_t ovt_index) {
@@ -1407,7 +1272,13 @@ std::shared_ptr<const Matrix> ServingEngine::prompt(std::size_t user_id, std::si
   NVCIM_CHECK_MSG(ref.dep != nullptr, "unknown user " << user_id);
   NVCIM_CHECK_MSG(ovt_index < ref.dep->n_ovts(),
                   "OVT " << ovt_index << " out of range for user " << user_id);
-  return prompt_locked_fetch(ref, ovt_index, nullptr, nullptr);
+  std::vector<PromptFetch> row(1);
+  row[0].ref = &ref;
+  row[0].ovt_index = ovt_index;
+  WorkerState ws;
+  fetch_prompts(row, ws);
+  if (row[0].error) std::rethrow_exception(row[0].error);
+  return row[0].value;
 }
 
 std::size_t ServingEngine::retrieve_serial(std::size_t user_id, const data::Sample& query) {

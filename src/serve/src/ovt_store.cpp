@@ -377,7 +377,7 @@ void ShardedOvtStore::evict_user(std::size_t user_id) {
   const UserSlot slot = snap->slot(user_id);  // throws for unknown users
   NVCIM_CHECK_MSG(snap->pending.count(user_id) == 0,
                   "user " << user_id << " has a staged admission in flight — "
-                          << "join it (wait_admitted) before evicting");
+                          << "join it (AdmissionHandle::wait) before evicting");
   // Unpublish first, then free: the range's reuse is deferred past every
   // reader still pinned to an epoch that contains the slot.
   const std::uint64_t freed_epoch = directory_.update([&](TenantSnapshot& t) {

@@ -6,10 +6,10 @@
 //  - one Accelerator::program_keys span matches per-key program_keys calls
 //    bit-for-bit (multi-tile geometry, unaligned span, reprogramming included)
 //  - the staged admission protocol (stage → program_span× → commit) matches
-//    a synchronous admit_user bit-identically, with spans executed in ANY
+//    a synchronous store admit_user bit-identically, with spans executed in ANY
 //    order; staged tenants are Pending (not queryable, not evictable,
 //    skipped by the rebalancer) until commit; abort rolls back completely
-//  - engine-level write-behind admission: wait_admitted() joins, results
+//  - engine-level write-behind admission: AdmissionHandle::wait() joins, results
 //    bit-identical to a synchronous-admission engine, untouched tenants
 //    unchanged, stats expose queue depth / batch count / admission latency
 //  - admit(..., {.non_blocking = true}) returns an invalid handle on the
@@ -310,12 +310,12 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
   }
 
   // 40 key columns -> several per-subarray programming spans.
-  wb.admit_user(100, f.make_deployment(100, 40));
-  sync.admit_user(100, f.make_deployment(100, 40));
-  wb.wait_admitted(100);
+  serve::AdmissionHandle admitted = wb.admit(100, f.make_deployment(100, 40));
+  sync.admit(100, f.make_deployment(100, 40));
+  admitted.wait();
   EXPECT_TRUE(wb.store().user_live(100));
   // Joining an already-live admission is a no-op, not an error.
-  wb.wait_admitted(100);
+  admitted.wait();
 
   // Deferred == synchronous, bit for bit (same seed, same placement, same
   // per-column noise streams), through both the serial path and the engine.
@@ -336,9 +336,6 @@ TEST(AsyncAdmission, WriteBehindBitIdenticalToSynchronousEngine) {
   EXPECT_GE(s.admission_p50_ms, 0.0);
   EXPECT_LE(s.admission_p50_ms, s.admission_p95_ms);
 
-  // No admission to join: unknown users hard-error.
-  EXPECT_THROW(wb.wait_admitted(777), Error);
-
   wb.stop();
   sync.stop();
 }
@@ -354,26 +351,27 @@ TEST(AsyncAdmission, TryAdmitBouncesOnPendingBound) {
   // Rapid-fire non-blocking admissions against a bound of one: whichever
   // calls land while a prior admission is still programming bounce with
   // Overloaded and leave no trace.
-  std::vector<std::size_t> accepted, rejected;
+  std::vector<serve::AdmissionHandle> accepted;
+  std::vector<std::size_t> rejected;
   for (std::size_t u = 200; u < 206; ++u) {
-    if (engine.admit(u, f.make_deployment(u, 24), serve::AdmitOptions{/*non_blocking=*/true})
-            .valid())
-      accepted.push_back(u);
+    serve::AdmissionHandle h =
+        engine.admit(u, f.make_deployment(u, 24), serve::AdmitOptions{/*non_blocking=*/true});
+    if (h.valid())
+      accepted.push_back(std::move(h));
     else
       rejected.push_back(u);
   }
   EXPECT_GE(accepted.size(), 1u);
-  for (const std::size_t u : accepted) {
-    engine.wait_admitted(u);
-    EXPECT_TRUE(engine.store().user_live(u));
+  for (serve::AdmissionHandle& h : accepted) {
+    h.wait();
+    EXPECT_TRUE(engine.store().user_live(h.user_id()));
   }
   for (const std::size_t u : rejected) EXPECT_FALSE(engine.store().has_user(u));
   EXPECT_EQ(engine.stats().rejected_admissions, rejected.size());
 
   // The blocking call waits out the backpressure instead of bouncing.
   if (!rejected.empty()) {
-    engine.admit_user(rejected.front(), f.make_deployment(rejected.front()));
-    engine.wait_admitted(rejected.front());
+    engine.admit(rejected.front(), f.make_deployment(rejected.front())).wait();
     EXPECT_TRUE(engine.store().user_live(rejected.front()));
   }
   engine.stop();
@@ -387,17 +385,38 @@ TEST(AsyncAdmission, EvictJoinsInFlightAdmission) {
 
   // Evict immediately after a write-behind admit: the eviction joins the
   // in-flight programming first, then removes the (fully admitted) tenant.
-  engine.admit_user(300, f.make_deployment(300, 24));
+  engine.admit(300, f.make_deployment(300, 24));
   engine.evict_user(300);
   EXPECT_FALSE(engine.store().has_user(300));
   Rng qr(711);
   // Evicted: submits settle their future with the structured UnknownUser.
-  EXPECT_THROW(engine.submit(300, f.query(qr)).get(), serve::UnknownUser);
+  EXPECT_THROW(engine.submit(serve::Request{300, f.query(qr)}).get(), serve::UnknownUser);
 
   // The id is immediately re-admittable.
-  engine.admit_user(300, f.make_deployment(300));
-  engine.wait_admitted(300);
+  engine.admit(300, f.make_deployment(300)).wait();
   EXPECT_EQ(engine.submit(serve::Request{300, f.query(qr)}).get().user_id, 300u);
+  engine.stop();
+}
+
+TEST(AsyncAdmission, HandleJoinsItsOwnAdmissionAcrossEvictAndReadmit) {
+  AsyncEngineFixture f;
+  serve::ServingEngine engine(f.model, f.task, f.config(2, 2, 8));
+  for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+
+  // The handle holds its admission's own join state: once that admission
+  // has settled live, wait() keeps returning after the tenant is evicted
+  // and after the id is admitted again.
+  serve::AdmissionHandle first = engine.admit(400, f.make_deployment(400, 24));
+  first.wait();
+  engine.evict_user(400);
+  EXPECT_NO_THROW(first.wait());
+  serve::AdmissionHandle second = engine.admit(400, f.make_deployment(400));
+  EXPECT_NO_THROW(first.wait());
+  second.wait();
+  EXPECT_TRUE(engine.store().user_live(400));
+  EXPECT_EQ(first.user_id(), 400u);
+  EXPECT_EQ(second.user_id(), 400u);
   engine.stop();
 }
 
@@ -418,9 +437,8 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   std::thread churn([&] {
     for (std::size_t i = 0; i < 6; ++i) {
       const std::size_t u = 1000 + i;
-      engine.admit_user(u, f.make_deployment(u, 24));
-      engine.wait_admitted(u);
-      const serve::Response r = engine.submit(u, churn_probes[i]).get();
+      engine.admit(u, f.make_deployment(u, 24)).wait();
+      const serve::Response r = engine.submit(serve::Request{u, churn_probes[i]}).get();
       EXPECT_EQ(r.user_id, u);
       engine.evict_user(u);
     }
@@ -428,7 +446,7 @@ TEST(AsyncAdmission, ConcurrentChurnServingAndRebalance) {
   std::thread traffic([&] {
     std::vector<std::future<serve::Response>> futures;
     for (std::size_t t = 0; t < stable_probes.size(); ++t)
-      futures.push_back(engine.submit(t % 4, stable_probes[t]));
+      futures.push_back(engine.submit(serve::Request{t % 4, stable_probes[t]}).take_future());
     for (std::size_t t = 0; t < futures.size(); ++t) {
       const serve::Response r = futures[t].get();
       EXPECT_EQ(r.user_id, t % 4);
@@ -460,9 +478,10 @@ TEST(AsyncAdmission, StopDrainsInFlightAdmissionsDeterministically) {
   // and wait for every admission to settle before returning — no tenant may
   // be left half-programmed.
   std::vector<std::size_t> users;
+  std::vector<serve::AdmissionHandle> handles;
   for (std::size_t i = 0; i < 4; ++i) {
     const std::size_t u = 2000 + i;
-    engine.admit_user(u, f.make_deployment(u, 24));
+    handles.push_back(engine.admit(u, f.make_deployment(u, 24)));
     users.push_back(u);
   }
   engine.stop();
@@ -472,8 +491,16 @@ TEST(AsyncAdmission, StopDrainsInFlightAdmissionsDeterministically) {
   const serve::StatsSnapshot s = engine.stats();
   EXPECT_EQ(s.users_admitted, users.size());
   EXPECT_EQ(s.programming_queue_depth, 0u);
-  // wait_admitted() after the drain is a no-op, not a hang or an error.
-  for (const std::size_t u : users) engine.wait_admitted(u);
+  // wait() after the drain is a no-op, not a hang or an error.
+  for (serve::AdmissionHandle& h : handles) h.wait();
+
+  // With the pool stopped, a write-behind admission programs its spans on
+  // the calling thread: the tenant is live when admit() returns.
+  serve::AdmissionHandle late = engine.admit(2100, f.make_deployment(2100, 24));
+  EXPECT_TRUE(late.valid());
+  EXPECT_TRUE(engine.store().user_live(2100));
+  EXPECT_EQ(engine.stats().programming_queue_depth, 0u);
+  late.wait();
   engine.stop();  // idempotent
 }
 

@@ -242,7 +242,8 @@ TEST(BatchedEncode, EngineWithSharedAutoencoderMatchesSerialReference) {
   for (const auto& [u, q] : requests) serial.push_back(engine.retrieve_serial(u, q));
 
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : requests) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : requests)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   for (std::size_t i = 0; i < requests.size(); ++i)
     EXPECT_EQ(futures[i].get().ovt_index, serial[i]) << "request " << i;
   engine.stop();

@@ -455,7 +455,8 @@ TEST(FaultEngine, ServesThroughFaultStormWithBackgroundScrubber) {
   // before the scrubber's repair lands is flagged degraded, not dropped.
   std::vector<std::future<serve::Response>> futures;
   for (int t = 0; t < 24; ++t)
-    futures.push_back(engine.submit(static_cast<std::size_t>(t) % 4, f.query(qr)));
+    futures.push_back(
+        engine.submit(serve::Request{static_cast<std::size_t>(t) % 4, f.query(qr)}).take_future());
   for (auto& fu : futures) {
     const serve::Response r = fu.get();
     EXPECT_LT(r.user_id, 4u);

@@ -513,7 +513,8 @@ TEST(Introspection, HealthzCriticalWhenQueueSaturatedAndRecoversOnDrain) {
   Rng qr(911);
   std::vector<std::future<serve::Response>> futures;
   for (int t = 0; t < 4; ++t)
-    futures.push_back(engine.submit(static_cast<std::size_t>(t) % 2, f.query(qr)));
+    futures.push_back(
+        engine.submit(serve::Request{static_cast<std::size_t>(t) % 2, f.query(qr)}).take_future());
 
   // The queue sits at 4/4 while the worker waits out the batch window.
   bool saw_critical = false;
@@ -613,8 +614,7 @@ TEST(Introspection, EvictedTenantSeriesRetiredFromLiveExposition) {
   EXPECT_EQ(engine.stats().tenants_retired, 1u);
 
   // Re-admission revives the labelled series from zero.
-  engine.admit_user(0, f.make_deployment(0));
-  engine.wait_admitted(0);
+  engine.admit(0, f.make_deployment(0)).wait();
   engine.submit(serve::Request{0, f.query(qr)}).get();
   text = engine.metrics().prometheus_text();
   EXPECT_NE(text.find("nvcim_tenant_requests_total{tenant=\"0\"} 1"), std::string::npos);

@@ -490,9 +490,10 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
   }
 
   // Live admission mid-serve: the new user is immediately servable.
-  engine.admit_user(100, f.make_deployment(100));
+  engine.admit(100, f.make_deployment(100));
   std::vector<std::future<serve::Response>> futures;
-  for (int t = 0; t < 8; ++t) futures.push_back(engine.submit(100, f.query(qr)));
+  for (int t = 0; t < 8; ++t)
+    futures.push_back(engine.submit(serve::Request{100, f.query(qr)}).take_future());
   for (auto& fu : futures) {
     const serve::Response r = fu.get();
     EXPECT_EQ(r.user_id, 100u);
@@ -505,7 +506,7 @@ TEST(LifecycleEngine, AdmitAndEvictWhileServing) {
 
   // Live eviction: in-flight traffic drains, then submits are rejected.
   engine.evict_user(2);
-  EXPECT_THROW(engine.submit(2, f.query(qr)).get(), serve::UnknownUser);
+  EXPECT_THROW(engine.submit(serve::Request{2, f.query(qr)}).get(), serve::UnknownUser);
   EXPECT_FALSE(engine.store().has_user(2));
 
   // Untouched users are bit-identical through the whole churn.
@@ -552,7 +553,7 @@ TEST(LifecycleEngine, RebalanceDuringParallelServingKeepsResults) {
   // on the same worker pool, parallel shard fan-out on).
   std::vector<std::future<serve::Response>> futures;
   for (std::size_t t = 0; t < probes.size(); ++t)
-    futures.push_back(engine.submit(users[t], probes[t]));
+    futures.push_back(engine.submit(serve::Request{users[t], probes[t]}).take_future());
   const std::size_t migrated = engine.rebalance();
   EXPECT_GT(migrated, 0u);
   EXPECT_GT(engine.store().shard_occupied(1), 0u);
@@ -575,6 +576,29 @@ TEST(LifecycleEngine, RebalanceDuringParallelServingKeepsResults) {
   EXPECT_EQ(s.migrations, migrated);
   EXPECT_GT(s.rebalance_ms, 0.0);
   engine.stop();
+
+  // With the pool stopped, rebalance() runs its migrations inline on this
+  // thread. Unbalance again by emptying shard 1, then check the count and
+  // that tenants the cycle left in place still answer bit-identically.
+  for (std::size_t u = 0; u < 6; ++u)
+    if (engine.store().has_user(u) && engine.store().slot(u).shard == 1) engine.evict_user(u);
+  std::vector<std::size_t> remaining, remaining_shard, remaining_answer;
+  for (std::size_t u = 0; u < 6; ++u) {
+    if (!engine.store().has_user(u)) continue;
+    remaining.push_back(u);
+    remaining_shard.push_back(engine.store().slot(u).shard);
+    remaining_answer.push_back(engine.retrieve_serial(u, probes[0]));
+  }
+  ASSERT_GE(remaining.size(), 2u);
+  const std::size_t moved = engine.rebalance();
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(engine.stats().migrations, migrated + moved);
+  EXPECT_GT(engine.store().shard_occupied(1), 0u);
+  for (std::size_t r = 0; r < remaining.size(); ++r)
+    if (engine.store().slot(remaining[r]).shard == remaining_shard[r]) {
+      EXPECT_EQ(engine.retrieve_serial(remaining[r], probes[0]), remaining_answer[r])
+          << "user " << remaining[r];
+    }
 }
 
 TEST(LifecycleEngine, TrySubmitOverloadedInsteadOfBlocking) {
@@ -620,7 +644,7 @@ TEST(LifecycleEngine, TwoPhaseServingAcrossAdmissions) {
   for (std::size_t u = 0; u < 4; ++u) engine.add_deployment(u, f.make_deployment(u, 16));
   engine.start();
 
-  engine.admit_user(200, f.make_deployment(200, 16));
+  engine.admit(200, f.make_deployment(200, 16));
   Rng qr(531);
   for (int t = 0; t < 10; ++t) {
     const std::size_t u = t % 2 == 0 ? 200u : 1u;

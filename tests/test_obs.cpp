@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -399,7 +401,8 @@ TEST(ObsEngine, QueueSplitPercentilesAndFrozenThroughput) {
     requests.emplace_back(0u, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr));
   std::vector<std::future<serve::Response>> futs;
   futs.reserve(requests.size());
-  for (const auto& [u, q] : requests) futs.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : requests)
+    futs.push_back(engine.submit(serve::Request{u, q}).take_future());
   std::vector<double> exact;
   for (auto& fu : futs) exact.push_back(fu.get().latency_ms);
   engine.stop();
@@ -444,8 +447,11 @@ TEST(ObsEngine, TraceLinksRequestBatchStageAndShardSpans) {
   Rng qr(43);
   std::vector<std::future<serve::Response>> futs;
   for (int i = 0; i < 12; ++i)
-    futs.push_back(engine.submit(static_cast<std::size_t>(i % 2),
-                                 f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)));
+    futs.push_back(engine
+                       .submit(serve::Request{
+                           static_cast<std::size_t>(i % 2),
+                           f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)})
+                       .take_future());
   for (auto& fu : futs) fu.get();
   engine.stop();
 
@@ -463,6 +469,18 @@ TEST(ObsEngine, TraceLinksRequestBatchStageAndShardSpans) {
   EXPECT_GE(stages, 4u * batches);  // four stages per batch
   EXPECT_GE(shards, batches);       // at least one shard pass per batch
   EXPECT_EQ(engine.tracer().dropped(), 0u);
+
+  // Linkage: every request span's batch id (v2) has exactly one span of
+  // each stage, carrying that id as v1.
+  std::map<std::pair<std::string, std::int64_t>, std::size_t> stage_spans;
+  for (const obs::TraceEvent& e : evs)
+    if (std::string(e.cat) == "stage") ++stage_spans[{e.name, e.v1}];
+  for (const obs::TraceEvent& e : evs) {
+    if (std::string(e.name) != "request") continue;
+    ASSERT_STREQ(e.k2, "batch");
+    for (const char* stage : {"encode", "retrieve", "decode", "classify"})
+      EXPECT_EQ((stage_spans[{stage, e.v2}]), 1u) << stage << " span of batch " << e.v2;
+  }
 
   std::ostringstream os;
   engine.tracer().write_chrome_trace(os);
@@ -485,7 +503,10 @@ TEST(ObsEngine, SlowRequestExemplarsAndExposition) {
   Rng qr(44);
   std::vector<std::future<serve::Response>> futs;
   for (int i = 0; i < 6; ++i)
-    futs.push_back(engine.submit(0, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)));
+    futs.push_back(engine
+                       .submit(serve::Request{
+                           0, f.task.sample(qr.uniform_index(f.task.config().n_domains), qr)})
+                       .take_future());
   for (auto& fu : futs) fu.get();
   engine.stop();
 

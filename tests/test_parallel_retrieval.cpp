@@ -263,7 +263,8 @@ struct ParallelFixture {
     engine.start();
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(reqs.size());
-    for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+    for (const auto& [u, q] : reqs)
+      futures.push_back(engine.submit(serve::Request{u, q}).take_future());
     std::vector<std::size_t> out;
     out.reserve(reqs.size());
     for (auto& f : futures) out.push_back(f.get().ovt_index);
@@ -338,7 +339,8 @@ TEST(ParallelRetrieval, BatchCoalescingServesEverythingAndMatchesSerial) {
   std::vector<std::size_t> serial;
   for (const auto& [u, q] : reqs) serial.push_back(engine.retrieve_serial(u, q));
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : reqs)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   for (std::size_t i = 0; i < reqs.size(); ++i)
     EXPECT_EQ(futures[i].get().ovt_index, serial[i]) << "request " << i;
   engine.stop();

@@ -326,7 +326,8 @@ TEST(ServingEngine, ConcurrentRequestsMatchSerialExecution) {
   for (const auto& [u, q] : requests) serial.push_back(engine.retrieve_serial(u, q));
 
   std::vector<std::future<Response>> futures;
-  for (const auto& [u, q] : requests) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : requests)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   for (std::size_t i = 0; i < requests.size(); ++i)
     EXPECT_EQ(futures[i].get().ovt_index, serial[i]) << "request " << i;
   engine.stop();
@@ -373,7 +374,7 @@ TEST(ServingEngine, StatsTrackBatchesAndHitRate) {
   Rng qr(88);
   const data::Sample q = f.task.sample(0, qr);
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(engine.submit(0, q));
+  for (int i = 0; i < 8; ++i) futs.push_back(engine.submit(serve::Request{0, q}).take_future());
   for (auto& fu : futs) fu.get();
   engine.stop();
 
@@ -390,7 +391,7 @@ TEST(ServingEngine, LifecycleAndValidation) {
   ServingEngine engine(f.model, f.task, f.serving_config(1, 1));
   Rng qr(99);
   const data::Sample q = f.task.sample(0, qr);
-  EXPECT_THROW(engine.submit(0, q), Error);  // not started
+  EXPECT_THROW(engine.submit(serve::Request{0, q}), Error);  // not started
   EXPECT_THROW(engine.start(), Error);       // no deployments
 
   core::NvcimPtFramework fw(f.model, f.task, f.framework_config(600));
@@ -401,7 +402,7 @@ TEST(ServingEngine, LifecycleAndValidation) {
   engine.start();
   // Unknown users settle the future with a structured UnknownUser error
   // instead of throwing out of submit() — async callers see it on .get().
-  EXPECT_THROW(engine.submit(42, q).get(), UnknownUser);
+  EXPECT_THROW(engine.submit(serve::Request{42, q}).get(), UnknownUser);
   EXPECT_THROW(engine.add_deployment(1, core::TrainedDeployment{}), Error);  // running
   engine.stop();
   engine.stop();  // idempotent
@@ -419,7 +420,7 @@ TEST(ServingEngine, BadRequestFailsItsFutureNotTheWorker) {
   // An empty token sequence is rejected deep inside the backbone; the
   // exception must surface through this request's future only.
   data::Sample bad;  // empty input
-  auto bad_future = engine.submit(0, bad);
+  auto bad_future = engine.submit(serve::Request{0, bad}).take_future();
   EXPECT_THROW(bad_future.get(), Error);
 
   // The worker survived and keeps serving valid traffic.

@@ -160,7 +160,8 @@ struct SlotScopedFixture {
       reqs.emplace_back(users[qr.uniform_index(users.size())], query(qr));
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(n);
-    for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+    for (const auto& [u, q] : reqs)
+      futures.push_back(engine.submit(serve::Request{u, q}).take_future());
     std::size_t bad = 0;
     for (std::size_t t = 0; t < n; ++t) {
       const serve::Response r = futures[t].get();
@@ -371,7 +372,7 @@ TEST(SlotScopedCounters, OneRequestPaysOnlyItsSlotColumns) {
       const serve::UserSlot slot = store.slot(u);
       saw_straddle = saw_straddle || straddles(slot, cols);
       const cim::OpCounters before = store.counters();
-      engine.submit(u, f.query(qr)).get();
+      engine.submit(serve::Request{u, f.query(qr)}).get();
       const cim::OpCounters d = delta(store.counters(), before);
       EXPECT_EQ(d.adc_conversions, adc_per_col * block_granular_cols(slot, width, cols, block))
           << "user " << u;

@@ -244,7 +244,8 @@ struct TwoPhaseFixture {
     engine.start();
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(reqs.size());
-    for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+    for (const auto& [u, q] : reqs)
+      futures.push_back(engine.submit(serve::Request{u, q}).take_future());
     std::vector<std::size_t> out;
     out.reserve(reqs.size());
     for (auto& f : futures) out.push_back(f.get().ovt_index);
@@ -418,7 +419,7 @@ TEST(BatchedDecode, StackedDecodeBitIdenticalToPerKeyDecode) {
     data::Sample q;
     q.input = random_tokens2(1 + qr.uniform_index(8), f.task.vocab_size(), qr);
     users.push_back(u);
-    futures.push_back(engine.submit(u, q));
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   }
   std::vector<std::size_t> got;
   for (auto& fu : futures) got.push_back(fu.get().ovt_index);
@@ -476,7 +477,8 @@ TEST(BatchedClassify, EngineLabelsMatchSerialClassify) {
 
   const auto reqs = f.requests(24, n_users, 371);
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : reqs) futures.push_back(engine.submit(u, q));
+  for (const auto& [u, q] : reqs)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const serve::Response resp = futures[i].get();
     ASSERT_TRUE(resp.has_label);
