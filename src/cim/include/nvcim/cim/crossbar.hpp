@@ -90,6 +90,10 @@ class Crossbar {
 
   /// Program an integer matrix (entries in [-qmax, qmax], exact integers)
   /// of shape at most rows×cols. Smaller matrices occupy the top-left corner.
+  /// Every cell draws from the one stream `rng`, in rows → columns → slices
+  /// order (slices ascending, G+ before G− within a slice); write-verify
+  /// re-draws a cell before moving on. The matrix is validated before any
+  /// cell is written.
   void program(const Matrix& int_values, const nvm::VariationModel& var, Rng& rng,
                const ProgramOptions& opts = {});
 
@@ -110,6 +114,11 @@ class Crossbar {
   /// incremental program reproduce a from-scratch one exactly. Other
   /// columns' cells are not touched. The whole span is validated before any
   /// cell is written. `verify_mask` is not supported on this path.
+  ///
+  /// Draw order: column j draws only from rngs[j], rows ascending, slices
+  /// ascending, G+ before G− (write-verify re-draws a cell before moving
+  /// on). The kernel walks rows → slices → span columns, so each row of a
+  /// slice plane is written unit-stride while every stream keeps that order.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
                        const nvm::VariationModel& var, Rng* rngs,
                        const ProgramOptions& opts = {});
@@ -218,12 +227,18 @@ class Crossbar {
 
   double adc_quantize(double analog, double full_scale) const;
 
-  /// Program every slice (both polarities) of cell (r, c) with value `v`,
-  /// drawing noise from `rng`. Shared by whole-matrix and column-span
-  /// programming so the two paths are cell-for-cell identical given the
-  /// same streams.
-  void program_cell_slices(std::size_t r, std::size_t c, long v, const nvm::VariationModel& var,
-                           Rng& rng, const ProgramOptions& opts, bool verify);
+  /// Per-call write tables and pulse count (defined in crossbar.cpp).
+  struct CellWriter;
+
+  /// Validate one entry before any cell is written: integer-valued, within
+  /// int<value_bits>, and non-negative without differential pairs.
+  void check_value(double vf) const;
+
+  /// Program slice `s` of value `v` into the cell pair at flat index `idx`
+  /// — G+ then G− from `rng` — writing the cell and its pristine shadow in
+  /// one pass; a stuck cell keeps its pinned level. The one per-cell write
+  /// of both programming paths. Returns true when the stored cell is nonzero.
+  bool write_cell(std::size_t idx, long v, std::size_t s, CellWriter& w, Rng& rng, bool verify);
 
   std::size_t pitch() const { return cfg_.differential ? 2 : 1; }
   std::size_t row_stride() const { return active_cols_ * pitch(); }

@@ -7,54 +7,82 @@
 
 namespace nvcim::cim {
 
-void Crossbar::program_cell_slices(std::size_t r, std::size_t c, long v,
-                                   const nvm::VariationModel& var, Rng& rng,
-                                   const ProgramOptions& opts, bool verify) {
-  const std::size_t S = cfg_.n_slices();
-  const long level_mask = static_cast<long>(cfg_.levels()) - 1;
-  const double denorm = static_cast<double>(cfg_.levels() - 1);
-  long pos = v > 0 ? v : 0;
-  long neg = v < 0 ? -v : 0;
-  if (!cfg_.differential) {
-    NVCIM_CHECK_MSG(v >= 0, "non-differential crossbar requires non-negative values");
-    neg = 0;
+/// Per-call write state: the per-nibble target level and sigma that
+/// nvm::program_cell derives per cell, built once through the same functions
+/// (so every value is identical), plus the write pulses the call issued.
+struct Crossbar::CellWriter {
+  CellWriter(const CrossbarConfig& cfg, const nvm::VariationModel& var,
+             const ProgramOptions& opts)
+      : denorm(static_cast<double>(cfg.levels() - 1)),
+        tolerance(opts.verify_tolerance),
+        max_iterations(opts.max_write_iterations) {
+    NVCIM_CHECK_MSG(var.device.n_levels == cfg.levels(),
+                    "device level count must match bits_per_cell");
+    if (tolerance > 0.0) NVCIM_CHECK(max_iterations >= 1);
+    for (std::size_t nibble = 0; nibble < cfg.levels(); ++nibble) {
+      const std::size_t level =
+          nvm::nearest_level(static_cast<double>(nibble) / denorm, var.device.n_levels);
+      target.push_back(static_cast<double>(level) /
+                       static_cast<double>(var.device.n_levels - 1));
+      sigma.push_back(var.effective_sigma(level));
+    }
   }
-  for (std::size_t s = 0; s < S; ++s) {
-    const long pn = (pos >> (s * cfg_.bits_per_cell)) & level_mask;
-    const long nn = (neg >> (s * cfg_.bits_per_cell)) & level_mask;
-    auto program_one = [&](long nibble) -> double {
-      const double normalized = static_cast<double>(nibble) / denorm;
-      if (verify) {
-        auto wv = nvm::write_verify_cell(normalized, var, rng, opts.verify_tolerance,
-                                         opts.max_write_iterations);
-        counters_.write_pulses += wv.pulses;
-        return wv.conductance * denorm;
+
+  /// Program one cell to `nibble`: the draw of nvm::program_cell, repeated
+  /// as nvm::write_verify_cell does when `verify` is set. Returns the stored
+  /// analog level.
+  float write(long nibble, Rng& rng, bool verify) {
+    const double t = target[static_cast<std::size_t>(nibble)];
+    const double sg = sigma[static_cast<std::size_t>(nibble)];
+    double g = std::clamp(t + rng.normal(0.0, sg), 0.0, 1.0);
+    std::size_t n = 1;
+    if (verify) {
+      while (n < max_iterations && !(std::fabs(g - t) <= tolerance)) {
+        g = std::clamp(t + rng.normal(0.0, sg), 0.0, 1.0);
+        ++n;
       }
-      counters_.write_pulses += 1;
-      return nvm::program_cell(normalized, var, rng) * denorm;
-    };
-    const std::size_t idx = s * slice_stride() + r * row_stride() + c * pitch();
-    float* cell = cells_.data() + idx;
-    cell[0] = static_cast<float>(program_one(pn));
-    pristine_[idx] = cell[0];
+    }
+    pulses += n;
+    return static_cast<float>(g * denorm);
+  }
+
+  std::vector<double> target, sigma;
+  double denorm;
+  double tolerance;
+  std::size_t max_iterations;
+  std::size_t pulses = 0;
+};
+
+void Crossbar::check_value(double vf) const {
+  NVCIM_CHECK_MSG(std::fabs(vf - std::round(vf)) < 1e-3, "crossbar expects integer-valued entries");
+  const long v = static_cast<long>(std::llround(vf));
+  NVCIM_CHECK_MSG(std::labs(v) <= qmax_for_bits(static_cast<int>(cfg_.value_bits)),
+                  "value " << v << " exceeds int" << cfg_.value_bits);
+  NVCIM_CHECK_MSG(cfg_.differential || v >= 0,
+                  "non-differential crossbar requires non-negative values");
+}
+
+bool Crossbar::write_cell(std::size_t idx, long v, std::size_t s, CellWriter& w, Rng& rng,
+                          bool verify) {
+  const long mask = static_cast<long>(cfg_.levels()) - 1;
+  const std::size_t shift = s * cfg_.bits_per_cell;
+  float* cell = cells_.data() + idx;
+  float* shadow = pristine_.data() + idx;
+  shadow[0] = cell[0] = w.write(((v > 0 ? v : 0) >> shift) & mask, rng, verify);
+  if (cfg_.differential)
+    shadow[1] = cell[1] = w.write(((v < 0 ? -v : 0) >> shift) & mask, rng, verify);
+  if (!stuck_.empty()) {
+    // Stuck cells ignore the write pulse: the fresh level lands in the
+    // pristine shadow (what the cell SHOULD hold) but the analog cell
+    // stays pinned — which is exactly what a scrub probe then sees.
+    auto it = stuck_.find(idx);
+    if (it != stuck_.end()) cell[0] = it->second;
     if (cfg_.differential) {
-      cell[1] = static_cast<float>(program_one(nn));
-      pristine_[idx + 1] = cell[1];
+      it = stuck_.find(idx + 1);
+      if (it != stuck_.end()) cell[1] = it->second;
     }
-    if (!stuck_.empty()) {
-      // Stuck cells ignore the write pulse: the fresh level lands in the
-      // pristine shadow (what the cell SHOULD hold) but the analog cell
-      // stays pinned — which is exactly what a scrub probe then sees.
-      auto it = stuck_.find(idx);
-      if (it != stuck_.end()) cell[0] = it->second;
-      if (cfg_.differential) {
-        it = stuck_.find(idx + 1);
-        if (it != stuck_.end()) cell[1] = it->second;
-      }
-    }
-    if (cell[0] != 0.0f || (cfg_.differential && cell[1] != 0.0f)) slice_zero_[s] = 0;
-    counters_.cells_programmed += cfg_.differential ? 2 : 1;
   }
+  return cell[0] != 0.0f || (cfg_.differential && cell[1] != 0.0f);
 }
 
 void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var, Rng& rng,
@@ -62,25 +90,26 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
   NVCIM_CHECK_MSG(int_values.rows() <= cfg_.rows && int_values.cols() <= cfg_.cols,
                   "matrix " << int_values.rows() << "x" << int_values.cols()
                             << " exceeds subarray " << cfg_.rows << "x" << cfg_.cols);
-  NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
-                  "device level count must match bits_per_cell");
+  CellWriter w(cfg_, var, opts);
+  for (std::size_t i = 0; i < int_values.size(); ++i) check_value(int_values.at_flat(i));
   init_blank(int_values.rows(), int_values.cols());
   reference_ = int_values;
 
-  const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
+  // One stream in r → c → s order, G+ before G− within a cell.
+  const std::size_t S = cfg_.n_slices();
   for (std::size_t r = 0; r < active_rows_; ++r) {
     for (std::size_t c = 0; c < active_cols_; ++c) {
-      const double vf = int_values(r, c);
-      NVCIM_CHECK_MSG(std::fabs(vf - std::round(vf)) < 1e-3,
-                      "crossbar expects integer-valued entries");
-      const long v = static_cast<long>(std::llround(vf));
-      NVCIM_CHECK_MSG(std::labs(v) <= vmax, "value " << v << " exceeds int" << cfg_.value_bits);
+      const long v = static_cast<long>(std::llround(int_values(r, c)));
       const bool verify =
           opts.verify_tolerance > 0.0 &&
           (opts.verify_mask == nullptr || (*opts.verify_mask)(r, c) > 0.0f);
-      program_cell_slices(r, c, v, var, rng, opts, verify);
+      for (std::size_t s = 0; s < S; ++s)
+        if (write_cell(s * slice_stride() + r * row_stride() + c * pitch(), v, s, w, rng, verify))
+          slice_zero_[s] = 0;
     }
   }
+  counters_.cells_programmed += active_rows_ * active_cols_ * S * pitch();
+  counters_.write_pulses += w.pulses;
 }
 
 void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
@@ -96,7 +125,7 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
   for (std::size_t s = 0; s < S; ++s)
     slice_shift_[s] = std::ldexp(1.0, static_cast<int>(s * cfg_.bits_per_cell));
   // Every cell is exactly zero (never pulsed): all slices start elided.
-  // program_cell_slices clears a slice's flag the moment a nonzero analog
+  // write_cell clears a slice's flag the moment a nonzero analog
   // level lands in it — monotonic, so the flag is only ever conservative.
   slice_zero_.assign(S, 1);
   // Re-initializing the region models swapping in a fresh physical array:
@@ -117,34 +146,37 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
                   "columns [" << col_begin << ", " << col_begin + n << ") out of range");
   NVCIM_CHECK_MSG(int_values.cols() == active_rows_,
                   "column values must be Nx" << active_rows_);
-  NVCIM_CHECK_MSG(var.device.n_levels == cfg_.levels(),
-                  "device level count must match bits_per_cell");
   NVCIM_CHECK_MSG(opts.verify_mask == nullptr,
                   "verify_mask is not supported on column programming");
-  const long vmax = qmax_for_bits(static_cast<int>(cfg_.value_bits));
-  const bool verify = opts.verify_tolerance > 0.0;
+  CellWriter w(cfg_, var, opts);
   // Validate the whole span up front, so a bad value can never leave the
   // span half-programmed.
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t r = 0; r < active_rows_; ++r) {
-      const double vf = int_values(j, r);
-      NVCIM_CHECK_MSG(std::fabs(vf - std::round(vf)) < 1e-3,
-                      "crossbar expects integer-valued entries");
-      const long v = static_cast<long>(std::llround(vf));
-      NVCIM_CHECK_MSG(std::labs(v) <= vmax, "value " << v << " exceeds int" << cfg_.value_bits);
+  for (std::size_t i = 0; i < int_values.size(); ++i) check_value(int_values.at_flat(i));
+  const bool verify = opts.verify_tolerance > 0.0;
+
+  // Rows → slices → span columns: unit-stride writes along each row, while
+  // every column still draws from its own stream in rows-ascending,
+  // slices-ascending, G+-before-G− order — so a column's cells are a pure
+  // function of (values, position, its own stream), whatever span it was
+  // written in.
+  const std::size_t S = cfg_.n_slices();
+  const std::size_t P = pitch();
+  std::vector<long> row(n);
+  for (std::size_t r = 0; r < active_rows_; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = static_cast<long>(std::llround(int_values(j, r)));
+      reference_(r, col_begin + j) = static_cast<float>(row[j]);
+    }
+    for (std::size_t s = 0; s < S; ++s) {
+      const std::size_t base = s * slice_stride() + r * row_stride() + col_begin * P;
+      bool nonzero = false;
+      for (std::size_t j = 0; j < n; ++j)
+        nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j], verify);
+      if (nonzero) slice_zero_[s] = 0;
     }
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t col = col_begin + j;
-    Rng& rng = rngs[j];
-    // Rows ascending per column: a column's cells are a pure function of
-    // (values, position, its own stream), whatever span it was written in.
-    for (std::size_t r = 0; r < active_rows_; ++r) {
-      const long v = static_cast<long>(std::llround(int_values(j, r)));
-      reference_(r, col) = static_cast<float>(v);
-      program_cell_slices(r, col, v, var, rng, opts, verify);
-    }
-  }
+  counters_.cells_programmed += n * active_rows_ * S * P;
+  counters_.write_pulses += w.pulses;
 }
 
 void Crossbar::clamp_cell(std::size_t idx, float level) {

@@ -164,7 +164,10 @@ class ShardedOvtStore {
 
   /// Program every shard's crossbar banks (and, with two-phase retrieval
   /// enabled, build every user's candidate router). Call once after
-  /// registration.
+  /// registration. Shards build in parallel on short-lived threads (up to
+  /// one per shard, the caller included); the result is bit-identical to a
+  /// serial build. If a shard's build throws, every thread is joined and
+  /// the lowest failing shard's exception is rethrown.
   void build(Rng& rng);
   bool built() const { return built_; }
   bool lifecycle() const { return cfg_.lifecycle.enabled; }
@@ -404,6 +407,13 @@ class ShardedOvtStore {
   std::shared_ptr<const UserRouter> build_router(std::size_t user_id,
                                                  const std::vector<Matrix>& keys,
                                                  std::size_t begin, std::size_t n) const;
+
+  using RouterList = std::vector<std::pair<std::size_t, std::shared_ptr<const UserRouter>>>;
+  /// Build shard `s` — its retriever and, when routed, the routers of
+  /// `users` (the shard's users in registration order) into `routers`.
+  /// Touches only shard `s` and its noise base, so shards build in parallel.
+  void build_shard(std::size_t s, const TenantSnapshot& snap,
+                   const std::vector<std::size_t>& users, RouterList& routers);
 
   /// Least-loaded target shard for `n_keys` new keys (lifecycle placement).
   std::size_t choose_shard_locked() const;

@@ -1,7 +1,10 @@
 #include "nvcim/serve/ovt_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <thread>
 
 #include "nvcim/cim/quant.hpp"
 
@@ -17,6 +20,39 @@ retrieval::CimRetriever::Config retriever_config(const OvtStoreConfig& cfg) {
   rcfg.variation = cfg.variation;
   rcfg.program = cfg.program;
   return rcfg;
+}
+
+/// Run fn(0) … fn(n − 1) on min(n, hardware threads) threads, the caller
+/// being one of them. Every thread is joined before this returns; if any
+/// call threw, the exception of the lowest failing index is rethrown.
+template <typename Fn>
+void run_per_shard(std::size_t n, const Fn& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t n_threads =
+      std::min<std::size_t>(n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  helpers.reserve(n_threads);
+  for (std::size_t t = 1; t < n_threads; ++t) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (...) {
+      break;  // no thread to spare: the caller drains the rest
+    }
+  }
+  drain();
+  for (std::thread& t : helpers) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace
@@ -197,60 +233,69 @@ void ShardedOvtStore::build(Rng& rng) {
   for (std::size_t s = 0; s < shards_.size(); ++s)
     shard_base_rng_.push_back(rng.split(0x5A4D0ull + s));
 
-  std::unordered_map<std::size_t, std::shared_ptr<const UserRouter>> routers;
-  if (cfg_.lifecycle.enabled) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      const std::size_t tail = shard.allocator.tail();
-      if (tail == 0) continue;  // more shards than users (so far)
-      const std::size_t capacity = std::max(
-          tail, static_cast<std::size_t>(
-                    std::ceil(static_cast<double>(tail) * cfg_.lifecycle.capacity_factor)));
-      shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
-      shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
-      shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
-    }
-    // Program per user, in registration order — though per-key scales and
-    // per-column noise streams make the result order-independent anyway.
-    for (const std::size_t user : registration_order_) {
-      const UserSlot& slot = snap->slot(user);
-      program_slot_locked(slot.shard, slot.begin, user_keys_.at(user));
-    }
-    if (routed_) {
-      for (const std::size_t user : registration_order_) {
-        const std::vector<Matrix>& keys = user_keys_.at(user);
-        routers[user] = build_router(user, keys, 0, keys.size());
-      }
-    }
-  } else {
-    // Phase-1 routers are built from the clean keys before the crossbars
-    // consume (and the shards drop) them. Key order inside each shard is
-    // untouched — programming draws the same noise stream as the exact path,
-    // so nprobe = all reproduces it bit-identically.
-    if (routed_) {
-      for (const auto& [user_id, slot] : snap->slots)
-        routers[user_id] =
-            build_router(user_id, shards_[slot.shard]->keys, slot.begin, slot.n_keys());
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      if (shard.keys.empty()) continue;  // more shards than users
-      shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
-      Rng shard_rng = shard_base_rng_[s];
-      shard.retriever->store(shard.keys, shard_rng);
-      shard.keys.clear();
-      shard.keys.shrink_to_fit();
-    }
-  }
+  // Shards share no state while they are programmed — each has its own
+  // retriever and noise base, and routers are seeded per user — so they
+  // build in parallel, and every shard's crossbars and routers are exactly
+  // those of a serial build.
+  std::vector<std::vector<std::size_t>> users(shards_.size());
+  for (const std::size_t user : registration_order_) users[snap->slot(user).shard].push_back(user);
+  std::vector<RouterList> routers(shards_.size());
+  run_per_shard(shards_.size(),
+                [&](std::size_t s) { build_shard(s, *snap, users[s], routers[s]); });
 
   directory_.update([&](TenantSnapshot& t) {
-    t.routers = std::move(routers);
+    t.routers.clear();
+    for (auto& shard_routers : routers)
+      for (auto& [user, router] : shard_routers) t.routers[user] = std::move(router);
     t.shard_capacity.assign(shards_.size(), 0);
     for (std::size_t s = 0; s < shards_.size(); ++s)
       if (shards_[s]->retriever != nullptr)
         t.shard_capacity[s] = shards_[s]->retriever->n_keys();
   });
   built_ = true;
+}
+
+void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
+                                  const std::vector<std::size_t>& users, RouterList& routers) {
+  Shard& shard = *shards_[s];
+  if (cfg_.lifecycle.enabled) {
+    const std::size_t tail = shard.allocator.tail();
+    if (tail == 0) return;  // more shards than users (so far)
+    const std::size_t capacity = std::max(
+        tail, static_cast<std::size_t>(
+                  std::ceil(static_cast<double>(tail) * cfg_.lifecycle.capacity_factor)));
+    shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
+    shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
+    shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
+    // Program per user, in registration order — though per-key scales and
+    // per-column noise streams make the result order-independent anyway.
+    // The capacity covers the allocator tail, so every slot fits.
+    for (const std::size_t user : users)
+      shard.retriever->program_keys(snap.slot(user).begin, user_keys_.at(user));
+    if (routed_) {
+      for (const std::size_t user : users) {
+        const std::vector<Matrix>& keys = user_keys_.at(user);
+        routers.emplace_back(user, build_router(user, keys, 0, keys.size()));
+      }
+    }
+    return;
+  }
+  if (shard.keys.empty()) return;  // more shards than users
+  // Phase-1 routers are built from the clean keys before the crossbars
+  // consume (and the shard drops) them. Key order inside the shard is
+  // untouched — programming draws the same noise stream as the exact path,
+  // so nprobe = all reproduces it bit-identically.
+  if (routed_) {
+    for (const std::size_t user : users) {
+      const UserSlot& slot = snap.slot(user);
+      routers.emplace_back(user, build_router(user, shard.keys, slot.begin, slot.n_keys()));
+    }
+  }
+  shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
+  Rng shard_rng = shard_base_rng_[s];
+  shard.retriever->store(shard.keys, shard_rng);
+  shard.keys.clear();
+  shard.keys.shrink_to_fit();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <future>
+#include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -200,6 +205,120 @@ TEST(ShardedOvtStore, LifecycleChecks) {
   store.build(rng);
   EXPECT_THROW(store.add_user(1, user_keys(2, 16, rng)), Error);  // after build
   EXPECT_THROW(store.slot(9), Error);
+}
+
+// Parallel build: shards are built concurrently, each from its own stream
+// rng.split(0x5A4D0 + s), so every shard must equal a standalone retriever
+// programmed with that shard's keys and stream — with or without lifecycle.
+OvtStoreConfig noisy_store(bool lifecycle) {
+  OvtStoreConfig cfg;
+  cfg.n_shards = 4;
+  cfg.crossbar.rows = 64;
+  cfg.crossbar.cols = 16;
+  cfg.variation = {nvm::fefet3(), 0.1};
+  cfg.lifecycle.enabled = lifecycle;
+  return cfg;
+}
+
+std::unique_ptr<ShardedOvtStore> build_store(const OvtStoreConfig& cfg,
+                                             const std::vector<std::vector<Matrix>>& keys,
+                                             std::uint64_t seed) {
+  auto store = std::make_unique<ShardedOvtStore>(cfg);
+  for (std::size_t u = 0; u < keys.size(); ++u) store->add_user(u, keys[u]);
+  Rng rng(seed);
+  store->build(rng);
+  return store;
+}
+
+TEST(ShardedOvtStore, ParallelBuildMatchesStandaloneShardRetrievers) {
+  const std::size_t len = 24;
+  Rng kr(81);
+  std::vector<std::vector<Matrix>> keys;
+  for (std::size_t u = 0; u < 11; ++u) keys.push_back(user_keys(2 + u % 3, len, kr));
+  Rng qr(82);
+  const Matrix queries = Matrix::rand_uniform(5, len, qr, -1, 1);
+
+  for (const bool lifecycle : {false, true}) {
+    SCOPED_TRACE(lifecycle ? "lifecycle on" : "lifecycle off");
+    OvtStoreConfig cfg = noisy_store(lifecycle);
+    cfg.two_phase.enabled = true;  // routers are built per shard and merged
+    const auto store = build_store(cfg, keys, 83);
+    const auto again = build_store(cfg, keys, 83);
+
+    retrieval::CimRetriever::Config rcfg;
+    rcfg.algorithm = cfg.algorithm;
+    rcfg.ssa = cfg.ssa;
+    rcfg.crossbar = cfg.crossbar;
+    rcfg.variation = cfg.variation;
+    rcfg.program = cfg.program;
+    for (std::size_t s = 0; s < cfg.n_shards; ++s) {
+      std::vector<std::size_t> users;
+      for (std::size_t u = 0; u < keys.size(); ++u)
+        if (store->slot(u).shard == s) users.push_back(u);
+      ASSERT_FALSE(users.empty()) << "shard " << s;
+      std::sort(users.begin(), users.end(), [&](std::size_t a, std::size_t b) {
+        return store->slot(a).begin < store->slot(b).begin;
+      });
+      retrieval::CimRetriever standalone(rcfg);
+      const Rng stream = Rng(83).split(0x5A4D0ull + s);
+      if (lifecycle) {
+        standalone.store_mutable(len, store->shard_keys(s), stream);
+        for (const std::size_t u : users) standalone.program_keys(store->slot(u).begin, keys[u]);
+      } else {
+        std::vector<Matrix> shard_keys;
+        for (const std::size_t u : users)
+          shard_keys.insert(shard_keys.end(), keys[u].begin(), keys[u].end());
+        Rng r = stream;
+        standalone.store(shard_keys, r);
+      }
+      const Matrix want = standalone.scores_batch(queries);
+      const Matrix got = store->shard_scores(s, queries);
+      const Matrix got_again = again->shard_scores(s, queries);
+      ASSERT_TRUE(want.same_shape(got)) << "shard " << s;
+      ASSERT_TRUE(got.same_shape(got_again)) << "shard " << s;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got.at_flat(i), want.at_flat(i)) << "shard " << s << " flat index " << i;
+        ASSERT_EQ(got_again.at_flat(i), got.at_flat(i)) << "shard " << s << " flat index " << i;
+      }
+    }
+    ASSERT_TRUE(store->routed());
+    for (std::size_t u = 0; u < keys.size(); ++u)
+      EXPECT_EQ(store->router_k(u), again->router_k(u)) << "user " << u;
+  }
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShardedOvtStore, ParallelBuildRethrowsShardFailureAfterJoiningThreads) {
+  const bool have_proc = std::filesystem::exists("/proc/self/task");
+  for (const bool lifecycle : {false, true}) {
+    SCOPED_TRACE(lifecycle ? "lifecycle on" : "lifecycle off");
+    ShardedOvtStore store(noisy_store(lifecycle));
+    Rng kr(91);
+    for (std::size_t u = 0; u < 8; ++u) {
+      std::vector<Matrix> keys = user_keys(3, 24, kr);
+      // A NaN key cannot be programmed: that user's shard task throws.
+      if (u == 6) keys[1](0, 5) = std::numeric_limits<float>::quiet_NaN();
+      store.add_user(u, keys);
+    }
+    const std::size_t before = have_proc ? live_threads() : 0;
+    Rng rng(92);
+    EXPECT_THROW(store.build(rng), Error);
+    EXPECT_FALSE(store.built());
+    if (have_proc) {
+      // Joined threads leave the task list once the kernel reaps them.
+      for (int i = 0; i < 200 && live_threads() > before; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_EQ(live_threads(), before);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
