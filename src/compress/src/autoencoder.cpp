@@ -14,22 +14,8 @@ Autoencoder::Autoencoder(AutoencoderConfig cfg) : cfg_(cfg) {
 
 namespace {
 
-// y = x·W + b and the activation, with the exact arithmetic of the tape path
-// (nvcim::matmul, then a row-broadcast bias add, then the elementwise op) so
-// the tape-free inference forwards stay bit-identical to training-side ones.
-void affine_into(const Matrix& x, const nn::Linear& layer, Matrix& out) {
-  matmul_into(x, layer.w.value, out);
-  const float* bias = layer.b.value.data();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.data() + r * out.cols();
-    for (std::size_t c = 0; c < out.cols(); ++c) row[c] += bias[c];
-  }
-}
-
-void gelu_inplace(Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) m.at_flat(i) = autograd::gelu_value(m.at_flat(i));
-}
-
+// Elementwise tanh with Tape::tanh_op's arithmetic, so the tape-free
+// inference forwards stay bit-identical to training-side ones.
 void tanh_inplace(Matrix& m) {
   for (std::size_t i = 0; i < m.size(); ++i) m.at_flat(i) = std::tanh(m.at_flat(i));
 }
@@ -114,9 +100,9 @@ void Autoencoder::encode_into(const Matrix& x, Matrix& out, Scratch* scratch) co
   NVCIM_CHECK_MSG(x.cols() == cfg_.input_dim, "autoencoder input dim mismatch");
   Scratch local;
   Matrix& hidden = (scratch != nullptr ? scratch->hidden : local.hidden);
-  affine_into(x, enc1_, hidden);
-  gelu_inplace(hidden);
-  affine_into(hidden, enc2_, out);
+  enc1_.forward_into(x, hidden);
+  nn::gelu_inplace(hidden);
+  enc2_.forward_into(hidden, out);
   tanh_inplace(out);
 }
 
@@ -124,9 +110,9 @@ void Autoencoder::decode_into(const Matrix& code, Matrix& out, Scratch* scratch)
   NVCIM_CHECK_MSG(code.cols() == cfg_.code_dim, "autoencoder code dim mismatch");
   Scratch local;
   Matrix& hidden = (scratch != nullptr ? scratch->hidden : local.hidden);
-  affine_into(code, dec1_, hidden);
-  gelu_inplace(hidden);
-  affine_into(hidden, dec2_, out);
+  dec1_.forward_into(code, hidden);
+  nn::gelu_inplace(hidden);
+  dec2_.forward_into(hidden, out);
 }
 
 Matrix Autoencoder::encode(const Matrix& x) const {

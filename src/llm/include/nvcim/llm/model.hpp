@@ -74,21 +74,50 @@ class TinyLM {
                           const Matrix* embed_delta = nullptr) const;
 
   /// Index into `label_ids` of the highest-logit label at the last position.
+  /// Runs the full tape forward (logits_inference); it is the reference the
+  /// tape-free classify_batch() is tested against, and supports KV prefixes
+  /// and embedding deltas, which classify_batch() does not.
   std::size_t classify(const std::vector<int>& tokens, const std::vector<int>& label_ids,
                        const Matrix* soft_prompt = nullptr,
                        const KvPrefixValues* kv_prefixes = nullptr,
                        const Matrix* embed_delta = nullptr) const;
 
-  /// Batched classify(): one embed_batch() gather pass supplies every
-  /// sequence's token-embedding rows up front (skipping the per-call
-  /// vocab×d table leaf copy), then the frozen per-sequence forwards run on
-  /// a single reused tape. Entry b is bit-identical to
-  /// classify(*seqs[b], label_ids, soft_prompts[b]) — the pre-gathered rows
-  /// are exactly what the tape's embedding lookup would produce.
-  /// `soft_prompts[b]` may be nullptr for a promptless sequence.
+  /// Reusable buffers of the tape-free forward. One per thread: the model
+  /// stays const and shareable while looping callers (serving workers) stop
+  /// allocating once the buffers are warm.
+  struct Scratch {
+    Matrix x;       ///< residual stream: every sequence's rows, stacked
+    Matrix ln;      ///< LayerNorm output
+    Matrix q, k, v;
+    Matrix ctx;     ///< concatenated attention-head outputs
+    Matrix proj;    ///< wo / fc2 output
+    Matrix hidden;  ///< fc1 + GELU output
+    Matrix gather;  ///< last-row gather target
+    Matrix logits;  ///< B × vocab
+    std::vector<std::size_t> row0;  ///< sequence b owns stacked rows [row0[b], row0[b+1])
+    std::vector<float> scores;      ///< one attention row
+    std::vector<double> exps;
+  };
+
+  /// Last-position logits of each sequence under its soft prompt, as a
+  /// B × vocab matrix held in `scratch`. Tape-free: the group's rows are
+  /// stacked so each row-wise layer runs once; causal attention runs per
+  /// sequence without a mask; the last block computes queries, attention,
+  /// FFN and the head only for each sequence's last row. Row b is
+  /// bit-identical to the last row of logits_inference(*seqs[b],
+  /// soft_prompts[b]). `soft_prompts[b]` may be nullptr for a promptless
+  /// sequence. Throws nvcim::Error on malformed input.
+  const Matrix& last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
+                                  const std::vector<const Matrix*>& soft_prompts,
+                                  Scratch& scratch) const;
+
+  /// Batched classify() over last_logits_batch(): entry b is
+  /// classify(*seqs[b], label_ids, soft_prompts[b]), bit-for-bit. With a
+  /// warm `scratch` the forward allocates nothing.
   std::vector<std::size_t> classify_batch(const std::vector<const std::vector<int>*>& seqs,
                                           const std::vector<int>& label_ids,
-                                          const std::vector<const Matrix*>& soft_prompts) const;
+                                          const std::vector<const Matrix*>& soft_prompts,
+                                          Scratch* scratch = nullptr) const;
 
   /// Autoregressive sampling with softmax temperature (0 = greedy).
   std::vector<int> generate(const std::vector<int>& prompt, std::size_t max_new_tokens,
@@ -124,12 +153,9 @@ class TinyLM {
   nn::Linear& lm_head() { return lm_head_; }
 
  private:
-  /// `pre_embedded` supplies the token-embedding rows directly (a frozen
-  /// leaf), bypassing the table gather; it cannot combine with embed_delta.
   Var forward_hidden(nn::Binder& bind, const std::vector<int>& tokens,
                      std::optional<Var> soft_prompt, const KvPrefixVars* kv_prefixes,
-                     std::optional<Var> embed_delta, std::size_t& n_soft_out,
-                     std::optional<Var> pre_embedded = std::nullopt);
+                     std::optional<Var> embed_delta, std::size_t& n_soft_out);
 
   TinyLmConfig cfg_;
   nn::Param tok_emb_;  ///< vocab × d

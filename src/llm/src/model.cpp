@@ -1,5 +1,6 @@
 #include "nvcim/llm/model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace nvcim::llm {
@@ -46,25 +47,15 @@ nn::ParamSet TinyLM::params() {
 
 Var TinyLM::forward_hidden(nn::Binder& bind, const std::vector<int>& tokens,
                            std::optional<Var> soft_prompt, const KvPrefixVars* kv_prefixes,
-                           std::optional<Var> embed_delta, std::size_t& n_soft_out,
-                           std::optional<Var> pre_embedded) {
+                           std::optional<Var> embed_delta, std::size_t& n_soft_out) {
   autograd::Tape& t = bind.tape();
   NVCIM_CHECK_MSG(!tokens.empty(), "empty token sequence");
   if (kv_prefixes != nullptr)
     NVCIM_CHECK_MSG(kv_prefixes->size() == cfg_.n_layers, "one KV prefix per layer required");
 
-  Var x;
-  if (pre_embedded) {
-    NVCIM_CHECK_MSG(!embed_delta, "pre-embedded rows cannot combine with embed_delta");
-    NVCIM_CHECK_MSG(pre_embedded->value().rows() == tokens.size() &&
-                        pre_embedded->value().cols() == cfg_.d_model,
-                    "pre-embedded rows must be seq_len x d_model");
-    x = *pre_embedded;
-  } else {
-    Var table = bind(tok_emb_);
-    if (embed_delta) table = t.add(table, *embed_delta);
-    x = t.embedding(table, tokens);
-  }
+  Var table = bind(tok_emb_);
+  if (embed_delta) table = t.add(table, *embed_delta);
+  Var x = t.embedding(table, tokens);
 
   std::size_t n_soft = 0;
   if (soft_prompt) {
@@ -143,16 +134,21 @@ Matrix TinyLM::logits_inference(const std::vector<int>& tokens, const Matrix* so
   return z.value();
 }
 
-std::size_t TinyLM::classify(const std::vector<int>& tokens, const std::vector<int>& label_ids,
-                             const Matrix* soft_prompt, const KvPrefixValues* kv_prefixes,
-                             const Matrix* embed_delta) const {
+namespace {
+
+void check_label_ids(const std::vector<int>& label_ids, std::size_t vocab) {
   NVCIM_CHECK(!label_ids.empty());
-  const Matrix z = logits_inference(tokens, soft_prompt, kv_prefixes, embed_delta);
-  const std::size_t last = z.rows() - 1;
+  for (const int id : label_ids)
+    NVCIM_CHECK_MSG(id >= 0 && static_cast<std::size_t>(id) < vocab,
+                    "label id " << id << " out of vocab " << vocab);
+}
+
+// Index into `label_ids` of the highest logit in `row`; ties keep the first.
+std::size_t argmax_label(const float* row, const std::vector<int>& label_ids) {
   std::size_t best = 0;
   float best_logit = -1e30f;
   for (std::size_t i = 0; i < label_ids.size(); ++i) {
-    const float v = z(last, static_cast<std::size_t>(label_ids[i]));
+    const float v = row[static_cast<std::size_t>(label_ids[i])];
     if (v > best_logit) {
       best_logit = v;
       best = i;
@@ -161,42 +157,160 @@ std::size_t TinyLM::classify(const std::vector<int>& tokens, const std::vector<i
   return best;
 }
 
+// Causal attention of one query row over key/value rows [kv0, kv0 + n_keys)
+// of the stacked K/V, all heads, written to out[0, d). Bit-identical to the
+// tape's masked forward: scores as Tape::matmul_nt, then scale, then the
+// mask's + 0; softmax as Tape::row_softmax; the weighted sum as matmul_into.
+// The masked keys are never visited: their exp underflows to exactly 0,
+// which adds nothing to the denominator and which matmul_into skips.
+void attend_row(const float* q, const Matrix& k, const Matrix& v, std::size_t kv0,
+                std::size_t n_keys, std::size_t n_heads, std::vector<float>& scores,
+                std::vector<double>& exps, float* out) {
+  const std::size_t d = k.cols(), dh = d / n_heads;
+  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  std::fill(out, out + d, 0.0f);
+  for (std::size_t c0 = 0; c0 < d; c0 += dh) {
+    float mx = -1e30f;
+    for (std::size_t j = 0; j < n_keys; ++j) {
+      const float* kr = k.data() + (kv0 + j) * d + c0;
+      double dot = 0.0;
+      for (std::size_t t = 0; t < dh; ++t) dot += static_cast<double>(q[c0 + t]) * kr[t];
+      scores[j] = static_cast<float>(dot) * inv_sqrt_dh + 0.0f;
+      mx = std::max(mx, scores[j]);
+    }
+    double denom = 0.0;
+    for (std::size_t j = 0; j < n_keys; ++j) {
+      exps[j] = std::exp(static_cast<double>(scores[j] - mx));
+      denom += exps[j];
+    }
+    float* o = out + c0;
+    for (std::size_t j = 0; j < n_keys; ++j) {
+      const float p = static_cast<float>(exps[j] / denom);
+      if (p == 0.0f) continue;
+      const float* vr = v.data() + (kv0 + j) * d + c0;
+      for (std::size_t t = 0; t < dh; ++t) o[t] += p * vr[t];
+    }
+  }
+}
+
+// Rows row0[b + 1] - 1 (each sequence's last row) of `x`, stacked into `out`.
+void gather_last_rows(const Matrix& x, const std::vector<std::size_t>& row0, Matrix& out) {
+  const std::size_t B = row0.size() - 1, C = x.cols();
+  out.resize(B, C);
+  for (std::size_t b = 0; b < B; ++b) {
+    const float* src = x.data() + (row0[b + 1] - 1) * C;
+    std::copy(src, src + C, out.data() + b * C);
+  }
+}
+
+// One tape-free transformer block over s.x. With `last_only` the residual
+// stream and queries shrink to each sequence's last row; K and V still
+// cover every row.
+void block_forward(const nn::TransformerBlock& block, bool last_only, TinyLM::Scratch& s) {
+  block.ln1.forward_into(s.x, s.ln);
+  block.attn.wk.forward_into(s.ln, s.k);
+  block.attn.wv.forward_into(s.ln, s.v);
+  if (last_only) {
+    gather_last_rows(s.ln, s.row0, s.gather);
+    std::swap(s.ln, s.gather);
+    gather_last_rows(s.x, s.row0, s.gather);
+    std::swap(s.x, s.gather);
+  }
+  block.attn.wq.forward_into(s.ln, s.q);
+  const std::size_t d = s.x.cols();
+  s.ctx.resize(s.q.rows(), d);
+  std::size_t r = 0;  // query row
+  for (std::size_t b = 0; b + 1 < s.row0.size(); ++b) {
+    const std::size_t n = s.row0[b + 1] - s.row0[b];
+    for (std::size_t i = last_only ? n - 1 : 0; i < n; ++i, ++r)
+      attend_row(s.q.data() + r * d, s.k, s.v, s.row0[b], i + 1, block.attn.n_heads(),
+                 s.scores, s.exps, s.ctx.data() + r * d);
+  }
+  block.attn.wo.forward_into(s.ctx, s.proj);
+  s.x += s.proj;
+  block.ln2.forward_into(s.x, s.ln);
+  block.ffn.fc1.forward_into(s.ln, s.hidden);
+  nn::gelu_inplace(s.hidden);
+  block.ffn.fc2.forward_into(s.hidden, s.proj);
+  s.x += s.proj;
+}
+
+}  // namespace
+
+std::size_t TinyLM::classify(const std::vector<int>& tokens, const std::vector<int>& label_ids,
+                             const Matrix* soft_prompt, const KvPrefixValues* kv_prefixes,
+                             const Matrix* embed_delta) const {
+  check_label_ids(label_ids, cfg_.vocab);
+  const Matrix z = logits_inference(tokens, soft_prompt, kv_prefixes, embed_delta);
+  return argmax_label(z.data() + (z.rows() - 1) * z.cols(), label_ids);
+}
+
+const Matrix& TinyLM::last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
+                                        const std::vector<const Matrix*>& soft_prompts,
+                                        Scratch& s) const {
+  NVCIM_CHECK_MSG(soft_prompts.size() == seqs.size(), "one soft prompt (or null) per sequence");
+  const std::size_t d = cfg_.d_model;
+  // The tape path gets some of these checks from bounds-checked element
+  // access; the raw-pointer forward below needs every one made up front.
+  s.row0.assign(1, 0);
+  std::size_t max_rows = 0;
+  for (std::size_t b = 0; b < seqs.size(); ++b) {
+    NVCIM_CHECK_MSG(seqs[b] != nullptr && !seqs[b]->empty(), "empty token sequence");
+    const std::size_t n_tok = seqs[b]->size();
+    std::size_t n_soft = 0;
+    if (soft_prompts[b] != nullptr) {
+      NVCIM_CHECK_MSG(soft_prompts[b]->cols() == d, "soft prompt must have d_model columns");
+      n_soft = soft_prompts[b]->rows();
+    }
+    NVCIM_CHECK_MSG(n_soft <= cfg_.prompt_slots,
+                    "soft prompt length " << n_soft << " exceeds prompt_slots "
+                                          << cfg_.prompt_slots);
+    NVCIM_CHECK_MSG(cfg_.prompt_slots + n_tok <= cfg_.max_seq,
+                    "sequence length exceeds max_seq " << cfg_.max_seq);
+    for (const int tok : *seqs[b])
+      NVCIM_CHECK_MSG(tok >= 0 && static_cast<std::size_t>(tok) < cfg_.vocab,
+                      "token id " << tok << " out of vocab " << cfg_.vocab);
+    s.row0.push_back(s.row0.back() + n_soft + n_tok);
+    max_rows = std::max(max_rows, n_soft + n_tok);
+  }
+  s.scores.resize(max_rows);
+  s.exps.resize(max_rows);
+
+  // Embed: soft-prompt rows, then token rows, each plus its positional row.
+  // Prompt rows right-align into [0, prompt_slots); tokens start at
+  // prompt_slots (as in forward_hidden).
+  s.x.resize(s.row0.back(), d);
+  const auto add_row = [&](const float* e, std::size_t pos, std::size_t row) {
+    const float* p = pos_emb_.value.data() + pos * d;
+    float* dst = s.x.data() + row * d;
+    for (std::size_t c = 0; c < d; ++c) dst[c] = e[c] + p[c];
+  };
+  for (std::size_t b = 0; b < seqs.size(); ++b) {
+    std::size_t row = s.row0[b];
+    const std::size_t n_soft = soft_prompts[b] != nullptr ? soft_prompts[b]->rows() : 0;
+    for (std::size_t i = 0; i < n_soft; ++i)
+      add_row(soft_prompts[b]->data() + i * d, cfg_.prompt_slots - n_soft + i, row++);
+    for (std::size_t i = 0; i < seqs[b]->size(); ++i)
+      add_row(tok_emb_.value.data() + static_cast<std::size_t>((*seqs[b])[i]) * d,
+              cfg_.prompt_slots + i, row++);
+  }
+
+  for (std::size_t l = 0; l < blocks_.size(); ++l)
+    block_forward(blocks_[l], /*last_only=*/l + 1 == blocks_.size(), s);
+  final_ln_.forward_into(s.x, s.ln);
+  lm_head_.forward_into(s.ln, s.logits);
+  return s.logits;
+}
+
 std::vector<std::size_t> TinyLM::classify_batch(
     const std::vector<const std::vector<int>*>& seqs, const std::vector<int>& label_ids,
-    const std::vector<const Matrix*>& soft_prompts) const {
-  NVCIM_CHECK(!label_ids.empty());
-  NVCIM_CHECK_MSG(soft_prompts.size() == seqs.size(), "one soft prompt (or null) per sequence");
-  auto* self = const_cast<TinyLM*>(this);
-
-  // One gather pass over the embedding table for the whole group.
-  std::vector<Matrix> embeds;
-  embed_batch_into(seqs, embeds);
-
-  std::vector<std::size_t> out(seqs.size(), 0);
-  autograd::Tape tape;  // reused across sequences; clear() keeps its storage
-  for (std::size_t b = 0; b < seqs.size(); ++b) {
-    tape.clear();
-    nn::Binder bind(tape, /*frozen=*/true);
-    std::optional<Var> sp;
-    if (soft_prompts[b] != nullptr) sp = tape.leaf(*soft_prompts[b], false);
-    std::size_t n_soft = 0;
-    Var h = self->forward_hidden(bind, *seqs[b], sp, nullptr, std::nullopt, n_soft,
-                                 tape.leaf(embeds[b], false));
-    Var z = self->lm_head_.forward(bind, h);
-    const Matrix& zv = z.value();
-    // Logits rows span [n_soft, n_soft + seq_len); classify() reads the last.
-    const std::size_t last = n_soft + seqs[b]->size() - 1;
-    std::size_t best = 0;
-    float best_logit = -1e30f;
-    for (std::size_t i = 0; i < label_ids.size(); ++i) {
-      const float v = zv(last, static_cast<std::size_t>(label_ids[i]));
-      if (v > best_logit) {
-        best_logit = v;
-        best = i;
-      }
-    }
-    out[b] = best;
-  }
+    const std::vector<const Matrix*>& soft_prompts, Scratch* scratch) const {
+  check_label_ids(label_ids, cfg_.vocab);
+  Scratch local;
+  const Matrix& z = last_logits_batch(seqs, soft_prompts, scratch != nullptr ? *scratch : local);
+  std::vector<std::size_t> out(seqs.size());
+  for (std::size_t b = 0; b < out.size(); ++b)
+    out[b] = argmax_label(z.data() + b * z.cols(), label_ids);
   return out;
 }
 

@@ -16,6 +16,10 @@ class Linear {
   Linear(std::size_t in, std::size_t out, Rng& rng, const std::string& name);
 
   Var forward(Binder& bind, Var x);
+  /// Tape-free forward into caller storage: one matmul_into, then the bias
+  /// add. Bit-identical to forward()'s value; allocation-free once `out` is
+  /// warm. Each output row depends only on its input row.
+  void forward_into(const Matrix& x, Matrix& out) const;
   void collect(ParamSet& ps);
 
   std::size_t in_features() const { return w.value.rows(); }
@@ -32,6 +36,9 @@ class LayerNorm {
   LayerNorm(std::size_t dim, const std::string& name);
 
   Var forward(Binder& bind, Var x);
+  /// Tape-free forward into caller storage, row by row with the arithmetic
+  /// of Tape::layernorm. Bit-identical to forward()'s value.
+  void forward_into(const Matrix& x, Matrix& out) const;
   void collect(ParamSet& ps);
 
   Param gain;  ///< 1 × dim
@@ -104,6 +111,9 @@ class TransformerBlock {
   MultiHeadSelfAttention attn;
   FeedForward ffn;
 };
+
+/// Elementwise GELU in place, bit-identical to Tape::gelu's value.
+void gelu_inplace(Matrix& m);
 
 /// Additive causal mask for S query rows over (P+S) key columns, where the
 /// first P columns (the prefix) are visible to every query.

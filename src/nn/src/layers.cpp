@@ -12,6 +12,15 @@ Var Linear::forward(Binder& bind, Var x) {
   return t.add_row_broadcast(t.matmul(x, bind(w)), bind(b));
 }
 
+void Linear::forward_into(const Matrix& x, Matrix& out) const {
+  matmul_into(x, w.value, out);
+  const float* bias = b.value.data();
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    float* row = out.data() + r * out.cols();
+    for (std::size_t c = 0; c < out.cols(); ++c) row[c] += bias[c];
+  }
+}
+
 void Linear::collect(ParamSet& ps) {
   ps.add(w);
   ps.add(b);
@@ -24,9 +33,40 @@ Var LayerNorm::forward(Binder& bind, Var x) {
   return bind.tape().layernorm(x, bind(gain), bind(bias));
 }
 
+void LayerNorm::forward_into(const Matrix& x, Matrix& out) const {
+  constexpr float eps = 1e-5f;  // Tape::layernorm's default, which forward() uses
+  const std::size_t R = x.rows(), C = x.cols();
+  NVCIM_CHECK(gain.value.cols() == C && &out != &x);
+  out.resize(R, C);
+  const float* gn = gain.value.data();
+  const float* bs = bias.value.data();
+  for (std::size_t r = 0; r < R; ++r) {
+    const float* xr = x.data() + r * C;
+    float* yr = out.data() + r * C;
+    double mu = 0.0;
+    for (std::size_t c = 0; c < C; ++c) mu += xr[c];
+    mu /= static_cast<double>(C);
+    double var = 0.0;
+    for (std::size_t c = 0; c < C; ++c) {
+      const double d = xr[c] - mu;
+      var += d * d;
+    }
+    var /= static_cast<double>(C);
+    const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
+    for (std::size_t c = 0; c < C; ++c) {
+      const float xhat = (xr[c] - static_cast<float>(mu)) * istd;
+      yr[c] = gn[c] * xhat + bs[c];
+    }
+  }
+}
+
 void LayerNorm::collect(ParamSet& ps) {
   ps.add(gain);
   ps.add(bias);
+}
+
+void gelu_inplace(Matrix& m) {
+  for (std::size_t i = 0; i < m.size(); ++i) m.at_flat(i) = autograd::gelu_value(m.at_flat(i));
 }
 
 Matrix causal_mask(std::size_t seq, std::size_t n_prefix) {

@@ -359,10 +359,11 @@ class ServingEngine {
 
   /// Per-worker reusable buffers: the encode-path scratch (embeddings,
   /// stacked rows, autoencoder hidden layer), the batch's representation
-  /// matrix, the packed per-shard query/score matrices and the retriever's
-  /// bank scratch, so steady-state batches allocate (almost) nothing. Shard
-  /// tasks executed by a worker use that worker's own state, so concurrent
-  /// shard retrievals never share buffers.
+  /// matrix, the packed per-shard query/score matrices, the retriever's
+  /// bank scratch and the classify forward's buffers, so steady-state
+  /// batches allocate (almost) nothing. Shard tasks executed by a worker
+  /// use that worker's own state, so concurrent shard retrievals never
+  /// share buffers.
   struct WorkerState {
     core::EncodeScratch encode;
     Matrix reps;
@@ -380,6 +381,8 @@ class ServingEngine {
     Matrix decode_stacked;
     Matrix decode_out;
     std::vector<const Matrix*> decode_parts;
+    // The classify stage's tape-free TinyLM forward.
+    llm::TinyLM::Scratch classify;
   };
 
   /// A unit of work run on the worker pool: one shard's retrieval, one
@@ -423,7 +426,7 @@ class ServingEngine {
   /// Stage 4: optional deduplicated classification, then settle every
   /// surviving request. Returns the batch's slow-request exemplars, stage
   /// times still unset.
-  std::vector<SlowRequest> finish_stage(Batch& b);
+  std::vector<SlowRequest> finish_stage(Batch& b, WorkerState& ws);
   /// Single-flight decoded-prompt fetch through the LRU cache: concurrent
   /// misses on one key share a single decode.
   void fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& ws);

@@ -803,7 +803,7 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& requests, WorkerS
   const double retrieve_ms = stage("retrieve", [&] { retrieve_stage(b, ws); });
   const double decode_ms = stage("decode", [&] { decode_stage(b, ws); });
   std::vector<SlowRequest> slow;
-  const double classify_ms = stage("classify", [&] { slow = finish_stage(b); });
+  const double classify_ms = stage("classify", [&] { slow = finish_stage(b, ws); });
 
   stats_.record_stage_times(encode_ms, retrieve_ms, decode_ms, classify_ms);
   for (SlowRequest& sr : slow) {
@@ -1003,12 +1003,12 @@ void ServingEngine::decode_stage(Batch& b, WorkerState& ws) {
     if (b.prompts[i].error) b.fail(i, b.prompts[i].error);
 }
 
-std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b) {
+std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) {
   using Clock = std::chrono::steady_clock;
   const std::size_t B = b.size();
-  // Optional classification: deduplicated up front, the unique forwards
-  // batched through TinyLM::classify_batch (one embedding gather pass + a
-  // reused tape instead of per-request tape construction).
+  // Optional classification: deduplicated up front, the unique sequences
+  // run as one group through TinyLM::classify_batch, a tape-free stacked
+  // forward over the worker's reusable scratch. Serving never builds a tape.
   const bool classify =
       cfg_.run_inference && task_->config().kind == data::TaskKind::Classification;
   std::vector<std::size_t> labels(B, 0);
@@ -1040,7 +1040,7 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b) {
           soft_prompts.push_back(b.prompts[i].value.get());
         }
         const std::vector<std::size_t> out =
-            model_->classify_batch(seqs, task_->label_ids(), soft_prompts);
+            model_->classify_batch(seqs, task_->label_ids(), soft_prompts, &ws.classify);
         for (std::size_t r = 0; r < uniq.size(); ++r) {
           labels[uniq[r]] = out[r];
           labelled[uniq[r]] = 1;
@@ -1066,9 +1066,9 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b) {
       resp.ovt_index = b.ovt_index[i];
       resp.cache_hit = b.prompts[i].hit;
       if (classify) {
-        if (!labelled[i]) {  // batched pass failed — serial fallback
-          labels[i] =
-              model_->classify(p.query.input, task_->label_ids(), b.prompts[i].value.get());
+        if (!labelled[i]) {  // batched pass failed — retry this request alone
+          labels[i] = model_->classify_batch({&p.query.input}, task_->label_ids(),
+                                             {b.prompts[i].value.get()}, &ws.classify)[0];
           labelled[i] = 1;
         }
         resp.label = labels[i];

@@ -438,33 +438,8 @@ TEST(BatchedDecode, StackedDecodeBitIdenticalToPerKeyDecode) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: batched classify via embed_batch.
+// Batched classify in the engine (the forward itself: test_classify_forward).
 // ---------------------------------------------------------------------------
-
-TEST(BatchedClassify, ClassifyBatchBitIdenticalToSerialClassify) {
-  data::LampTask task{data::lamp1_config()};
-  llm::TinyLM model = tiny_model2(task.vocab_size(), 16, 61);
-  Rng rng(361);
-
-  std::vector<std::vector<int>> inputs;
-  std::vector<Matrix> prompts;
-  for (int t = 0; t < 12; ++t) {
-    inputs.push_back(random_tokens2(1 + rng.uniform_index(10), task.vocab_size(), rng));
-    prompts.push_back(Matrix::rand_uniform(4, 16, rng, -1.0f, 1.0f));
-  }
-  std::vector<const std::vector<int>*> seqs;
-  std::vector<const Matrix*> sps;
-  for (int t = 0; t < 12; ++t) {
-    seqs.push_back(&inputs[t]);
-    // Exercise promptless rows too.
-    sps.push_back(t % 3 == 0 ? nullptr : &prompts[t]);
-  }
-  const std::vector<std::size_t> batched = model.classify_batch(seqs, task.label_ids(), sps);
-  ASSERT_EQ(batched.size(), seqs.size());
-  for (std::size_t b = 0; b < seqs.size(); ++b)
-    EXPECT_EQ(batched[b], model.classify(inputs[b], task.label_ids(), sps[b]))
-        << "sequence " << b;
-}
 
 TEST(BatchedClassify, EngineLabelsMatchSerialClassify) {
   TwoPhaseFixture f;
@@ -487,6 +462,44 @@ TEST(BatchedClassify, EngineLabelsMatchSerialClassify) {
               f.model.classify(reqs[i].second.input, f.task.label_ids(), prompt.get()))
         << "request " << i;
   }
+  engine.stop();
+}
+
+TEST(BatchedClassify, MalformedRequestFailsAloneValidOnesLabelled) {
+  TwoPhaseFixture f;
+  const std::size_t n_users = 2;
+  // One worker that waits for a full batch, so the malformed request shares
+  // its batch with the valid ones.
+  serve::ServingConfig cfg = f.config(false, 0, 1, 1, 6);
+  cfg.run_inference = true;
+  cfg.min_batch = 6;
+  cfg.batch_window_ms = 2000.0;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  for (std::size_t u = 0; u < n_users; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+
+  auto reqs = f.requests(6, n_users, 381);
+  // Encodes and retrieves like any query, but runs past the LM's max_seq,
+  // so the group's batched forward throws.
+  const std::size_t bad = 2;
+  const llm::TinyLmConfig& mc = f.model.config();
+  reqs[bad].second.input.assign(mc.max_seq - mc.prompt_slots + 1, 1);
+  std::vector<std::future<serve::Response>> futures;
+  for (const auto& [u, q] : reqs)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (i == bad) {
+      EXPECT_THROW(futures[i].get(), Error);
+      continue;
+    }
+    const serve::Response resp = futures[i].get();
+    ASSERT_TRUE(resp.has_label) << "request " << i;
+    const std::shared_ptr<const Matrix> prompt = engine.prompt(reqs[i].first, resp.ovt_index);
+    EXPECT_EQ(resp.label,
+              f.model.classify(reqs[i].second.input, f.task.label_ids(), prompt.get()))
+        << "request " << i;
+  }
+  EXPECT_EQ(engine.stats().batches, 1u);  // the fallback ran inside one batch
   engine.stop();
 }
 
