@@ -47,8 +47,6 @@ class Accelerator {
   /// column subarrays. Existing columns (cells, scales) are untouched.
   void ensure_capacity(std::size_t n_cols);
 
-  bool mutable_mode() const { return mutable_mode_; }
-
   /// Inner products of the 1×len query against every stored key (1×n_keys),
   /// computed via crossbar MVM; result is dequantized back to float scale.
   Matrix query(const Matrix& x);
@@ -119,7 +117,7 @@ class Accelerator {
   void advance_age(std::uint64_t ticks);
 
   /// Golden probe of global key column `col`, aggregated over row tiles.
-  ColumnProbe probe_column(std::size_t col, double eps = 1e-6) const;
+  ColumnProbe probe_column(std::size_t col) const;
 
  private:
   /// Dequantize the integer-scale score block into `y`: one global scale in

@@ -218,7 +218,7 @@ class Crossbar {
   /// pristine level. Fault-free columns probe clean exactly (programming
   /// noise is frozen at write time and recorded in the shadow), so any
   /// deviation is a fault or drift — detection has no false positives.
-  ColumnProbe probe_column(std::size_t col, double eps = 1e-6) const;
+  ColumnProbe probe_column(std::size_t col) const;
 
  private:
   /// Pin one flat cell index at `level`, keeping the slice-zero flags

@@ -31,12 +31,9 @@ struct FaultStormConfig {
 /// fault-free (pristine) levels.
 struct ColumnProbe {
   std::size_t cells = 0;    ///< cells probed
-  std::size_t deviant = 0;  ///< cells deviating from pristine by > eps
+  std::size_t deviant = 0;  ///< cells deviating from pristine beyond round-off
   double max_deviation = 0.0;
 
-  double deviant_frac() const {
-    return cells == 0 ? 0.0 : static_cast<double>(deviant) / static_cast<double>(cells);
-  }
   ColumnProbe& operator+=(const ColumnProbe& o) {
     cells += o.cells;
     deviant += o.deviant;

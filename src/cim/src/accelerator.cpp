@@ -264,13 +264,13 @@ void Accelerator::advance_age(std::uint64_t ticks) {
   for (Crossbar& t : tiles_) t.advance_age(ticks);
 }
 
-ColumnProbe Accelerator::probe_column(std::size_t col, double eps) const {
+ColumnProbe Accelerator::probe_column(std::size_t col) const {
   NVCIM_CHECK_MSG(!tiles_.empty(), "no keys stored");
   NVCIM_CHECK_MSG(col < n_keys_, "column " << col << " out of range");
   const std::size_t ct = col / cfg_.cols;
   ColumnProbe pr;
   for (std::size_t rt = 0; rt < row_tiles_; ++rt)
-    pr += tiles_[rt * col_tiles_ + ct].probe_column(col % cfg_.cols, eps);
+    pr += tiles_[rt * col_tiles_ + ct].probe_column(col % cfg_.cols);
   return pr;
 }
 

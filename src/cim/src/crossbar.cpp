@@ -7,6 +7,16 @@
 
 namespace nvcim::cim {
 
+namespace {
+
+/// A probed cell counts as deviant when it differs from its pristine level
+/// by more than this (analog level units). Programming noise is frozen at
+/// write time and recorded in the shadow, so fault-free cells probe exactly
+/// clean; the epsilon only absorbs float round-off.
+constexpr double kProbeEps = 1e-6;
+
+}  // namespace
+
 /// Per-call write state: the per-nibble target level and sigma that
 /// nvm::program_cell derives per cell, built once through the same functions
 /// (so every value is identical), plus the write pulses the call issued.
@@ -247,7 +257,7 @@ void Crossbar::advance_age(std::uint64_t ticks) {
   }
 }
 
-ColumnProbe Crossbar::probe_column(std::size_t col, double eps) const {
+ColumnProbe Crossbar::probe_column(std::size_t col) const {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar region not initialized");
   NVCIM_CHECK_MSG(col < active_cols_, "column " << col << " out of range");
   ColumnProbe pr;
@@ -260,7 +270,7 @@ ColumnProbe Crossbar::probe_column(std::size_t col, double eps) const {
         const double dev = std::fabs(static_cast<double>(cells_[base + p]) -
                                      static_cast<double>(pristine_[base + p]));
         ++pr.cells;
-        if (dev > eps) ++pr.deviant;
+        if (dev > kProbeEps) ++pr.deviant;
         if (dev > pr.max_deviation) pr.max_deviation = dev;
       }
     }

@@ -63,8 +63,6 @@ class CimRetriever {
   /// Grow mutable capacity to at least `n` key columns (whole subarrays).
   void ensure_capacity(std::size_t n);
 
-  bool mutable_mode() const { return mutable_mode_; }
-
   /// Similarity score of the query against every stored key.
   Matrix scores(const Matrix& query);
   /// Index of the best-scoring key.
@@ -126,7 +124,7 @@ class CimRetriever {
   void advance_age(std::uint64_t ticks);
 
   /// Golden probe of key column `col`, aggregated over scale banks.
-  cim::ColumnProbe probe_column(std::size_t col, double eps = 1e-6) const;
+  cim::ColumnProbe probe_column(std::size_t col) const;
 
  private:
   void init_bank_layout();

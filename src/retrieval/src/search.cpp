@@ -239,10 +239,10 @@ void CimRetriever::advance_age(std::uint64_t ticks) {
   for (auto& b : banks_) b->advance_age(ticks);
 }
 
-cim::ColumnProbe CimRetriever::probe_column(std::size_t col, double eps) const {
+cim::ColumnProbe CimRetriever::probe_column(std::size_t col) const {
   NVCIM_CHECK_MSG(!banks_.empty(), "no keys stored");
   cim::ColumnProbe pr;
-  for (const auto& b : banks_) pr += b->probe_column(col, eps);
+  for (const auto& b : banks_) pr += b->probe_column(col);
   return pr;
 }
 

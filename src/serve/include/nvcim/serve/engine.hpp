@@ -36,11 +36,13 @@ namespace nvcim::serve {
 /// (repair needs the mutable store).
 struct ScrubberConfig {
   bool enabled = false;
-  double interval_ms = 20.0;  ///< ticker period between scrub rounds
+  /// Ticker period between scrub rounds; must be positive and pass
+  /// checked_ms() when the scrubber is enabled.
+  double interval_ms = 20.0;
   /// Subarrays probed per round, across all shards (0 = the whole fleet
   /// every round). Small values bound the serving interference per round.
   std::size_t subarrays_per_round = 1;
-  ScrubPolicy policy;  ///< detection threshold, repair/migrate toggles
+  ScrubPolicy policy;  ///< repair/migrate toggles and quarantine threshold
 };
 
 /// Embedded introspection server: when enabled, start() binds a local HTTP
@@ -77,7 +79,7 @@ struct ServingConfig {
   /// to fan out) instead of splintering across workers. 1 = dequeue
   /// immediately (the pre-coalescing behaviour).
   std::size_t min_batch = 1;
-  double batch_window_ms = 2.0;
+  double batch_window_ms = 2.0;  ///< must pass checked_ms()
   std::size_t queue_capacity = 64;   ///< submit() blocks when the queue is full
   /// Cross-tenant request scheduling: DRR fair queuing with EDF-critical
   /// pull and optional per-tenant rate limits (SchedPolicy::Fifo restores

@@ -21,24 +21,14 @@ namespace nvcim::serve {
 /// quantization scale, per-(tile, column) programming-noise stream), so
 /// admitting a user later is bit-identical to having built the store with
 /// that user from scratch, and untouched users' columns never change.
+///
+/// Fixed store behaviour (constants in ovt_store.cpp): a fresh build
+/// provisions 1.5× its key columns, rounded up to whole subarrays; rebalance()
+/// plans at most 4 migrations while a shard holds more than 1.25 × the mean;
+/// routed slots start on an accumulator-block boundary; admission spans are
+/// at most 32 columns wide and never cross a subarray.
 struct LifecycleConfig {
   bool enabled = false;
-  /// Initial crossbar capacity headroom over the build()-time key count, so
-  /// early admits land in pre-provisioned subarray columns instead of
-  /// growing the tile grid. Capacity always rounds up to whole subarrays.
-  double capacity_factor = 1.5;
-  /// rebalance() considers a shard overloaded when its occupied keys exceed
-  /// (1 + tolerance) × the mean across shards, and migrates users from the
-  /// most- to the least-loaded shard until within tolerance.
-  double rebalance_tolerance = 0.25;
-  /// Cap on migrations per rebalance() cycle (each migration reprograms one
-  /// user's columns — bound the serving interference per cycle).
-  std::size_t max_migrations_per_cycle = 4;
-  /// Cluster-aware placement: align admitted slots to the fused kernel's
-  /// accumulator-block width, so one tenant's candidate columns share
-  /// pruning blocks with as few other tenants as possible. Only applied
-  /// when two-phase routing is enabled (block pruning is what benefits).
-  bool align_slots_to_blocks = true;
   /// Write-behind admission: ServingEngine::admit() publishes the tenant's
   /// slot as PENDING and returns immediately; column programming runs as
   /// worker-pool aux tasks in per-subarray batches, and the tenant flips to
@@ -51,13 +41,6 @@ struct LifecycleConfig {
   /// A non-blocking admit() returns an invalid handle beyond it; a blocking
   /// one waits for a slot.
   std::size_t max_pending_admissions = 8;
-  /// Maximum key columns per programming span. Spans never cross subarray
-  /// boundaries; this additionally splits a wide slot inside one subarray so
-  /// a single admission fans out across several workers instead of
-  /// serializing on one. Per-column noise streams are position-derived, so
-  /// any split (and any execution order) programs bit-identical cells.
-  /// 0 = one span per subarray.
-  std::size_t program_span_cols = 32;
 };
 
 /// A user's placement: shard index plus its key-column range within the
@@ -70,14 +53,13 @@ struct UserSlot {
 };
 
 /// Phase-1 routing state of one user: cluster membership in CSR form
-/// (user-local key indices, cluster-grouped) plus the quantized sketch
-/// planes. Immutable once built; snapshots share it by pointer, so a
+/// (user-local key indices, cluster-grouped) plus the quantized centroid
+/// sketch plane. Immutable once built; snapshots share it by pointer, so a
 /// router refresh swaps the pointer without touching readers.
 struct UserRouter {
   std::vector<std::uint32_t> member_begin;  ///< k+1 offsets into members
   std::vector<std::uint32_t> members;       ///< user-local key indices
   Matrix centroid_sketch;                   ///< k × key_size, low-bit ints
-  Matrix key_sketch;                        ///< slot_keys × key_size ints
 };
 
 /// One epoch-versioned view of the tenant directory: who exists, where each
@@ -251,8 +233,9 @@ struct Migration {
 /// Pure planning half of shard rebalancing: given per-shard occupied key
 /// counts and the user slots, pick users to move from overloaded to
 /// underloaded shards until every shard is within tolerance of the mean (or
-/// the migration budget is spent). Deterministic: ties break toward lower
-/// shard/user ids.
+/// the migration budget is spent). "Within" is inclusive: a shard holding
+/// exactly (1 + tolerance) × the mean is not overloaded. Deterministic: ties
+/// break toward lower shard/user ids.
 std::vector<Migration> plan_rebalance(const std::vector<std::size_t>& shard_occupied,
                                       const std::unordered_map<std::size_t, UserSlot>& slots,
                                       double tolerance, std::size_t max_migrations);

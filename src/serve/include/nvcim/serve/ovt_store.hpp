@@ -21,27 +21,18 @@ namespace nvcim::serve {
 /// emit a candidate bitmap; phase 2 runs the exact crossbar scoring only on
 /// the candidates (masked fused kernel). Key order in the crossbars is
 /// untouched, so `nprobe = 0` (= examine every cluster) reproduces the
-/// exact path bit-identically on every candidate column.
+/// exact path bit-identically on every candidate column. Every 16th routed
+/// shard pass also scores each row's whole slot and records recall-vs-exact
+/// into EngineStats.
 struct TwoPhaseConfig {
   bool enabled = false;
   /// Clusters examined per query. 0 = all clusters of the user — candidates
   /// cover the full slot, results match exact retrieval bit-for-bit.
   std::size_t nprobe = 2;
-  /// Optional cap on the shortlist: after cluster expansion keep at most
-  /// max(1, frac·slot_keys) candidates, ranked by the key-sketch scores.
-  /// 0 disables the trim.
-  double shortlist_frac = 0.0;
-  /// Bit width of the centroid/key sketch planes (4–8); sketches only rank,
-  /// they never contribute to the returned scores.
-  std::size_t sketch_bits = 6;
   /// Paper Eq. 2 selection of k per user slot. Serving slots are larger
   /// than the paper's training buffers, so the cap is raised.
   cluster::KSelectionConfig k_select{2, 16, 5.0, 1.5};
   cluster::KMeansConfig kmeans;
-  /// Every Nth routed shard pass also scores each row's whole slot (the
-  /// exact path) and records recall-vs-exact into EngineStats. 0 disables
-  /// sampling.
-  std::size_t recall_sample_every = 16;
 };
 
 /// Health of one crossbar subarray as judged by the scrubber.
@@ -52,16 +43,9 @@ struct TwoPhaseConfig {
 ///              unrepairable columns, or killed outright).
 enum class SubarrayHealth : std::uint8_t { Healthy, Degraded, Failed };
 
-/// Detection/repair policy of one scrub pass.
+/// Repair policy of one scrub pass. Detection has no knob: a column is
+/// degraded when any of its cells deviates from its pristine programming.
 struct ScrubPolicy {
-  /// Per-cell deviation (analog level units) above which a cell counts as
-  /// deviant from its pristine programming. Programming noise is frozen at
-  /// write time and recorded in the pristine shadow, so fault-free columns
-  /// probe exactly clean — the eps only absorbs float round-off.
-  double cell_eps = 1e-6;
-  /// A column is degraded when its deviant-cell fraction exceeds this
-  /// (0 = any deviant cell degrades the column).
-  double column_deviant_frac = 0.0;
   /// Re-program degraded columns in place from the tenants' retained keys.
   bool auto_repair = true;
   /// Migrate tenants off columns that fail the in-place rewrite (stuck
@@ -96,7 +80,6 @@ struct OvtStoreConfig {
   retrieval::ScaledSearchConfig ssa;
   cim::CrossbarConfig crossbar;
   nvm::VariationModel variation;
-  cim::ProgramOptions program;
   TwoPhaseConfig two_phase;
   /// Online tenant lifecycle: mutable post-build store (admit/evict/
   /// rebalance while serving) behind an epoch-versioned directory.
@@ -112,8 +95,8 @@ struct OvtStoreConfig {
 /// without a separate placement pass.
 ///
 /// With TwoPhaseConfig::enabled, build() additionally clusters every user's
-/// keys (k-means, k per Eq. 2) and quantizes centroid + key sketch planes;
-/// route_candidates() then ranks centroids per query through the sketches
+/// keys (k-means, k per Eq. 2) and quantizes a centroid sketch plane;
+/// route_candidates() then ranks centroids per query through the sketch
 /// and emits candidate bitmaps the masked scoring path consumes.
 ///
 /// With LifecycleConfig::enabled, the store stays mutable after build():
@@ -144,14 +127,11 @@ class ShardedOvtStore {
   using UserSlot = serve::UserSlot;
 
   /// Reusable phase-1 buffers (one per serving worker): the sketched query
-  /// row, per-centroid scores, the centroid ranking order and the candidate
-  /// scratch of the shortlist trim.
+  /// row, per-centroid scores and the centroid ranking order.
   struct RouteScratch {
     std::vector<float> qsketch;
     std::vector<float> centroid_scores;
     std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> cand;
-    std::vector<float> cand_scores;
   };
 
   explicit ShardedOvtStore(OvtStoreConfig cfg);
@@ -170,7 +150,6 @@ class ShardedOvtStore {
   /// the lowest failing shard's exception is rethrown.
   void build(Rng& rng);
   bool built() const { return built_; }
-  bool lifecycle() const { return cfg_.lifecycle.enabled; }
 
   // ---- Online tenant lifecycle (requires LifecycleConfig::enabled) ----
 
@@ -241,7 +220,8 @@ class ShardedOvtStore {
   void migrate_user(std::size_t user_id, std::size_t to_shard);
 
   /// Deterministic migration plan moving users from overloaded to
-  /// underloaded shards (see LifecycleConfig::rebalance_tolerance).
+  /// underloaded shards: a shard is overloaded above 1.25 × the mean
+  /// occupied keys, and one cycle plans at most 4 migrations.
   std::vector<Migration> plan_rebalance() const;
 
   /// Pin the current directory epoch: the returned view is immutable and
@@ -280,10 +260,9 @@ class ShardedOvtStore {
   /// (row b belongs to row_users[b]), resolved against the pinned snapshot
   /// `snap` — slots, routers and the score-row width are all read from that
   /// epoch, so a concurrent admit/evict cannot tear the routing. Ranks each
-  /// user's cluster centroids against the sketched query, expands the
-  /// top-nprobe clusters to member keys and optionally trims to the
-  /// sketch-ranked shortlist. Every row gets at least one candidate, all
-  /// inside the user's slot.
+  /// user's cluster centroids against the sketched query and expands the
+  /// top-nprobe clusters to member keys. Every row gets at least one
+  /// candidate, all inside the user's slot.
   ///
   /// Returns the key columns the masked exact pass will actually compute:
   /// the fused kernel prunes at accumulator-block granularity
@@ -366,7 +345,8 @@ class ShardedOvtStore {
   /// Detect-only scrub: probe every column of subarray `sub` of `shard`
   /// against its pristine programming, publish the subarray's health state
   /// and the per-shard degraded-column set. Takes the shard lock for the
-  /// probes only — serving on other shards is untouched.
+  /// probes only — serving on other shards is untouched. Detection reads no
+  /// policy field; the parameter takes the same policy scrub_and_repair does.
   ScrubReport scrub_subarray(std::size_t shard, std::size_t sub,
                              const ScrubPolicy& policy = {});
 
@@ -374,8 +354,7 @@ class ShardedOvtStore {
   /// Returns the columns still deviant after the rewrite (stuck hardware
   /// or unowned — nothing to rewrite them from).
   std::vector<std::size_t> repair_columns(std::size_t shard,
-                                          const std::vector<std::size_t>& cols,
-                                          const ScrubPolicy& policy = {});
+                                          const std::vector<std::size_t>& cols);
 
   /// Full pass: scrub_subarray → repair_columns → migrate tenants still on
   /// stuck columns (auto_migrate, needs ≥ 2 shards) → quarantine the

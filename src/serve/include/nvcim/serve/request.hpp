@@ -53,7 +53,9 @@ enum class OverloadPolicy {
 /// no deadline, neutral priority, blocking backpressure, future-only
 /// completion.
 struct SubmitOptions {
-  /// Relative deadline in milliseconds from submission; 0 = none. A request
+  /// Relative deadline in milliseconds from submission; 0 = none. submit()
+  /// throws nvcim::Error for a NaN, negative or non-finite value, or one too
+  /// large for the clock (see checked_ms). A request
   /// whose deadline passes while it is still queued is EXPIRED: its future
   /// settles with DeadlineExceeded and it never reaches the crossbar. A
   /// request dispatched in time but finishing late completes normally with
@@ -131,5 +133,11 @@ struct QueuedRequest {
 
   bool has_deadline() const { return deadline != kNoDeadline; }
 };
+
+/// `ms` milliseconds as a QueuedRequest::Clock duration. Throws nvcim::Error
+/// unless `ms` is finite, non-negative and below half the clock's range, so
+/// neither the conversion nor adding the result to a steady-clock time point
+/// can overflow. `what` names the value in the error message.
+QueuedRequest::Clock::duration checked_ms(double ms, const char* what);
 
 }  // namespace nvcim::serve

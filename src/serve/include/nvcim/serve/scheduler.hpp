@@ -30,13 +30,8 @@ struct SchedulerConfig {
   std::size_t quantum = 4;
   /// Deadlines within `now + urgency_window_ms` are treated as critical:
   /// pulled EDF-first across tenants ahead of the DRR rotation, and batch
-  /// coalescing never waits past them.
+  /// coalescing never waits past them. Must pass checked_ms().
   double urgency_window_ms = 2.0;
-  /// Default per-tenant rate limit in requests/second; 0 = unlimited.
-  /// Enforced as a token bucket (burst = max(quantum, 1)) at dequeue time:
-  /// over-limit tenants stay queued, they are just not scheduled. Per-tenant
-  /// overrides via RequestScheduler::set_rate_limit().
-  double default_rate_limit_rps = 0.0;
 };
 
 /// Deadline/priority-aware fair request queue: per-tenant queues drained by
@@ -86,7 +81,9 @@ class RequestScheduler {
   /// Remove and return everything still queued (stop() path).
   std::vector<QueuedRequest> drain();
 
-  /// Per-tenant rate-limit override (requests/second, 0 = unlimited).
+  /// Per-tenant rate limit (requests/second, 0 = unlimited); tenants start
+  /// unlimited. Enforced as a token bucket (burst = quantum) at dequeue
+  /// time: an over-limit tenant stays queued, it is just not scheduled.
   void set_rate_limit(std::size_t user_id, double rps);
 
  private:

@@ -9,6 +9,10 @@ namespace nvcim::serve {
 
 namespace {
 
+/// Every Nth routed shard pass also scores each row's whole slot (the exact
+/// path) and records recall-vs-exact into EngineStats.
+constexpr std::size_t kRecallSampleEvery = 16;
+
 OvtStoreConfig store_config(const ServingConfig& cfg) {
   OvtStoreConfig sc;
   sc.n_shards = cfg.n_shards;
@@ -105,6 +109,13 @@ ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, Ser
   NVCIM_CHECK_MSG(cfg_.n_threads > 0, "engine needs at least one worker");
   NVCIM_CHECK_MSG(cfg_.max_batch > 0, "max_batch must be positive");
   NVCIM_CHECK_MSG(cfg_.queue_capacity > 0, "queue_capacity must be positive");
+  checked_ms(cfg_.batch_window_ms, "batch_window_ms");
+  // A zero period would busy-spin the ticker: its wait returns at once and
+  // every tick skips the round still in flight.
+  if (cfg_.scrubber.enabled)
+    NVCIM_CHECK_MSG(checked_ms(cfg_.scrubber.interval_ms, "scrubber interval_ms") >
+                        QueuedRequest::Clock::duration::zero(),
+                    "scrubber interval_ms must be positive");
 }
 
 ServingEngine::~ServingEngine() { stop(); }
@@ -580,6 +591,7 @@ void ServingEngine::finish_error(QueuedRequest& req, std::exception_ptr error) {
 
 RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   NVCIM_CHECK_MSG(running_, "engine not started");
+  const QueuedRequest::Clock::duration deadline = checked_ms(opts.deadline_ms, "deadline_ms");
   // Both halves of an admission must be visible: the deployment AND the
   // store slot — and the slot must be LIVE (fully programmed), not a
   // write-behind Pending still being written. Checking only the deployment
@@ -597,9 +609,7 @@ RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   qr.query = std::move(request.query);
   qr.priority = opts.priority;
   qr.enqueued = std::chrono::steady_clock::now();
-  if (opts.deadline_ms > 0.0)
-    qr.deadline = qr.enqueued + std::chrono::duration_cast<QueuedRequest::Clock::duration>(
-                                    std::chrono::duration<double, std::milli>(opts.deadline_ms));
+  if (opts.deadline_ms > 0.0) qr.deadline = qr.enqueued + deadline;
   qr.on_complete = std::move(opts.on_complete);
   const QueuedRequest::Clock::time_point enqueued = qr.enqueued;
   RequestHandle handle(this, qr.id, qr.promise.get_future());
@@ -956,8 +966,7 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
         // Sampled recall-vs-exact: every Nth routed pass also scores each
         // row's whole slot (reusing the pass's buffers — its winners are
         // already taken) and counts rows whose winner matches.
-        const std::size_t every = cfg_.two_phase.recall_sample_every;
-        if (every > 0 && routed_passes_++ % every == 0) {
+        if (routed_passes_++ % kRecallSampleEvery == 0) {
           slot_mask();
           store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve,
                                    &tws.candidates);

@@ -12,13 +12,32 @@ namespace nvcim::serve {
 
 namespace {
 
+/// Bit width of the centroid and query sketches. Sketches only rank
+/// centroids; they never contribute to the returned scores.
+constexpr int kSketchBits = 6;
+/// Crossbar capacity a fresh lifecycle build provisions over its allocator
+/// tail, so early admits land in pre-provisioned subarray columns instead of
+/// growing the tile grid. Capacity always rounds up to whole subarrays.
+constexpr double kCapacityFactor = 1.5;
+/// rebalance() plans migrations while the most-loaded shard holds more than
+/// (1 + kRebalanceTolerance) × the mean occupied keys. The bound is
+/// inclusive: a shard at exactly 1.25 × the mean is within tolerance.
+constexpr double kRebalanceTolerance = 0.25;
+/// Migrations per rebalance() cycle; each reprograms one user's columns, so
+/// this bounds the serving interference of one cycle.
+constexpr std::size_t kMaxMigrationsPerCycle = 4;
+/// Widest admission programming span. Spans never cross a subarray; the cap
+/// also splits a wide slot inside one subarray, so one admission fans out
+/// across several workers instead of serializing on one. Per-column noise
+/// streams are position-derived, so any split programs identical cells.
+constexpr std::size_t kProgramSpanCols = 32;
+
 retrieval::CimRetriever::Config retriever_config(const OvtStoreConfig& cfg) {
   retrieval::CimRetriever::Config rcfg;
   rcfg.algorithm = cfg.algorithm;
   rcfg.ssa = cfg.ssa;
   rcfg.crossbar = cfg.crossbar;
   rcfg.variation = cfg.variation;
-  rcfg.program = cfg.program;
   return rcfg;
 }
 
@@ -59,8 +78,6 @@ void run_per_shard(std::size_t n, const Fn& fn) {
 
 ShardedOvtStore::ShardedOvtStore(OvtStoreConfig cfg) : cfg_(std::move(cfg)) {
   NVCIM_CHECK_MSG(cfg_.n_shards > 0, "store needs at least one shard");
-  NVCIM_CHECK_MSG(cfg_.two_phase.sketch_bits >= 4 && cfg_.two_phase.sketch_bits <= 8,
-                  "sketch_bits must be in [4, 8]");
   shards_.reserve(cfg_.n_shards);
   for (std::size_t s = 0; s < cfg_.n_shards; ++s) shards_.push_back(std::make_unique<Shard>());
   degraded_cols_.resize(cfg_.n_shards);
@@ -69,7 +86,7 @@ ShardedOvtStore::ShardedOvtStore(OvtStoreConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 std::size_t ShardedOvtStore::slot_align() const {
-  if (!cfg_.two_phase.enabled || !cfg_.lifecycle.align_slots_to_blocks) return 1;
+  if (!cfg_.two_phase.enabled) return 1;
   // Block-aligned slots only help when subarray boundaries are themselves
   // block-aligned (true for the paper geometry: 128-column subarrays, 16-
   // column accumulator blocks).
@@ -142,15 +159,9 @@ std::shared_ptr<const UserRouter> ShardedOvtStore::build_router(
     std::size_t n) const {
   const std::size_t key_size = keys[begin].size();
 
-  // Flatten the user's keys once: k-means points and the sketch plane share
-  // this layout.
   std::vector<Matrix> points;
-  Matrix key_mat(n, key_size);
   points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points.push_back(keys[begin + i].flattened());
-    key_mat.set_row(i, points.back());
-  }
+  for (std::size_t i = 0; i < n; ++i) points.push_back(keys[begin + i].flattened());
 
   const std::size_t k = std::min(cluster::select_k(n, cfg_.two_phase.k_select), n);
   cluster::KMeansConfig kmcfg = cfg_.two_phase.kmeans;
@@ -186,15 +197,13 @@ std::shared_ptr<const UserRouter> ShardedOvtStore::build_router(
   for (std::size_t i = 0; i < n; ++i)
     router->members[cursor[remap[km.assignment[i]]]++] = static_cast<std::uint32_t>(i);
 
-  // Low-bit sketch planes over centroids and keys. Only the integer grids
-  // matter: ranking by q(x)·q(c) is scale-invariant (symmetric quantization
-  // scales are positive), so the scales are dropped.
+  // Low-bit sketch plane over the centroids. Only the integer grid matters:
+  // ranking by q(x)·q(c) is scale-invariant (symmetric quantization scales
+  // are positive), so the scale is dropped.
   Matrix centroid_mat(kept.size(), key_size);
   for (std::size_t c = 0; c < kept.size(); ++c)
     centroid_mat.set_row(c, km.centroids[kept[c]]);
-  const int bits = static_cast<int>(cfg_.two_phase.sketch_bits);
-  router->centroid_sketch = cim::quantize_symmetric(centroid_mat, bits).q;
-  router->key_sketch = cim::quantize_symmetric(key_mat, bits).q;
+  router->centroid_sketch = cim::quantize_symmetric(centroid_mat, kSketchBits).q;
   return router;
 }
 
@@ -263,7 +272,7 @@ void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
     if (tail == 0) return;  // more shards than users (so far)
     const std::size_t capacity = std::max(
         tail, static_cast<std::size_t>(
-                  std::ceil(static_cast<double>(tail) * cfg_.lifecycle.capacity_factor)));
+                  std::ceil(static_cast<double>(tail) * kCapacityFactor)));
     shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
     shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
     shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
@@ -360,15 +369,11 @@ ShardedOvtStore::StagedAdmission ShardedOvtStore::stage_admit(std::size_t user_i
   staged.keys = std::make_shared<const std::vector<Matrix>>(keys);
   // Spans never cross a subarray boundary (each programming batch visits a
   // single row-tile column range — what Accelerator::program_keys hoists
-  // per-visit work out of) and are further capped at program_span_cols so a
-  // wide slot fans out across several workers instead of serializing on one.
-  const std::size_t cap = cfg_.lifecycle.program_span_cols == 0
-                              ? cfg_.crossbar.cols
-                              : cfg_.lifecycle.program_span_cols;
+  // per-visit work out of) and are at most kProgramSpanCols wide.
   const std::size_t end = begin + keys.size();
   for (std::size_t c0 = begin; c0 < end;) {
     const std::size_t c1 = std::min(
-        {end, (c0 / cfg_.crossbar.cols + 1) * cfg_.crossbar.cols, c0 + cap});
+        {end, (c0 / cfg_.crossbar.cols + 1) * cfg_.crossbar.cols, c0 + kProgramSpanCols});
     staged.spans.emplace_back(c0, c1);
     c0 = c1;
   }
@@ -470,14 +475,13 @@ std::vector<Migration> ShardedOvtStore::plan_rebalance() const {
   for (const auto& s : shards_) occupied.push_back(s->allocator.occupied());
   const auto snap = directory_.acquire();
   if (snap->pending.empty())
-    return serve::plan_rebalance(occupied, snap->slots, cfg_.lifecycle.rebalance_tolerance,
-                                 cfg_.lifecycle.max_migrations_per_cycle);
+    return serve::plan_rebalance(occupied, snap->slots, kRebalanceTolerance,
+                                 kMaxMigrationsPerCycle);
   // A mid-programming tenant cannot migrate (its columns are still being
   // written) — plan only over settled slots.
   std::unordered_map<std::size_t, UserSlot> movable = snap->slots;
   for (const std::size_t u : snap->pending) movable.erase(u);
-  return serve::plan_rebalance(occupied, movable, cfg_.lifecycle.rebalance_tolerance,
-                               cfg_.lifecycle.max_migrations_per_cycle);
+  return serve::plan_rebalance(occupied, movable, kRebalanceTolerance, kMaxMigrationsPerCycle);
 }
 
 PinnedDirectory ShardedOvtStore::pin() const {
@@ -571,8 +575,7 @@ std::size_t ShardedOvtStore::route_candidates(const TenantSnapshot& snap, std::s
   // columns beyond the bitmap as never-candidates.
   out.reset(B, snap.shard_capacity[shard]);
 
-  const float qmax =
-      static_cast<float>(cim::qmax_for_bits(static_cast<int>(cfg_.two_phase.sketch_bits)));
+  const float qmax = static_cast<float>(cim::qmax_for_bits(kSketchBits));
   rs.qsketch.resize(key_size);
 
   for (std::size_t b = 0; b < B; ++b) {
@@ -609,44 +612,13 @@ std::size_t ShardedOvtStore::route_candidates(const TenantSnapshot& snap, std::s
                       });
 
     // Expand the probed clusters to member keys.
-    rs.cand.clear();
     for (std::size_t p = 0; p < np; ++p) {
       const std::uint32_t c = rs.order[p];
       for (std::uint32_t m = router.member_begin[c]; m < router.member_begin[c + 1]; ++m)
-        rs.cand.push_back(router.members[m]);
+        out.set(b, us.begin + router.members[m]);
     }
-
-    // Optional key-sketch trim of the shortlist.
-    const double frac = cfg_.two_phase.shortlist_frac;
-    if (frac > 0.0 && frac < 1.0) {
-      const std::size_t cap = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(frac * static_cast<double>(us.n_keys()))));
-      if (rs.cand.size() > cap) {
-        rs.cand_scores.resize(rs.cand.size());
-        for (std::size_t j = 0; j < rs.cand.size(); ++j) {
-          const float* key = router.key_sketch.data() + rs.cand[j] * key_size;
-          float s = 0.0f;
-          for (std::size_t i = 0; i < key_size; ++i) s += rs.qsketch[i] * key[i];
-          rs.cand_scores[j] = s;
-        }
-        // Rank candidate positions by sketch score (deterministic ties) and
-        // keep the top cap; lists are tiny (≤ slot keys), a full sort is fine.
-        std::vector<std::size_t> idx(rs.cand.size());
-        for (std::size_t j = 0; j < idx.size(); ++j) idx[j] = j;
-        std::sort(idx.begin(), idx.end(), [&rs](std::size_t a, std::size_t c) {
-          if (rs.cand_scores[a] != rs.cand_scores[c])
-            return rs.cand_scores[a] > rs.cand_scores[c];
-          return rs.cand[a] < rs.cand[c];  // deterministic tie-break
-        });
-        std::vector<std::uint32_t> kept;
-        kept.reserve(cap);
-        for (std::size_t j = 0; j < cap; ++j) kept.push_back(rs.cand[idx[j]]);
-        rs.cand.swap(kept);
-      }
-    }
-
-    NVCIM_CHECK_MSG(!rs.cand.empty(), "router produced an empty candidate set");
-    for (const std::uint32_t local : rs.cand) out.set(b, us.begin + local);
+    NVCIM_CHECK_MSG(out.any_in_range(b, us.begin, us.end),
+                    "router produced an empty candidate set");
   }
 
   // Block-granular examined count, mirroring the kernel: columns tile into
@@ -780,7 +752,7 @@ void ShardedOvtStore::advance_age(std::uint64_t ticks) {
 }
 
 ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub,
-                                            const ScrubPolicy& policy) {
+                                            const ScrubPolicy& /*policy*/) {
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   ScrubReport report;
@@ -808,10 +780,8 @@ ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub,
     if (s.retriever == nullptr || end > s.retriever->n_keys()) return report;
     for (std::size_t c = begin; c < end; ++c) {
       if (retired[c - begin]) continue;
-      const cim::ColumnProbe probe = s.retriever->probe_column(c, policy.cell_eps);
       ++report.columns_probed;
-      if (probe.deviant > 0 && probe.deviant_frac() > policy.column_deviant_frac)
-        report.degraded.push_back(c);
+      if (s.retriever->probe_column(c).deviant > 0) report.degraded.push_back(c);
     }
   }
   {
@@ -830,8 +800,7 @@ ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub,
 }
 
 std::vector<std::size_t> ShardedOvtStore::repair_columns(std::size_t shard,
-                                                         const std::vector<std::size_t>& cols,
-                                                         const ScrubPolicy& policy) {
+                                                         const std::vector<std::size_t>& cols) {
   NVCIM_CHECK_MSG(cfg_.lifecycle.enabled, "tenant lifecycle disabled in this store");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   std::vector<std::size_t> stuck;
@@ -859,9 +828,7 @@ std::vector<std::size_t> ShardedOvtStore::repair_columns(std::size_t shard,
     if (key != nullptr) s.retriever->program_keys(col, {*key});
     // An unowned deviant column has nothing to rewrite it from; a stuck cell
     // survives the rewrite either way — the re-probe decides.
-    const cim::ColumnProbe probe = s.retriever->probe_column(col, policy.cell_eps);
-    if (probe.deviant > 0 && probe.deviant_frac() > policy.column_deviant_frac)
-      stuck.push_back(col);
+    if (s.retriever->probe_column(col).deviant > 0) stuck.push_back(col);
   }
   {
     std::lock_guard<std::mutex> h(health_mu_);
@@ -883,7 +850,7 @@ ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t su
 
   std::vector<std::size_t> stuck = report.degraded;
   if (policy.auto_repair) {
-    stuck = repair_columns(shard, report.degraded, policy);
+    stuck = repair_columns(shard, report.degraded);
     out.columns_repaired = report.degraded.size() - stuck.size();
   }
   out.columns_stuck = stuck.size();

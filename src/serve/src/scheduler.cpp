@@ -22,15 +22,27 @@ double seconds_between(QueuedRequest::Clock::time_point a, QueuedRequest::Clock:
 
 }  // namespace
 
+QueuedRequest::Clock::duration checked_ms(double ms, const char* what) {
+  using Duration = QueuedRequest::Clock::duration;
+  const std::chrono::duration<double, std::milli> d(ms);
+  // NaN fails both comparisons, +inf the second. Half the range: steady-
+  // clock time points count from boot, far below the other half, so
+  // now() + d stays representable.
+  NVCIM_CHECK_MSG(ms >= 0.0 && d < Duration::max() / 2,
+                  what << " must be a finite, non-negative millisecond count within the "
+                       << "clock's range, got " << ms);
+  return std::chrono::duration_cast<Duration>(d);
+}
+
 RequestScheduler::RequestScheduler(SchedulerConfig cfg) : cfg_(cfg) {
   if (cfg_.quantum == 0) cfg_.quantum = 1;
+  checked_ms(cfg_.urgency_window_ms, "urgency_window_ms");
 }
 
 RequestScheduler::Tenant& RequestScheduler::tenant(std::size_t user_id) {
   auto it = tenants_.find(user_id);
   if (it != tenants_.end()) return it->second;
   Tenant t;
-  t.rate_rps = cfg_.default_rate_limit_rps;
   t.tokens = static_cast<double>(cfg_.quantum);  // full burst on first sight
   return tenants_.emplace(user_id, std::move(t)).first->second;
 }

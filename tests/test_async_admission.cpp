@@ -162,6 +162,36 @@ TEST(AsyncAdmission, StagedProtocolBitIdenticalToSyncInAnyOrder) {
 
   const auto staged = staged_store.stage_admit(9, big);
   ASSERT_GE(staged.spans.size(), 3u);
+  // Spans tile the slot in order, never cross a subarray and are at most 32
+  // columns wide. At 16-column subarrays the subarray bounds split the slot;
+  // at 128 columns a 48-key slot sits inside one subarray and only the
+  // 32-column cap splits it.
+  const auto expect_spans_tile_slot = [](const serve::ShardedOvtStore::StagedAdmission& st,
+                                         std::size_t n_keys, std::size_t cols) {
+    std::size_t next = st.begin;
+    for (const auto& [c0, c1] : st.spans) {
+      EXPECT_EQ(c0, next);
+      EXPECT_LT(c0, c1);
+      EXPECT_LE(c1 - c0, 32u);
+      EXPECT_EQ(c0 / cols, (c1 - 1) / cols) << "span [" << c0 << ", " << c1 << ")";
+      next = c1;
+    }
+    EXPECT_EQ(next, st.begin + n_keys);
+  };
+  expect_spans_tile_slot(staged, big.size(), 16);
+  {
+    serve::OvtStoreConfig wide_cfg = lifecycle_store_config();
+    wide_cfg.crossbar.cols = 128;
+    serve::ShardedOvtStore wide(wide_cfg);
+    for (std::size_t u = 0; u < 3; ++u) wide.add_user(u, keys[u]);
+    Rng r3(7);
+    wide.build(r3);
+    const std::vector<Matrix> wide_keys = random_keys(48, 4, 8, kr);
+    const auto wide_staged = wide.stage_admit(9, wide_keys);
+    ASSERT_EQ(wide_staged.begin / 128, (wide_staged.begin + 47) / 128);
+    EXPECT_EQ(wide_staged.spans.size(), 2u);
+    expect_spans_tile_slot(wide_staged, wide_keys.size(), 128);
+  }
   // Pending: present in the directory but not queryable, not evictable, not
   // migratable.
   EXPECT_TRUE(staged_store.has_user(9));

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <future>
 #include <memory>
 #include <vector>
@@ -99,6 +100,28 @@ TEST(LifecyclePlan, BalancedLoadPlansNothing) {
   slots[0] = {0, 0, 8};
   slots[1] = {1, 0, 8};
   EXPECT_TRUE(serve::plan_rebalance({8, 8}, slots, 0.25, 4).empty());
+}
+
+// "Within tolerance" is inclusive: mean 8, bound (1 + 0.25) × 8 = 10.
+TEST(LifecyclePlan, ShardExactlyAtToleranceBoundPlansNothing) {
+  std::unordered_map<std::size_t, serve::UserSlot> slots;
+  slots[0] = {0, 0, 2};  // movable: 2 · 2 <= the 4-key gap
+  slots[1] = {0, 2, 10};
+  slots[2] = {1, 0, 6};
+  EXPECT_TRUE(serve::plan_rebalance({10, 6}, slots, 0.25, 4).empty());
+}
+
+TEST(LifecyclePlan, ShardJustAboveToleranceBoundPlansAMigration) {
+  std::unordered_map<std::size_t, serve::UserSlot> slots;
+  slots[0] = {0, 0, 2};
+  slots[1] = {0, 2, 11};
+  slots[2] = {1, 0, 5};
+  const auto plan = serve::plan_rebalance({11, 5}, slots, 0.25, 4);
+  ASSERT_EQ(plan.size(), 1u);  // 11 → 9 is back inside the bound of 10
+  EXPECT_EQ(plan[0].user_id, 0u);
+  EXPECT_EQ(plan[0].from_shard, 0u);
+  EXPECT_EQ(plan[0].to_shard, 1u);
+  EXPECT_EQ(plan[0].n_keys, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,6 +219,14 @@ TEST(LifecycleStore, AdmitAfterBuildMatchesFromScratchBuild) {
   for (std::size_t u = 0; u < 6; ++u) scratch.add_user(u, keys[u]);
   Rng r2(7);
   scratch.build(r2);
+  // A fresh build provisions ⌈1.5 × tail⌉ columns, rounded up to whole
+  // 16-column subarrays: 12 packed keys → 18 → 32 (without headroom, 16).
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t tail = scratch.shard_occupied(s);  // unaligned slots pack
+    ASSERT_EQ(tail, 12u) << "shard " << s;
+    const std::size_t want = static_cast<std::size_t>(std::ceil(1.5 * static_cast<double>(tail)));
+    EXPECT_EQ(scratch.shard_keys(s), (want + 15) / 16 * 16) << "shard " << s;
+  }
 
   Rng qr(302);
   for (std::size_t u = 0; u < 6; ++u) {

@@ -14,13 +14,18 @@
 //  - property: retrieval results stay bit-identical to retrieve_serial
 //    under random deadlines/priorities/policies — scheduling reorders
 //    batches, never arithmetic
+//  - millisecond inputs (deadline_ms, batch/urgency windows, scrubber
+//    interval) that are NaN, negative, non-finite or too large for the
+//    clock are rejected with nvcim::Error instead of overflowing the cast
 //
 // These suites run under ASan/TSan in CI (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -573,6 +578,83 @@ TEST(SchedulerApi, AdmitHandleSubsumesTheAdmissionTrio) {
   const serve::Response r = engine.submit(serve::Request{2, q}).get();
   EXPECT_EQ(r.ovt_index, engine.retrieve_serial(2, q));
   EXPECT_FALSE(serve::AdmissionHandle{}.valid());  // default = rejected shape
+  engine.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Millisecond inputs are checked before they become clock durations: an
+// unchecked cast of inf or 1e300 to integer nanoseconds is undefined, and on
+// x86 it lands far in the past, so a "never" deadline expired at once.
+// ---------------------------------------------------------------------------
+
+/// NaN, negative, non-finite, and two values whose nanosecond count does not
+/// fit the clock (1e13 ms = 1e19 ns > INT64_MAX).
+const std::vector<double> kBadMs = {std::nan(""), -1.0, std::numeric_limits<double>::infinity(),
+                                    1e300, 1e13};
+
+TEST(MillisecondInputs, CheckedMsRejectsNanNegativeNonFiniteAndOverflow) {
+  for (const double ms : kBadMs) EXPECT_THROW(serve::checked_ms(ms, "ms"), Error) << ms;
+  EXPECT_EQ(serve::checked_ms(0.0, "ms"), Clock::duration::zero());
+  EXPECT_EQ(serve::checked_ms(2.5, "ms"), std::chrono::microseconds(2500));
+  EXPECT_EQ(serve::checked_ms(1e12, "ms"), std::chrono::seconds(1'000'000'000));
+}
+
+TEST(MillisecondInputs, SchedulerRejectsBadUrgencyWindow) {
+  for (const double ms : kBadMs) {
+    SchedulerConfig cfg;
+    cfg.urgency_window_ms = ms;
+    EXPECT_THROW(RequestScheduler{cfg}, Error) << ms;
+  }
+  SchedulerConfig cfg;
+  cfg.urgency_window_ms = 0.0;
+  EXPECT_NO_THROW(RequestScheduler{cfg});
+}
+
+TEST(MillisecondInputs, EngineRejectsBadBatchWindowAndScrubberInterval) {
+  SchedFixture f;
+  for (const double ms : kBadMs) {
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.batch_window_ms = ms;
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error) << "batch window " << ms;
+  }
+  // An enabled scrubber needs a positive interval: at 0 its ticker spins.
+  std::vector<double> bad_intervals = kBadMs;
+  bad_intervals.push_back(0.0);
+  for (const double ms : bad_intervals) {
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.lifecycle.enabled = true;
+    cfg.scrubber.enabled = true;
+    cfg.scrubber.interval_ms = ms;
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error) << "interval " << ms;
+  }
+  // A disabled scrubber's interval is never read; a zero batch window is
+  // valid (dispatch without waiting).
+  serve::ServingConfig cfg = f.serving_config(1, 1);
+  cfg.scrubber.interval_ms = 0.0;
+  cfg.batch_window_ms = 0.0;
+  EXPECT_NO_THROW((serve::ServingEngine{f.model, f.task, cfg}));
+}
+
+TEST(MillisecondInputs, SubmitRejectsBadDeadlineAndKeepsServing) {
+  SchedFixture f;
+  serve::ServingEngine engine(f.model, f.task, f.serving_config(1, 1));
+  std::vector<std::vector<data::Sample>> queries;
+  f.deploy_users(engine, 1, 1, &queries);
+  engine.start();
+  const data::Sample& q = queries[0][0];
+  for (const double ms : kBadMs) {
+    serve::SubmitOptions opts;
+    opts.deadline_ms = ms;
+    EXPECT_THROW(engine.submit(serve::Request{0, q}, opts), Error) << ms;
+  }
+  // A far but representable deadline (about 31 years) is a real deadline,
+  // not an instant expiry.
+  serve::SubmitOptions opts;
+  opts.deadline_ms = 1e12;
+  const serve::Response r = engine.submit(serve::Request{0, q}, opts).get();
+  EXPECT_FALSE(r.deadline_missed);
+  EXPECT_EQ(r.ovt_index, engine.retrieve_serial(0, q));
+  EXPECT_EQ(engine.stats().expired_requests, 0u);
   engine.stop();
 }
 

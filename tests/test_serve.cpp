@@ -250,7 +250,6 @@ TEST(ShardedOvtStore, ParallelBuildMatchesStandaloneShardRetrievers) {
     rcfg.ssa = cfg.ssa;
     rcfg.crossbar = cfg.crossbar;
     rcfg.variation = cfg.variation;
-    rcfg.program = cfg.program;
     for (std::size_t s = 0; s < cfg.n_shards; ++s) {
       std::vector<std::size_t> users;
       for (std::size_t u = 0; u < keys.size(); ++u)
@@ -284,6 +283,18 @@ TEST(ShardedOvtStore, ParallelBuildMatchesStandaloneShardRetrievers) {
     ASSERT_TRUE(store->routed());
     for (std::size_t u = 0; u < keys.size(); ++u)
       EXPECT_EQ(store->router_k(u), again->router_k(u)) << "user " << u;
+    if (lifecycle) {
+      // Routed lifecycle slots, built or admitted, start on an accumulator-
+      // block boundary (16 output columns for differential cells), though
+      // no slot here is a whole block long.
+      store->admit_user(99, user_keys(3, len, kr));
+      const std::size_t block =
+          cim::Crossbar::kAccumulatorLanes / (cfg.crossbar.differential ? 2 : 1);
+      ASSERT_EQ(cfg.crossbar.cols % block, 0u);
+      for (std::size_t u = 0; u < keys.size(); ++u)
+        EXPECT_EQ(store->slot(u).begin % block, 0u) << "user " << u;
+      EXPECT_EQ(store->slot(99).begin % block, 0u);
+    }
   }
 }
 
