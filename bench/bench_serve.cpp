@@ -2,8 +2,8 @@
 // nvcim::serve::ServingEngine as a function of retrieval batch size and
 // worker-thread count, an encode-bound scenario exercising the staged
 // batched encode pipeline (cross-user fused autoencoder GEMMs), a
-// retrieval-bound scenario comparing parallel per-shard fan-out against
-// the serial shard loop, a crossbar-kernel microbench, a fault-storm
+// retrieval-bound scenario with per-shard fan-out across the worker pool,
+// a crossbar-kernel microbench, a fault-storm
 // scrub/self-repair scenario, and a microbench of batched vs per-query
 // retrieval. Results are also emitted as machine-readable BENCH_serve.json
 // so the perf trajectory accumulates across PRs (CI gates regressions
@@ -627,15 +627,13 @@ void bench_obs(FILE* json, std::size_t n_requests, std::size_t n_users) {
 /// hot tenant takes ~80% of the traffic, a tail of mid tenants the rest, and
 /// half of it carries (generous) deadlines — keeps a deep backlog queued
 /// while a cold tenant probes with closed-loop waves of one full batch.
-/// Cold-tenant p99 is measured three ways: alone on an idle engine
-/// (uncontended), under the DRR scheduler, and under the legacy FIFO order.
+/// Cold-tenant p99 is measured two ways: alone on an idle engine
+/// (uncontended) and under the DRR scheduler with the backlog queued.
 /// The gated signals are same-run ratios, hardware-portable by construction:
 ///
 ///   * fairness_impact = drr_cold_p99 / uncontended_cold_p99 — the fairness
 ///     guarantee the scheduler ships: a saturating hot tenant may not push a
-///     cold tenant's tail past 2x its uncontended tail (absolute ceiling;
-///     the FIFO baseline is recorded for contrast — there the cold wave
-///     queues behind the entire backlog).
+///     cold tenant's tail past 2x its uncontended tail (absolute ceiling).
 ///   * deadline_miss_frac = (expired + late) / deadline-carrying requests
 ///     in the DRR run. Deadlines are sized to be comfortably meetable, so
 ///     any nonzero drift means deadline-aware dequeue (urgency-sorted
@@ -658,8 +656,7 @@ void bench_slo(FILE* json, std::size_t n_requests, std::size_t n_users) {
   /// uncontended latency is coalescing-window-bound — that IS an isolated
   /// light tenant's real latency. Under saturation batches form instantly
   /// and DRR bounds the cold wave's queueing to a batch or two, so the
-  /// fairness ratio stays under the 2x gate; FIFO instead queues the wave
-  /// behind the entire hot backlog and blows through it.
+  /// fairness ratio stays under the 2x gate.
   const std::size_t wave = 4;
   const std::size_t waves = 10, warmup_waves = 2;
   const std::size_t cold = n_users - 1;  // gets no open-loop traffic
@@ -712,10 +709,8 @@ void bench_slo(FILE* json, std::size_t n_requests, std::size_t n_users) {
     std::size_t deadline_total = 0;
     serve::StatsSnapshot stats;
   };
-  const auto run_contended = [&](serve::SchedPolicy policy) {
-    serve::ServingConfig ccfg = cfg;
-    ccfg.scheduler.policy = policy;
-    serve::ServingEngine engine(w.model, w.task, ccfg);
+  const auto run_contended = [&] {
+    serve::ServingEngine engine(w.model, w.task, cfg);
     for (std::size_t u = 0; u < w.n_users; ++u)
       engine.add_deployment(u, w.make_deployment(u));
     engine.start();
@@ -768,19 +763,16 @@ void bench_slo(FILE* json, std::size_t n_requests, std::size_t n_users) {
     return r;
   };
 
-  const SloResult drr = run_contended(serve::SchedPolicy::Drr);
-  const SloResult fifo = run_contended(serve::SchedPolicy::Fifo);
+  const SloResult drr = run_contended();
 
   const double fairness = uncontended_p99 > 0.0 ? drr.cold_p99 / uncontended_p99 : 1.0;
-  const double fifo_ratio = uncontended_p99 > 0.0 ? fifo.cold_p99 / uncontended_p99 : 1.0;
   const double miss_frac =
       drr.deadline_total > 0
           ? static_cast<double>(drr.stats.expired_requests + drr.stats.deadline_missed) /
                 static_cast<double>(drr.deadline_total)
           : 0.0;
-  std::printf("  cold p99: %7.2f ms uncontended | %7.2f ms DRR (%.2fx) | "
-              "%7.2f ms FIFO (%.2fx)\n",
-              uncontended_p99, drr.cold_p99, fairness, fifo.cold_p99, fifo_ratio);
+  std::printf("  cold p99: %7.2f ms uncontended | %7.2f ms DRR (%.2fx)\n", uncontended_p99,
+              drr.cold_p99, fairness);
   std::printf("  deadlines (DRR run): %zu carried, %zu expired, %zu late -> miss frac %.4f\n",
               drr.deadline_total, drr.stats.expired_requests, drr.stats.deadline_missed,
               miss_frac);
@@ -791,12 +783,10 @@ void bench_slo(FILE* json, std::size_t n_requests, std::size_t n_users) {
                "  \"slo\": {\"users\": %zu, \"threads\": %zu, \"batch\": %zu, "
                "\"queue_capacity\": %zu, \"waves\": %zu,\n",
                n_users, threads, batch, cfg.queue_capacity, waves);
-  std::fprintf(json, "    \"uncontended_cold_p99_ms\": %.3f, \"drr_cold_p99_ms\": %.3f, "
-               "\"fifo_cold_p99_ms\": %.3f,\n",
-               uncontended_p99, drr.cold_p99, fifo.cold_p99);
+  std::fprintf(json, "    \"uncontended_cold_p99_ms\": %.3f, \"drr_cold_p99_ms\": %.3f,\n",
+               uncontended_p99, drr.cold_p99);
   std::fprintf(json, "    \"deadline_total\": %zu, \"expired\": %zu, \"late\": %zu,\n",
                drr.deadline_total, drr.stats.expired_requests, drr.stats.deadline_missed);
-  std::fprintf(json, "    \"fifo_fairness_ratio\": %.3f,\n", fifo_ratio);
   std::fprintf(json, "    \"fairness_impact\": %.3f, \"deadline_miss_frac\": %.4f\n  },\n",
                fairness, miss_frac);
 }
@@ -1065,9 +1055,8 @@ void bench_batched_vs_per_query(FILE* json) {
 }
 
 /// Microbench of the crossbar MVM kernels on one programmed subarray: the
-/// scalar per-query matvec() loop vs the fused interleaved slice kernel,
-/// exact and FastAccumulate. Same inputs, B=16 — the serving engine's
-/// retrieval batch shape.
+/// scalar per-query matvec() loop vs the fused interleaved slice kernel.
+/// Same inputs, B=16 — the serving engine's retrieval batch shape.
 void bench_kernel(FILE* json) {
   std::printf("\n-- crossbar slice-kernel microbench (384x128, int16, B=16) --\n");
   cim::CrossbarConfig base;  // paper-default subarray
@@ -1079,8 +1068,8 @@ void bench_kernel(FILE* json) {
   const Matrix x = Matrix::randn(16, base.rows, qr);
 
   const int reps = 8;
-  auto time_kernel = [&](cim::CrossbarConfig cfg, bool scalar) {
-    cim::Crossbar xb(cfg);
+  auto time_kernel = [&](bool scalar) {
+    cim::Crossbar xb(base);
     Rng pr(7);  // identical programming stream for every variant
     xb.program(w, {nvm::fefet3(), 0.1}, pr);
     const auto run = [&] { (void)(scalar ? xb.matvec(x) : xb.matvec_batch(x)); };
@@ -1090,29 +1079,20 @@ void bench_kernel(FILE* json) {
     return (now_ms() - t0) / reps;
   };
 
-  cim::CrossbarConfig fast_cfg = base;
-  fast_cfg.fast_accumulate = true;
-
-  const double scalar_ms = time_kernel(base, /*scalar=*/true);
-  const double fused_ms = time_kernel(base, false);
-  const double fast_ms = time_kernel(fast_cfg, false);
+  const double scalar_ms = time_kernel(/*scalar=*/true);
+  const double fused_ms = time_kernel(false);
   std::printf("  %-22s %8.2f ms/batch\n", "scalar matvec", scalar_ms);
-  std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused exact", fused_ms,
-              scalar_ms / fused_ms);
-  std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused fast-accumulate", fast_ms,
-              scalar_ms / fast_ms);
+  std::printf("  %-22s %8.2f ms/batch  (%.2fx)\n", "fused", fused_ms, scalar_ms / fused_ms);
   std::fprintf(json,
                "  \"kernel_microbench\": {\"scalar_ms\": %.3f, \"fused_ms\": %.3f, "
-               "\"fast_ms\": %.3f, \"fused_speedup\": %.2f, \"fast_speedup\": %.2f},\n",
-               scalar_ms, fused_ms, fast_ms, scalar_ms / fused_ms, scalar_ms / fast_ms);
+               "\"fused_speedup\": %.2f},\n",
+               scalar_ms, fused_ms, scalar_ms / fused_ms);
 }
 
 /// Retrieval-bound scenario: 48 keys per user over 4 shards makes the
-/// crossbar search dominate per-request cost. The baseline runs the serial
-/// shard loop on the fused kernel against the same workload; the measured
-/// path fans per-shard retrieval out across the worker pool. Results are
-/// bit-identical between the two (property-tested), so the speedup is pure
-/// wall-clock.
+/// crossbar search dominate per-request cost. The engine fans per-shard
+/// retrieval out across the worker pool; the scenario reports its
+/// throughput and per-stage shares.
 void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_users) {
   WorkloadConfig wc;
   wc.d_model = 16;
@@ -1133,53 +1113,25 @@ void bench_retrieval_bound(FILE* json, std::size_t n_requests, std::size_t n_use
                "\"threads\": %zu, \"batch\": %zu,\n",
                n_users, n_requests, shards, threads, batch);
 
-  // All variants coalesce full B-wide batches (min_batch) so every batch
-  // spans the shard set and the comparison isolates the retrieve stage, not
-  // batch-formation luck. Closed-loop waves of B keep one batch in flight —
-  // the latency regime, where fanned-out shards land on idle workers.
-  serve::ServingConfig common = w.engine_config(shards, threads, batch);
-  common.min_batch = batch;
-  common.batch_window_ms = 50.0;
-
-  // Baseline: fused kernel, serial shard loop.
-  serve::ServingConfig baseline = common;
-  baseline.parallel_retrieval = false;
-  serve::StatsSnapshot bs;
-  const double baseline_rps = waves_with_indices(w, baseline, batch, &bs, nullptr);
-
-  // Measured path: fused kernel + parallel per-shard fan-out.
+  // Coalesce full B-wide batches (min_batch) so every batch spans the shard
+  // set and the stage shares reflect the retrieve stage, not batch-formation
+  // luck. Closed-loop waves of B keep one batch in flight — the latency
+  // regime, where fanned-out shards land on idle workers.
+  serve::ServingConfig cfg = w.engine_config(shards, threads, batch);
+  cfg.min_batch = batch;
+  cfg.batch_window_ms = 50.0;
   serve::StatsSnapshot ns;
-  const double new_rps = waves_with_indices(w, common, batch, &ns, nullptr);
+  const double rps = waves_with_indices(w, cfg, batch, &ns, nullptr);
 
-  // Opt-in FastAccumulate on top (approximate scores, exact-path-validated).
-  serve::ServingConfig fastc = common;
-  fastc.crossbar.fast_accumulate = true;
-  serve::StatsSnapshot fs;
-  const double fast_rps = waves_with_indices(w, fastc, batch, &fs, nullptr);
-
-  const double retrieve_speedup = bs.retrieve_ms / ns.retrieve_ms;
-  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms\n", "serial shard loop",
-              baseline_rps, bs.retrieve_ms);
-  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms  (stage %.2fx, rps %.2fx)\n",
-              "parallel shard fan-out", new_rps, ns.retrieve_ms, retrieve_speedup,
-              new_rps / baseline_rps);
-  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms  (stage %.2fx)\n",
-              "    + fast-accumulate", fast_rps, fs.retrieve_ms,
-              bs.retrieve_ms / fs.retrieve_ms);
+  std::printf("  %-26s %10.0f req/s   retrieve %8.1f ms\n", "parallel shard fan-out", rps,
+              ns.retrieve_ms);
   print_stages(ns);
   std::printf("    per-shard retrieve ms:");
   for (std::size_t s = 0; s < ns.shard_retrieve_ms.size(); ++s)
     std::printf(" [%zu] %.1f", s, ns.shard_retrieve_ms[s]);
   std::printf("  (parallel fanouts: %zu)\n", ns.parallel_retrieve_fanouts);
 
-  std::fprintf(json, "    \"baseline_rps\": %.0f, \"baseline_retrieve_ms\": %.2f,\n",
-               baseline_rps, bs.retrieve_ms);
-  std::fprintf(json, "    \"fused_parallel_rps\": %.0f, \"fast_accumulate_rps\": %.0f,\n",
-               new_rps, fast_rps);
-  std::fprintf(json,
-               "    \"retrieve_stage_speedup_b16\": %.2f, \"rps_speedup_b16\": %.2f, "
-               "\"fast_retrieve_stage_speedup_b16\": %.2f,\n",
-               retrieve_speedup, new_rps / baseline_rps, bs.retrieve_ms / fs.retrieve_ms);
+  std::fprintf(json, "    \"fused_parallel_rps\": %.0f,\n", rps);
   std::fprintf(json, "    \"stages_b16\": ");
   json_stages(json, ns);
   std::fprintf(json, "\n  },\n");

@@ -24,12 +24,6 @@ struct CrossbarConfig {
   std::size_t adc_bits = 8;     ///< 0 = ideal (no ADC quantization)
   bool differential = true;     ///< signed values as G+ − G− cell pairs
 
-  /// Opt-in fast path: the fused MVM kernel accumulates in float32 instead
-  /// of float64. Roughly halves the accumulator bandwidth (and doubles SIMD
-  /// lane count) at the cost of exactness — results are validated against
-  /// the exact path within tolerance, not bit-identical.
-  bool fast_accumulate = false;
-
   std::size_t levels() const { return 1ull << bits_per_cell; }
   std::size_t n_slices() const {
     const std::size_t magnitude_bits = value_bits - (differential ? 1 : 0);
@@ -126,8 +120,7 @@ class Crossbar {
   /// y = x · W for x of shape m×r (r = programmed rows). Returns m×c in the
   /// stored-integer scale. Non-const: accumulates op counters. A plain
   /// per-query, per-column double-precision loop over the interleaved
-  /// storage (fast_accumulate does not apply): the scalar oracle the fused
-  /// kernel is tested against.
+  /// storage: the scalar oracle the fused kernel is tested against.
   Matrix matvec(const Matrix& x);
 
   /// Batched y = x · W with identical semantics (and bit-identical results:
@@ -244,7 +237,6 @@ class Crossbar {
   std::size_t row_stride() const { return active_cols_ * pitch(); }
   std::size_t slice_stride() const { return active_rows_ * row_stride(); }
 
-  template <typename Acc>
   void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                     std::size_t col_offset);
 

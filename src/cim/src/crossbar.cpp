@@ -343,18 +343,16 @@ Matrix Crossbar::matvec(const Matrix& x) {
   return y;
 }
 
-/// Fused slice kernel shared by the exact (double) and FastAccumulate
-/// (float) paths, iterated slice-major with register/L1 blocking: each
+/// Fused slice kernel, iterated slice-major with register/L1 blocking: each
 /// slice's interleaved [G+ G−] plane is swept once per query tile (the
 /// scalar matvec() re-streams every plane per query), feeding a resident
 /// kTile×kBlk accumulator block, then one ADC/shift pass with a hoisted
-/// per-query LSB folds the block into the output rows. The exact (double)
-/// path is bit-identical to matvec() because (a) every accumulator element
+/// per-query LSB folds the block into the output rows. It is bit-identical
+/// to matvec() because (a) every accumulator element
 /// still sums rows r = 0..R-1 in ascending order starting from zero, and
 /// (b) each output element still receives its per-slice contributions in
 /// ascending slice order — only the interleaving of independent (query,
 /// column) partial sums changed.
-template <typename Acc>
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                             std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
@@ -429,7 +427,7 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   counters_.adc_conversions += S * P * computed_cols;
 
   // ADC + shift fold of one query's accumulator block into its output row.
-  const auto fold = [&](std::size_t m, const Acc* bt, std::size_t k0, std::size_t kb,
+  const auto fold = [&](std::size_t m, const double* bt, std::size_t k0, std::size_t kb,
                         double shift) {
     const double lsb = lsb_[m];
     const auto quantize = [lsb](double analog) {
@@ -438,13 +436,12 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
     float* yrow = y.data() + m * active_cols_;
     if (cfg_.differential) {
       for (std::size_t j = 0; j < kb; j += 2) {
-        const double v = quantize(static_cast<double>(bt[j])) -
-                         quantize(static_cast<double>(bt[j + 1]));
+        const double v = quantize(bt[j]) - quantize(bt[j + 1]);
         yrow[(k0 + j) / 2] += static_cast<float>(shift * v);
       }
     } else {
       for (std::size_t j = 0; j < kb; ++j)
-        yrow[k0 + j] += static_cast<float>(shift * quantize(static_cast<double>(bt[j])));
+        yrow[k0 + j] += static_cast<float>(shift * quantize(bt[j]));
     }
   };
 
@@ -463,13 +460,12 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
         const bool n0 = need(m0 + 0, k0), n1 = need(m0 + 1, k0);
         const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
         if (!(n0 || n1 || n2 || n3)) continue;  // no candidate in this block
-        Acc b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
+        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(x0[r]), v1 = static_cast<Acc>(x1[r]);
-          const Acc v2 = static_cast<Acc>(x2[r]), v3 = static_cast<Acc>(x3[r]);
+          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
           for (std::size_t j = 0; j < kBlk; ++j) {
-            const Acc p = static_cast<Acc>(col[j]);
+            const double p = col[j];
             b0[j] += v0 * p;
             b1[j] += v1 * p;
             b2[j] += v2 * p;
@@ -486,13 +482,12 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
         const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
         if (!(n0 || n1 || n2 || n3)) continue;
         const std::size_t kb = lane - k0;
-        Acc b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
+        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(x0[r]), v1 = static_cast<Acc>(x1[r]);
-          const Acc v2 = static_cast<Acc>(x2[r]), v3 = static_cast<Acc>(x3[r]);
+          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
           for (std::size_t j = 0; j < kb; ++j) {
-            const Acc p = static_cast<Acc>(col[j]);
+            const double p = col[j];
             b0[j] += v0 * p;
             b1[j] += v1 * p;
             b2[j] += v2 * p;
@@ -510,11 +505,11 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
       for (std::size_t k0 = 0; k0 < lane; k0 += kBlk) {
         if (!need(m0, k0)) continue;
         const std::size_t kb = std::min(kBlk, lane - k0);
-        Acc b0[kBlk] = {};
+        double b0[kBlk] = {};
         const float* col = plane + k0;
         for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const Acc v0 = static_cast<Acc>(xq[r]);
-          for (std::size_t j = 0; j < kb; ++j) b0[j] += v0 * static_cast<Acc>(col[j]);
+          const double v0 = xq[r];
+          for (std::size_t j = 0; j < kb; ++j) b0[j] += v0 * col[j];
         }
         fold(m0, b0, k0, kb, shift);
       }
@@ -538,10 +533,7 @@ void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const CandidateSet*
   }
   y.resize(x.rows(), active_cols_);
   y.fill(0.0f);
-  if (cfg_.fast_accumulate)
-    fused_matvec<float>(x, y, candidates, col_offset);
-  else
-    fused_matvec<double>(x, y, candidates, col_offset);
+  fused_matvec(x, y, candidates, col_offset);
 }
 
 Matrix Crossbar::matvec_batch(const Matrix& x) {

@@ -82,16 +82,10 @@ struct ServingConfig {
   double batch_window_ms = 2.0;  ///< must pass checked_ms()
   std::size_t queue_capacity = 64;   ///< submit() blocks when the queue is full
   /// Cross-tenant request scheduling: DRR fair queuing with EDF-critical
-  /// pull and optional per-tenant rate limits (SchedPolicy::Fifo restores
-  /// the legacy global arrival order for A/B).
+  /// pull and optional per-tenant rate limits.
   SchedulerConfig scheduler;
   std::size_t cache_capacity = 32;   ///< decoded-OVT LRU entries
   bool run_inference = false;        ///< also classify with the shared backbone
-  /// Fan the retrieve stage's per-shard MVM passes out across the worker
-  /// pool when a batch spans multiple shards. Shards are independent (their
-  /// crossbars were programmed at build time), so results are bit-identical
-  /// to the serial shard loop; off = serial loop, for A/B benching.
-  bool parallel_retrieval = true;
   /// Two-phase retrieval: k-means candidate routing + low-bit sketch
   /// prefilter (phase 1) ahead of candidate-masked exact crossbar scoring
   /// (phase 2). Off by default — the exact PR 3 data path. With
@@ -260,7 +254,8 @@ class ServingEngine {
 
   /// Per-tenant rate limit (requests/second, 0 = unlimited), applied at
   /// dequeue: an over-limit tenant's backlog stays queued while other
-  /// tenants are scheduled. Callable while serving.
+  /// tenants are scheduled. Callable while serving. Throws nvcim::Error
+  /// unless `rps` is finite and >= 0; the previous limit then stays.
   void set_rate_limit(std::size_t user_id, double rps);
 
   // ---- Online tenant lifecycle (requires ServingConfig::lifecycle) ----

@@ -345,10 +345,8 @@ class ShardedOvtStore {
   /// Detect-only scrub: probe every column of subarray `sub` of `shard`
   /// against its pristine programming, publish the subarray's health state
   /// and the per-shard degraded-column set. Takes the shard lock for the
-  /// probes only — serving on other shards is untouched. Detection reads no
-  /// policy field; the parameter takes the same policy scrub_and_repair does.
-  ScrubReport scrub_subarray(std::size_t shard, std::size_t sub,
-                             const ScrubPolicy& policy = {});
+  /// probes only — serving on other shards is untouched.
+  ScrubReport scrub_subarray(std::size_t shard, std::size_t sub);
 
   /// Re-program `cols` in place from their owning tenants' retained keys.
   /// Returns the columns still deviant after the rewrite (stuck hardware

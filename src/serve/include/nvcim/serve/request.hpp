@@ -122,7 +122,7 @@ struct QueuedRequest {
   static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
   std::uint64_t id = 0;   ///< engine-unique, carried by RequestHandle
-  std::uint64_t seq = 0;  ///< global arrival order (FIFO key, EDF tie-break)
+  std::uint64_t seq = 0;  ///< global arrival order (EDF tie-break, drain order)
   std::size_t user_id = 0;
   data::Sample query;
   int priority = 0;

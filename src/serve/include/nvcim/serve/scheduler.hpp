@@ -10,21 +10,12 @@
 
 namespace nvcim::serve {
 
-/// Cross-tenant scheduling policy for the request queue.
-enum class SchedPolicy {
-  /// Global arrival order, blind to tenants and deadlines (the legacy
-  /// std::deque path, kept for A/B). Expiry still applies.
-  Fifo,
-  /// Deficit round-robin across per-tenant queues: each active tenant earns
-  /// `quantum` requests per round, so a hot tenant at queue capacity cannot
-  /// starve a cold one. Within a tenant, requests order by (deadline,
-  /// -priority, arrival); across tenants, requests whose deadline is inside
-  /// the urgency window are pulled EDF-first regardless of whose turn it is.
-  Drr,
-};
-
+/// Deficit round-robin across per-tenant queues: each active tenant earns
+/// `quantum` requests per round, so a hot tenant at queue capacity cannot
+/// starve a cold one. Within a tenant, requests order by (deadline,
+/// -priority, arrival); across tenants, requests whose deadline is inside the
+/// urgency window are pulled EDF-first regardless of whose turn it is.
 struct SchedulerConfig {
-  SchedPolicy policy = SchedPolicy::Drr;
   /// Requests a tenant may dequeue per DRR round. Larger favours batch
   /// locality (runs of one tenant), smaller favours interleaving.
   std::size_t quantum = 4;
@@ -46,7 +37,7 @@ struct SchedulerConfig {
 ///
 /// Scheduling only reorders which requests form a batch — never what any
 /// request computes — so retrieval results are bit-identical under any
-/// policy (property-tested).
+/// schedule (property-tested).
 class RequestScheduler {
  public:
   using Clock = QueuedRequest::Clock;
@@ -70,8 +61,8 @@ class RequestScheduler {
   /// Callers settle them with DeadlineExceeded — they never reach a batch.
   std::vector<QueuedRequest> take_expired(Clock::time_point now);
 
-  /// Dequeue up to `max_batch` requests under the configured policy. Call
-  /// take_expired(now) first: pop_batch assumes no queued deadline < now.
+  /// Dequeue up to `max_batch` requests: the critical EDF pull, then DRR.
+  /// Call take_expired(now) first: pop_batch assumes no queued deadline < now.
   std::vector<QueuedRequest> pop_batch(std::size_t max_batch, Clock::time_point now);
 
   /// Remove a still-queued request by id. Returns true and moves it into
@@ -84,6 +75,8 @@ class RequestScheduler {
   /// Per-tenant rate limit (requests/second, 0 = unlimited); tenants start
   /// unlimited. Enforced as a token bucket (burst = quantum) at dequeue
   /// time: an over-limit tenant stays queued, it is just not scheduled.
+  /// Throws nvcim::Error unless `rps` is finite and >= 0; the previous limit
+  /// then stays.
   void set_rate_limit(std::size_t user_id, double rps);
 
  private:
@@ -104,7 +97,6 @@ class RequestScheduler {
   /// Refill, then consume one token; true when a dequeue is allowed.
   static bool take_token(Tenant& t, Clock::time_point now, double burst);
   void pop_front_into(Tenant& t, std::vector<QueuedRequest>& out);
-  std::vector<QueuedRequest> pop_batch_fifo(std::size_t max_batch, Clock::time_point now);
 
   SchedulerConfig cfg_;
   std::unordered_map<std::size_t, Tenant> tenants_;

@@ -993,7 +993,9 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
     if (!by_shard[shard].empty())
       tasks.emplace_back(
           [&retrieve_shard, shard](WorkerState& tws) { retrieve_shard(shard, tws); });
-  if (cfg_.parallel_retrieval && tasks.size() > 1) {
+  // Shards are independent, so fanning their passes out across the pool is
+  // bit-identical to the serial shard loop (one worker runs it as that loop).
+  if (tasks.size() > 1) {
     stats_.record_parallel_fanout();
     fork_join(std::move(tasks), ws);
   } else {

@@ -751,8 +751,7 @@ void ShardedOvtStore::advance_age(std::uint64_t ticks) {
   }
 }
 
-ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub,
-                                            const ScrubPolicy& /*policy*/) {
+ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub) {
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   ScrubReport report;
@@ -842,7 +841,7 @@ std::vector<std::size_t> ShardedOvtStore::repair_columns(std::size_t shard,
 ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t sub,
                                                const ScrubPolicy& policy) {
   ScrubOutcome out;
-  const ScrubReport report = scrub_subarray(shard, sub, policy);
+  const ScrubReport report = scrub_subarray(shard, sub);
   out.columns_probed = report.columns_probed;
   out.columns_degraded = report.degraded.size();
   out.health = report.health;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <cmath>
 
 namespace nvcim::serve {
 
@@ -94,18 +94,13 @@ void RequestScheduler::push(QueuedRequest req, Clock::time_point now) {
   req.seq = next_seq_++;
   const std::size_t uid = req.user_id;
   Tenant& t = tenant(uid);
-  if (cfg_.policy == SchedPolicy::Fifo) {
-    // Arrival order IS the order; nothing to insert-sort.
-    t.q.push_back(std::move(req));
-  } else {
-    // Insert sorted by urgency. Appends stay O(1) for the common
-    // no-deadline/equal-priority stream (everything later sorts later).
-    auto it = std::upper_bound(t.q.begin(), t.q.end(), req,
-                               [](const QueuedRequest& a, const QueuedRequest& b) {
-                                 return more_urgent(a, b);
-                               });
-    t.q.insert(it, std::move(req));
-  }
+  // Insert sorted by urgency. Appends stay O(1) for the common
+  // no-deadline/equal-priority stream (everything later sorts later).
+  auto it = std::upper_bound(t.q.begin(), t.q.end(), req,
+                             [](const QueuedRequest& a, const QueuedRequest& b) {
+                               return more_urgent(a, b);
+                             });
+  t.q.insert(it, std::move(req));
   ring_add(uid);
   ++size_;
 }
@@ -114,14 +109,8 @@ RequestScheduler::Clock::time_point RequestScheduler::next_deadline() const {
   Clock::time_point best = QueuedRequest::kNoDeadline;
   for (const auto& [uid, t] : tenants_) {
     (void)uid;
-    if (t.q.empty()) continue;
-    if (cfg_.policy == SchedPolicy::Fifo) {
-      // FIFO queues are arrival-ordered, so every entry must be scanned.
-      for (const QueuedRequest& r : t.q) best = std::min(best, r.deadline);
-    } else {
-      // Urgency-sorted: the front carries the tenant's tightest deadline.
-      best = std::min(best, t.q.front().deadline);
-    }
+    // Urgency-sorted: the front carries the tenant's tightest deadline.
+    if (!t.q.empty()) best = std::min(best, t.q.front().deadline);
   }
   return best;
 }
@@ -130,17 +119,9 @@ std::vector<QueuedRequest> RequestScheduler::take_expired(Clock::time_point now)
   std::vector<QueuedRequest> expired;
   if (size_ == 0) return expired;
   for (auto& [uid, t] : tenants_) {
-    for (auto it = t.q.begin(); it != t.q.end();) {
-      if (it->has_deadline() && it->deadline < now) {
-        expired.push_back(std::move(*it));
-        it = t.q.erase(it);
-        --size_;
-      } else if (cfg_.policy != SchedPolicy::Fifo) {
-        break;  // urgency-sorted: every later entry's deadline is >= this one's
-      } else {
-        ++it;
-      }
-    }
+    // Urgency-sorted: the expired requests are a prefix of the queue.
+    while (!t.q.empty() && t.q.front().has_deadline() && t.q.front().deadline < now)
+      pop_front_into(t, expired);
     if (t.q.empty()) ring_remove(uid);
   }
   return expired;
@@ -152,39 +133,8 @@ void RequestScheduler::pop_front_into(Tenant& t, std::vector<QueuedRequest>& out
   --size_;
 }
 
-std::vector<QueuedRequest> RequestScheduler::pop_batch_fifo(std::size_t max_batch,
-                                                            Clock::time_point now) {
-  // Global arrival order across tenants: repeatedly take the front with the
-  // lowest seq. O(tenants) per pop — fine at serving batch sizes. Rate
-  // limits still apply (a limited tenant's backlog waits, others pass it).
-  std::vector<QueuedRequest> out;
-  const double burst = static_cast<double>(cfg_.quantum);
-  while (out.size() < max_batch && size_ > 0) {
-    Tenant* best = nullptr;
-    std::size_t best_uid = 0;
-    std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-    for (auto& [uid, t] : tenants_) {
-      if (t.q.empty()) continue;
-      refill(t, now, burst);
-      if (t.rate_rps > 0.0 && t.tokens < 1.0) continue;  // throttled: skip
-      if (t.q.front().seq < best_seq) {
-        best_seq = t.q.front().seq;
-        best = &t;
-        best_uid = uid;
-      }
-    }
-    if (best == nullptr) break;  // everything left is rate-limited
-    if (best->rate_rps > 0.0) best->tokens -= 1.0;
-    pop_front_into(*best, out);
-    if (best->q.empty()) ring_remove(best_uid);
-  }
-  return out;
-}
-
 std::vector<QueuedRequest> RequestScheduler::pop_batch(std::size_t max_batch,
                                                        Clock::time_point now) {
-  if (cfg_.policy == SchedPolicy::Fifo) return pop_batch_fifo(max_batch, now);
-
   std::vector<QueuedRequest> out;
   out.reserve(std::min(max_batch, size_));
   const double burst = static_cast<double>(cfg_.quantum);
@@ -283,6 +233,9 @@ std::vector<QueuedRequest> RequestScheduler::drain() {
 }
 
 void RequestScheduler::set_rate_limit(std::size_t user_id, double rps) {
+  // NaN fails the comparison; +inf would make the refill clock-tick bound.
+  NVCIM_CHECK_MSG(rps >= 0.0 && std::isfinite(rps),
+                  "rate limit must be a finite, non-negative requests/second, got " << rps);
   Tenant& t = tenant(user_id);
   t.rate_rps = rps;
   t.tokens = std::min(t.tokens, static_cast<double>(cfg_.quantum));

@@ -194,12 +194,9 @@ TEST(FaultScrub, DetectsEveryInjectedStuckColumn) {
 
   // Detect-only scrub over every subarray: the union of degraded columns is
   // EXACTLY the injected set — 100% detection, zero false positives.
-  serve::ScrubPolicy detect;
-  detect.auto_repair = false;
-  detect.auto_migrate = false;
   std::set<std::size_t> flagged;
   for (std::size_t sub = 0; sub < store.shard_subarrays(0); ++sub) {
-    const auto report = store.scrub_subarray(0, sub, detect);
+    const auto report = store.scrub_subarray(0, sub);
     flagged.insert(report.degraded.begin(), report.degraded.end());
     const bool hit = std::any_of(injected.begin(), injected.end(), [&](std::size_t c) {
       return c / store.cols_per_subarray() == sub;
@@ -510,11 +507,7 @@ TEST(FaultEngine, ManualScrubRepairsStuckColumnByMigration) {
             0u);
 
   // While degraded and unrepaired, the victim's responses carry the flag.
-  serve::ScrubPolicy detect;
-  detect.auto_repair = false;
-  detect.auto_migrate = false;
-  engine.store_mutable().scrub_subarray(0, vslot.begin / engine.store().cols_per_subarray(),
-                                        detect);
+  engine.store_mutable().scrub_subarray(0, vslot.begin / engine.store().cols_per_subarray());
   ASSERT_TRUE(engine.store().user_degraded(victim));
   Rng qr(811);
   const serve::Response degraded_resp = engine.submit(serve::Request{victim, f.query(qr)}).get();

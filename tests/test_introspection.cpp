@@ -468,12 +468,9 @@ TEST(Introspection, HealthzCriticalDuringFaultStormRecoversAfterScrub) {
   // subarray Degraded (no repair yet — the background scrubber is off).
   engine.store_mutable().set_drift_rate(0.05);
   engine.store_mutable().advance_age(2);
-  serve::ScrubPolicy detect;
-  detect.auto_repair = false;
-  detect.auto_migrate = false;
   for (std::size_t s = 0; s < engine.store().n_shards(); ++s)
     for (std::size_t sub = 0; sub < engine.store().shard_subarrays(s); ++sub)
-      engine.store_mutable().scrub_subarray(s, sub, detect);
+      engine.store_mutable().scrub_subarray(s, sub);
 
   r = engine.health();
   EXPECT_EQ(r.state, obs::HealthState::Critical);

@@ -4,19 +4,20 @@
 //  - RequestScheduler unit (deterministic, explicit clock): EDF ordering
 //    within a tenant, critical-deadline pull across tenants, DRR fair
 //    rotation (a hot tenant's backlog cannot starve a cold tenant's head),
-//    FIFO A/B mode preserving global arrival order, in-queue expiry,
-//    token-bucket rate limits at dequeue, cancel-before-dispatch, drain
+//    in-queue expiry, token-bucket rate limits at dequeue,
+//    cancel-before-dispatch, drain
 //  - engine-level: callback-vs-future equivalence, cancel through
 //    RequestHandle, expired requests never reach the retrieve stage,
 //    stop() settles still-queued futures with EngineStopped (regression:
 //    the old path silently drained them), OverloadPolicy::Reject,
-//    DRR-vs-FIFO completion-order fairness A/B, admit() handles
+//    DRR completion-order fairness, admit() handles
 //  - property: retrieval results stay bit-identical to retrieve_serial
-//    under random deadlines/priorities/policies — scheduling reorders
-//    batches, never arithmetic
+//    under random deadlines/priorities — scheduling reorders batches,
+//    never arithmetic
 //  - millisecond inputs (deadline_ms, batch/urgency windows, scrubber
 //    interval) that are NaN, negative, non-finite or too large for the
-//    clock are rejected with nvcim::Error instead of overflowing the cast
+//    clock are rejected with nvcim::Error instead of overflowing the cast;
+//    so are NaN, negative and infinite rate limits
 //
 // These suites run under ASan/TSan in CI (see .github/workflows/ci.yml).
 
@@ -40,7 +41,6 @@ namespace {
 using serve::QueuedRequest;
 using serve::RequestScheduler;
 using serve::SchedulerConfig;
-using serve::SchedPolicy;
 using Clock = RequestScheduler::Clock;
 
 // ---------------------------------------------------------------------------
@@ -120,19 +120,6 @@ TEST(SchedulerUnit, DrrSharesBatchAcrossTenantsByQuantum) {
   EXPECT_EQ(s.queued_for(0), 16u);
 }
 
-TEST(SchedulerUnit, FifoModePreservesGlobalArrivalOrder) {
-  SchedulerConfig cfg;
-  cfg.policy = SchedPolicy::Fifo;
-  RequestScheduler s{cfg};
-  const Clock::time_point t0 = Clock::now();
-  const std::vector<std::size_t> arrivals{0, 1, 0, 2, 1, 0};
-  for (const std::size_t u : arrivals) s.push(make_req(u, t0), t0);
-  const auto batch = s.pop_batch(6, t0);
-  ASSERT_EQ(batch.size(), 6u);
-  EXPECT_EQ(users_of(batch), arrivals);
-  for (std::size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(batch[i].seq, i);
-}
-
 TEST(SchedulerUnit, TakeExpiredDropsOnlyDeadRequests) {
   RequestScheduler s{SchedulerConfig{}};
   const Clock::time_point t0 = Clock::now();
@@ -151,22 +138,18 @@ TEST(SchedulerUnit, TakeExpiredDropsOnlyDeadRequests) {
     EXPECT_TRUE(!r.has_deadline() || r.deadline >= t1);
 }
 
-TEST(SchedulerUnit, NextDeadlineIsTheGlobalMinimumInBothPolicies) {
-  for (const SchedPolicy policy : {SchedPolicy::Drr, SchedPolicy::Fifo}) {
-    SchedulerConfig cfg;
-    cfg.policy = policy;
-    RequestScheduler s{cfg};
-    const Clock::time_point t0 = Clock::now();
-    EXPECT_EQ(s.next_deadline(), QueuedRequest::kNoDeadline);
-    s.push(make_req(0, t0), t0);            // FIFO front: no deadline
-    s.push(make_req(0, t0, 30.0), t0);
-    s.push(make_req(1, t0, 8.0), t0);       // the global minimum
-    s.push(make_req(1, t0, 90.0), t0);
-    const Clock::time_point expect =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double, std::milli>(8.0));
-    EXPECT_EQ(s.next_deadline(), expect);
-  }
+TEST(SchedulerUnit, NextDeadlineIsTheGlobalMinimum) {
+  RequestScheduler s{SchedulerConfig{}};
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_EQ(s.next_deadline(), QueuedRequest::kNoDeadline);
+  s.push(make_req(0, t0), t0);            // arrives first, no deadline
+  s.push(make_req(0, t0, 30.0), t0);
+  s.push(make_req(1, t0, 8.0), t0);       // the global minimum
+  s.push(make_req(1, t0, 90.0), t0);
+  const Clock::time_point expect =
+      t0 + std::chrono::duration_cast<Clock::duration>(
+               std::chrono::duration<double, std::milli>(8.0));
+  EXPECT_EQ(s.next_deadline(), expect);
 }
 
 TEST(SchedulerUnit, RateLimitThrottlesDequeueNotAdmission) {
@@ -451,107 +434,95 @@ TEST(SchedulerApi, RejectPolicyShedsAtCapacity) {
   for (serve::RequestHandle& h : handles) EXPECT_THROW(h.get(), serve::EngineStopped);
 }
 
-TEST(SchedulerFairness, DrrServesColdTenantAheadOfHotBacklogFifoDoesNot) {
+TEST(SchedulerFairness, DrrServesColdTenantAheadOfHotBacklog) {
   SchedFixture f;
   // One worker, batches of 8, coalescing until the whole backlog is queued:
   // completion order then equals scheduling order, deterministically.
   const std::size_t hot_requests = 23;
-  for (const SchedPolicy policy : {SchedPolicy::Drr, SchedPolicy::Fifo}) {
-    serve::ServingConfig scfg = f.serving_config(1, 1);
-    scfg.max_batch = 8;
-    scfg.min_batch = 24;  // hot backlog + the cold request
-    scfg.batch_window_ms = 200.0;
-    scfg.queue_capacity = 32;
-    scfg.scheduler.policy = policy;
-    scfg.scheduler.quantum = 4;
-    serve::ServingEngine engine(f.model, f.task, scfg);
-    std::vector<std::vector<data::Sample>> queries;
-    f.deploy_users(engine, 2, 1, &queries);
-    engine.start();
+  serve::ServingConfig scfg = f.serving_config(1, 1);
+  scfg.max_batch = 8;
+  scfg.min_batch = 24;  // hot backlog + the cold request
+  scfg.batch_window_ms = 200.0;
+  scfg.queue_capacity = 32;
+  scfg.scheduler.quantum = 4;
+  serve::ServingEngine engine(f.model, f.task, scfg);
+  std::vector<std::vector<data::Sample>> queries;
+  f.deploy_users(engine, 2, 1, &queries);
+  engine.start();
 
-    std::mutex mu;
-    std::vector<std::size_t> completion_order;
-    const auto record = [&](const serve::Response& r, std::exception_ptr err) {
-      if (err != nullptr) return;
-      std::lock_guard<std::mutex> lock(mu);
-      completion_order.push_back(r.user_id);
-    };
-    std::vector<serve::RequestHandle> handles;
-    for (std::size_t i = 0; i < hot_requests; ++i) {
-      serve::SubmitOptions opts;
-      opts.on_complete = record;
-      handles.push_back(engine.submit(serve::Request{0, queries[0][0]}, std::move(opts)));
-    }
-    serve::SubmitOptions cold;
-    cold.on_complete = record;
-    handles.push_back(engine.submit(serve::Request{1, queries[1][0]}, std::move(cold)));
-    for (serve::RequestHandle& h : handles) h.get();
-    engine.stop();
-
-    ASSERT_EQ(completion_order.size(), hot_requests + 1);
-    const auto cold_pos = static_cast<std::size_t>(
-        std::find(completion_order.begin(), completion_order.end(), 1u) -
-        completion_order.begin());
-    if (policy == SchedPolicy::Drr) {
-      // The hot tenant saturating the queue cannot starve the cold tenant:
-      // its single request rides in the FIRST batch (DRR round-robin grants
-      // it a turn after the hot tenant's quantum).
-      EXPECT_LT(cold_pos, 8u) << "cold tenant starved under DRR";
-    } else {
-      // FIFO baseline for the A/B: the cold request waits out the entire
-      // hot backlog that arrived before it.
-      EXPECT_EQ(cold_pos, hot_requests);
-    }
+  std::mutex mu;
+  std::vector<std::size_t> completion_order;
+  const auto record = [&](const serve::Response& r, std::exception_ptr err) {
+    if (err != nullptr) return;
+    std::lock_guard<std::mutex> lock(mu);
+    completion_order.push_back(r.user_id);
+  };
+  std::vector<serve::RequestHandle> handles;
+  for (std::size_t i = 0; i < hot_requests; ++i) {
+    serve::SubmitOptions opts;
+    opts.on_complete = record;
+    handles.push_back(engine.submit(serve::Request{0, queries[0][0]}, std::move(opts)));
   }
+  serve::SubmitOptions cold;
+  cold.on_complete = record;
+  handles.push_back(engine.submit(serve::Request{1, queries[1][0]}, std::move(cold)));
+  for (serve::RequestHandle& h : handles) h.get();
+  engine.stop();
+
+  ASSERT_EQ(completion_order.size(), hot_requests + 1);
+  const auto cold_pos = static_cast<std::size_t>(
+      std::find(completion_order.begin(), completion_order.end(), 1u) -
+      completion_order.begin());
+  // The hot tenant saturating the queue cannot starve the cold tenant: its
+  // single request rides in the FIRST batch (DRR round-robin grants it a
+  // turn after the hot tenant's quantum), not behind the whole backlog.
+  EXPECT_LT(cold_pos, 8u) << "cold tenant starved under DRR";
 }
 
 TEST(SchedulerProperty, RetrievalBitIdenticalUnderAnySchedulingContract) {
   SchedFixture f;
   const std::size_t n_users = 4;
   const std::size_t n_queries = 6;
-  for (const SchedPolicy policy : {SchedPolicy::Drr, SchedPolicy::Fifo}) {
-    serve::ServingConfig scfg = f.serving_config(2, 2);
-    scfg.max_batch = 4;
-    scfg.min_batch = 2;
-    scfg.batch_window_ms = 1.0;
-    scfg.scheduler.policy = policy;
-    serve::ServingEngine engine(f.model, f.task, scfg);
-    std::vector<std::vector<data::Sample>> queries;
-    f.deploy_users(engine, n_users, n_queries, &queries);
-    engine.start();
+  serve::ServingConfig scfg = f.serving_config(2, 2);
+  scfg.max_batch = 4;
+  scfg.min_batch = 2;
+  scfg.batch_window_ms = 1.0;
+  serve::ServingEngine engine(f.model, f.task, scfg);
+  std::vector<std::vector<data::Sample>> queries;
+  f.deploy_users(engine, n_users, n_queries, &queries);
+  engine.start();
 
-    // Random scheduling contracts: deadlines loose enough to usually be
-    // met, priorities across the range. Expired requests are legal
-    // outcomes; completed ones must match the serial reference bit-for-bit.
-    Rng rng(4242 + static_cast<std::uint64_t>(policy));
-    struct Sub {
-      std::size_t user;
-      std::size_t query;
-      serve::RequestHandle handle;
-    };
-    std::vector<Sub> subs;
-    for (std::size_t u = 0; u < n_users; ++u)
-      for (std::size_t q = 0; q < n_queries; ++q) {
-        serve::SubmitOptions opts;
-        if (rng.uniform_index(3) == 0) opts.deadline_ms = 50.0 + 50.0 * rng.uniform();
-        opts.priority = static_cast<int>(rng.uniform_index(5)) - 2;
-        subs.push_back({u, q, engine.submit(serve::Request{u, queries[u][q]}, std::move(opts))});
-      }
-    std::size_t completed = 0;
-    for (Sub& sub : subs) {
-      try {
-        const serve::Response r = sub.handle.get();
-        EXPECT_EQ(r.ovt_index, engine.retrieve_serial(sub.user, queries[sub.user][sub.query]))
-            << "user " << sub.user << " query " << sub.query;
-        ++completed;
-      } catch (const serve::DeadlineExceeded&) {
-        // Legal under load; the point is that scheduling never changes
-        // arithmetic for anything that completes.
-      }
+  // Random scheduling contracts: deadlines loose enough to usually be met,
+  // priorities across the range. Expired requests are legal outcomes;
+  // completed ones must match the serial reference bit-for-bit.
+  Rng rng(4243);
+  struct Sub {
+    std::size_t user;
+    std::size_t query;
+    serve::RequestHandle handle;
+  };
+  std::vector<Sub> subs;
+  for (std::size_t u = 0; u < n_users; ++u)
+    for (std::size_t q = 0; q < n_queries; ++q) {
+      serve::SubmitOptions opts;
+      if (rng.uniform_index(3) == 0) opts.deadline_ms = 50.0 + 50.0 * rng.uniform();
+      opts.priority = static_cast<int>(rng.uniform_index(5)) - 2;
+      subs.push_back({u, q, engine.submit(serve::Request{u, queries[u][q]}, std::move(opts))});
     }
-    engine.stop();
-    EXPECT_GT(completed, 0u);
+  std::size_t completed = 0;
+  for (Sub& sub : subs) {
+    try {
+      const serve::Response r = sub.handle.get();
+      EXPECT_EQ(r.ovt_index, engine.retrieve_serial(sub.user, queries[sub.user][sub.query]))
+          << "user " << sub.user << " query " << sub.query;
+      ++completed;
+    } catch (const serve::DeadlineExceeded&) {
+      // Legal under load; the point is that scheduling never changes
+      // arithmetic for anything that completes.
+    }
   }
+  engine.stop();
+  EXPECT_GT(completed, 0u);
 }
 
 TEST(SchedulerApi, AdmitHandleSubsumesTheAdmissionTrio) {
@@ -578,6 +549,33 @@ TEST(SchedulerApi, AdmitHandleSubsumesTheAdmissionTrio) {
   const serve::Response r = engine.submit(serve::Request{2, q}).get();
   EXPECT_EQ(r.ovt_index, engine.retrieve_serial(2, q));
   EXPECT_FALSE(serve::AdmissionHandle{}.valid());  // default = rejected shape
+  engine.stop();
+}
+
+TEST(SchedulerApi, RateLimitRejectsNanNegativeAndInfiniteAndKeepsServing) {
+  const std::vector<double> bad = {std::nan(""), -5.0, std::numeric_limits<double>::infinity()};
+
+  // Scheduler: a rejected rate leaves the previous limit in force (100 rps,
+  // burst = quantum 4), so the same instant still dequeues only the burst.
+  SchedulerConfig cfg;
+  cfg.quantum = 4;
+  RequestScheduler s{cfg};
+  const Clock::time_point t0 = Clock::now();
+  for (int i = 0; i < 8; ++i) s.push(make_req(0, t0), t0);
+  s.set_rate_limit(0, 100.0);
+  for (const double rps : bad) EXPECT_THROW(s.set_rate_limit(0, rps), Error) << rps;
+  EXPECT_EQ(s.pop_batch(8, t0).size(), 4u);
+  EXPECT_TRUE(s.pop_batch(8, t0).empty());
+
+  // Engine: the check is inherited, and the engine keeps serving.
+  SchedFixture f;
+  serve::ServingEngine engine(f.model, f.task, f.serving_config(1, 1));
+  std::vector<std::vector<data::Sample>> queries;
+  f.deploy_users(engine, 1, 1, &queries);
+  engine.start();
+  for (const double rps : bad) EXPECT_THROW(engine.set_rate_limit(0, rps), Error) << rps;
+  const data::Sample& q = queries[0][0];
+  EXPECT_EQ(engine.submit(serve::Request{0, q}).get().ovt_index, engine.retrieve_serial(0, q));
   engine.stop();
 }
 

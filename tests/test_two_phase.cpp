@@ -116,30 +116,6 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   EXPECT_EQ(masked.counters().subarray_activations, full.counters().subarray_activations);
 }
 
-TEST(MaskedKernel, FastAccumulateHonoursMaskToo) {
-  cim::CrossbarConfig cfg;
-  cfg.rows = 48;
-  cfg.cols = 24;
-  cfg.fast_accumulate = true;
-  cim::Crossbar xb(cfg);
-  Rng wr(221), pr(222);
-  xb.program(random_ints(cfg.rows, cfg.cols, -2000, 2000, wr), {nvm::fefet3(), 0.1}, pr);
-  Rng qr(223), mr(224);
-  const Matrix x = Matrix::randn(5, cfg.rows, qr);
-  const cim::CandidateSet cand = random_mask(5, cfg.cols, 0.25, mr);
-  const Matrix y_full = xb.matvec_batch(x);
-  Matrix y_masked;
-  xb.matvec_batch_into(x, y_masked, &cand, 0);
-  for (std::size_t b = 0; b < 5; ++b)
-    for (std::size_t c = 0; c < cfg.cols; ++c) {
-      if (cand.test(b, c))
-        EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "(" << b << "," << c << ")";
-      else
-        EXPECT_TRUE(y_masked(b, c) == y_full(b, c) || y_masked(b, c) == 0.0f)
-            << "(" << b << "," << c << ")";
-    }
-}
-
 TEST(MaskedAccelerator, TiledQueryBatchMatchesFullOnCandidates) {
   cim::CrossbarConfig cfg;
   cfg.rows = 64;
@@ -376,9 +352,9 @@ TEST(TwoPhase, ParallelShardFanoutWithMasksDeterministic) {
   const std::size_t n_users = 12;
   const auto reqs = f.requests(64, n_users, 341);
 
-  serve::ServingConfig serial_cfg = f.config(true, 2, 4, 4, 16);
-  serial_cfg.parallel_retrieval = false;
-  serve::ServingConfig parallel_cfg = f.config(true, 2, 4, 4, 16);
+  // One worker runs the shard fan-out as the serial shard loop.
+  const serve::ServingConfig serial_cfg = f.config(true, 2, 4, 1, 16);
+  const serve::ServingConfig parallel_cfg = f.config(true, 2, 4, 4, 16);
 
   const std::vector<std::size_t> serial = f.run(serial_cfg, reqs, n_users);
   serve::StatsSnapshot s;

@@ -57,8 +57,7 @@ Policy (chosen so the gate is meaningful across runner generations):
     is gated against an absolute ceiling (``--fairness-ceiling``): the
     scheduler's fairness guarantee is that a hot tenant cannot push a cold
     tenant's tail past 2x its uncontended tail. Same-run ratio, active
-    under ``--ratios-only``. The FIFO baseline ratio is recorded alongside
-    for contrast but not gated — FIFO is the A/B control, not the product.
+    under ``--ratios-only``.
   * ``deadline_miss_frac`` (the SLO scenario's expired + late fraction of
     deadline-carrying requests under DRR, with deadlines sized to be
     comfortably meetable) is gated against an absolute ceiling
