@@ -21,7 +21,7 @@ class Accelerator {
   /// restore with different contents.
   void store(const Matrix& keys, Rng& rng);
 
-  /// Mutable (lifecycle) storage: allocate `capacity_cols` blank key columns
+  /// Mutable storage (serving shards): allocate `capacity_cols` blank key columns
   /// (rounded up to whole subarrays) for keys of length `key_len`. Columns
   /// are then programmed individually with program_keys(): each key gets its
   /// OWN symmetric quantization scale and a noise stream derived from `base`

@@ -46,8 +46,9 @@ class CimRetriever {
   /// first). Reprogramming with a new set replaces the old one.
   void store(const std::vector<Matrix>& keys, Rng& rng);
 
-  /// Mutable (lifecycle) storage: create empty per-scale banks sized for
-  /// `capacity` keys of `key_size` flattened elements. Keys are then
+  /// Mutable storage (the layout of every ShardedOvtStore shard): create
+  /// empty per-scale banks sized for `capacity` keys of `key_size` flattened
+  /// elements. Keys are then
   /// programmed column-by-column with program_keys() — each key carries its
   /// own quantization scale and a position-derived noise stream, so
   /// programming the same keys at the same columns is bit-identical whether

@@ -33,7 +33,8 @@ namespace nvcim::serve {
 /// tenants off columns that stay deviant after reprogramming (stuck cells)
 /// and quarantines subarrays that accumulate too many stuck columns — see
 /// ShardedOvtStore::scrub_and_repair. Requires LifecycleConfig::enabled
-/// (repair needs the mutable store).
+/// (tenants on stuck columns migrate, and migration is a lifecycle
+/// operation).
 struct ScrubberConfig {
   bool enabled = false;
   /// Ticker period between scrub rounds; must be positive and pass
@@ -94,9 +95,10 @@ struct ServingConfig {
   /// still skipped; smaller nprobe trades recall for pruned crossbar work
   /// (see EngineStats::pruned_fraction / sampled_recall_at1).
   TwoPhaseConfig two_phase;
-  /// Online tenant lifecycle: admit()/evict_user()/rebalance() while
-  /// serving, over an epoch-versioned mutable store. Off by default — the
-  /// build-once PR 4 store.
+  /// Online tenant lifecycle: admit()/evict_user()/rebalance() and the
+  /// scrubber while serving, with capacity headroom provisioned at build.
+  /// Off by default: the deployments added before start() are the fixed
+  /// tenant set, on the same per-column store layout without headroom.
   LifecycleConfig lifecycle;
   /// Background fault scrubbing and self-repair while serving. Off by
   /// default; requires `lifecycle.enabled`.
@@ -113,7 +115,9 @@ struct ServingConfig {
   /// SLO objectives behind health() / the /healthz verdict.
   SloConfig slo;
   /// Rolling-window geometry for the `nvcim_*_1m` families and
-  /// StatsSnapshot::last_minute (retention must cover slo.burn windows).
+  /// StatsSnapshot::last_minute. bucket_ms must pass checked_ms() and be
+  /// positive, buckets must be positive, and retention_ms must cover both
+  /// window_ms() and slo.burn.slow_window_ms.
   obs::WindowConfig window;
   retrieval::Algorithm algorithm = retrieval::Algorithm::SSA;
   retrieval::ScaledSearchConfig ssa;

@@ -81,34 +81,41 @@ struct OvtStoreConfig {
   cim::CrossbarConfig crossbar;
   nvm::VariationModel variation;
   TwoPhaseConfig two_phase;
-  /// Online tenant lifecycle: mutable post-build store (admit/evict/
-  /// rebalance while serving) behind an epoch-versioned directory.
+  /// Online tenant lifecycle: admit/evict/migrate/rebalance and fault
+  /// repair after build(), plus build-time capacity headroom for admits.
+  /// Off: the store is fixed after build(), with no headroom columns.
   LifecycleConfig lifecycle;
 };
 
 /// Multi-tenant OVT key store: packs many users' encoded prompt keys into a
 /// small number of shared crossbar shards. Each shard is one CimRetriever
-/// (per-scale accelerator banks) holding the concatenated keys of its users;
-/// a user owns a contiguous key range [begin, end) within its shard, and
-/// retrieval for a user argmaxes only inside that range. Users are assigned
-/// to the least-loaded shard at registration, so shards stay balanced
-/// without a separate placement pass.
+/// (per-scale accelerator banks) whose key columns a SlotAllocator hands
+/// out; a user owns a contiguous key range [begin, end) within its shard,
+/// and retrieval for a user argmaxes only inside that range. Users are
+/// assigned to the least-loaded shard at registration, so shards stay
+/// balanced without a separate placement pass.
+///
+/// Every key column carries its own quantization scale and a noise stream
+/// derived from its (subarray, column) position, so a column's cells depend
+/// only on its key and its place — never on which other columns were
+/// programmed, in what order or in which call. build() therefore equals any
+/// sequence of admissions that reaches the same placement, bit for bit.
 ///
 /// With TwoPhaseConfig::enabled, build() additionally clusters every user's
 /// keys (k-means, k per Eq. 2) and quantizes a centroid sketch plane;
 /// route_candidates() then ranks centroids per query through the sketch
 /// and emits candidate bitmaps the masked scoring path consumes.
 ///
-/// With LifecycleConfig::enabled, the store stays mutable after build():
+/// With LifecycleConfig::enabled, build() provisions ⌈1.5 × tail⌉ columns
+/// per shard and the store stays mutable after it:
 ///   - user → slot/router state lives in an epoch-versioned TenantDirectory
 ///     (immutable snapshots, copy-on-write publishes); in-flight batches
 ///     pin() one snapshot and serve every stage against it;
 ///   - admit_user() allocates a slot (least-loaded shard, block-aligned when
 ///     routing benefits), programs the new key columns into the shard's
-///     crossbars — per-key quantization scales and per-(subarray, column)
-///     noise streams make the result bit-identical to a from-scratch build
-///     containing the user, without touching any other column — builds the
-///     user's candidate router, and publishes a new epoch;
+///     crossbars (bit-identical to a from-scratch build containing the
+///     user, without touching any other column), builds the user's
+///     candidate router, and publishes a new epoch;
 ///   - evict_user() unpublishes the slot; the columns are reprogrammed only
 ///     after every reader pinned to an older epoch drains (epoch-based slot
 ///     reclamation in SlotAllocator);
@@ -236,14 +243,13 @@ class ShardedOvtStore {
   /// incremental: membership changes never re-cluster other tenants.
   std::size_t router_refreshes() const;
 
-  // ---- Shared query-path API (legacy + lifecycle) ----
+  // ---- Query-path API ----
 
   std::size_t n_shards() const { return shards_.size(); }
   std::size_t n_users() const;
   std::size_t n_keys() const;
-  /// Score-row width of one shard: the packed key count after a legacy
-  /// build(), the crossbar capacity (occupied + free columns) of a
-  /// lifecycle store. 0 for an empty shard. Valid after build().
+  /// Score-row width of one shard: its crossbar capacity (occupied + free
+  /// columns, whole subarrays). 0 for an empty shard. Valid after build().
   std::size_t shard_keys(std::size_t shard) const;
   bool has_user(std::size_t user_id) const;
   /// Current placement of a user (by value: a concurrent lifecycle publish
@@ -374,16 +380,14 @@ class ShardedOvtStore {
 
  private:
   struct Shard {
-    std::vector<Matrix> keys;  ///< legacy build staging, cleared by build()
     std::unique_ptr<retrieval::CimRetriever> retriever;
-    SlotAllocator allocator;       ///< lifecycle mode; guarded by lifecycle_mu_
-    std::atomic<std::size_t> capacity{0};  ///< score-row width (lifecycle)
+    SlotAllocator allocator;               ///< guarded by lifecycle_mu_
+    std::atomic<std::size_t> capacity{0};  ///< score-row width
     std::mutex mu;
   };
 
   std::shared_ptr<const UserRouter> build_router(std::size_t user_id,
-                                                 const std::vector<Matrix>& keys,
-                                                 std::size_t begin, std::size_t n) const;
+                                                 const std::vector<Matrix>& keys) const;
 
   using RouterList = std::vector<std::pair<std::size_t, std::shared_ptr<const UserRouter>>>;
   /// Build shard `s` — its retriever and, when routed, the routers of
@@ -392,9 +396,9 @@ class ShardedOvtStore {
   void build_shard(std::size_t s, const TenantSnapshot& snap,
                    const std::vector<std::size_t>& users, RouterList& routers);
 
-  /// Least-loaded target shard for `n_keys` new keys (lifecycle placement).
+  /// Least-loaded target shard for a new user's keys.
   std::size_t choose_shard_locked() const;
-  /// Slot alignment for lifecycle placement: the fused kernel's
+  /// Slot alignment for placement: the fused kernel's
   /// accumulator-block width when two-phase pruning benefits, else 1.
   std::size_t slot_align() const;
   /// Program one user's keys into shard columns [begin, begin + n), growing
@@ -411,11 +415,11 @@ class ShardedOvtStore {
   TenantDirectory directory_;
   mutable EpochTracker epochs_;
   mutable std::mutex lifecycle_mu_;  ///< serializes admit/evict/migrate + allocators
-  /// Lifecycle mode retains each user's (flattened-shape) keys for
-  /// migrations and router refreshes; guarded by lifecycle_mu_ post-build.
+  /// Each user's (flattened-shape) keys, retained for build(), migrations
+  /// and column repair; guarded by lifecycle_mu_ post-build.
   std::unordered_map<std::size_t, std::vector<Matrix>> user_keys_;
   std::vector<std::size_t> registration_order_;  ///< pre-build users, in order
-  std::vector<Rng> shard_base_rng_;              ///< per-shard noise bases (lifecycle)
+  std::vector<Rng> shard_base_rng_;              ///< per-shard noise bases
   std::size_t key_size_ = 0;
   std::size_t router_refreshes_ = 0;  ///< guarded by lifecycle_mu_
   bool built_ = false;

@@ -110,6 +110,21 @@ ServingEngine::ServingEngine(llm::TinyLM& model, const data::LampTask& task, Ser
   NVCIM_CHECK_MSG(cfg_.max_batch > 0, "max_batch must be positive");
   NVCIM_CHECK_MSG(cfg_.queue_capacity > 0, "queue_capacity must be positive");
   checked_ms(cfg_.batch_window_ms, "batch_window_ms");
+  // A zero bucket pushes a ring snapshot on every read, growing the rings for
+  // the whole retention; a NaN one never advances them; zero buckets make a
+  // zero-width window; and retention shorter than a window silently
+  // shortens that window.
+  NVCIM_CHECK_MSG(checked_ms(cfg_.window.bucket_ms, "window bucket_ms") >
+                      QueuedRequest::Clock::duration::zero(),
+                  "window bucket_ms must be positive");
+  NVCIM_CHECK_MSG(cfg_.window.buckets > 0, "window buckets must be positive");
+  NVCIM_CHECK_MSG(cfg_.window.retention_ms >=
+                      std::max(cfg_.window.window_ms(), cfg_.slo.burn.slow_window_ms),
+                  "window retention_ms " << cfg_.window.retention_ms
+                                         << " must cover the window ("
+                                         << cfg_.window.window_ms()
+                                         << " ms) and the slow burn window ("
+                                         << cfg_.slo.burn.slow_window_ms << " ms)");
   // A zero period would busy-spin the ticker: its wait returns at once and
   // every tick skips the round still in flight.
   if (cfg_.scrubber.enabled)
@@ -501,7 +516,8 @@ void ServingEngine::start() {
     workers_.emplace_back([this] { worker_loop(); });
   if (cfg_.scrubber.enabled) {
     NVCIM_CHECK_MSG(cfg_.lifecycle.enabled,
-                    "scrubber requires the tenant lifecycle (repair needs the mutable store)");
+                    "scrubber requires the tenant lifecycle (it migrates tenants off stuck "
+                    "columns)");
     {
       std::lock_guard<std::mutex> lock(scrub_mu_);
       scrub_stop_ = false;

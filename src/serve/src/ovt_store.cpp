@@ -130,38 +130,28 @@ void ShardedOvtStore::add_user(std::size_t user_id, const std::vector<Matrix>& k
   for (const Matrix& k : keys)
     NVCIM_CHECK_MSG(k.size() == key_size_, "keys must share a common size");
 
+  // Same placement path live admits use, so a from-scratch build and an
+  // incremental one walk identical allocator histories.
   UserSlot slot;
-  if (cfg_.lifecycle.enabled) {
-    // Same placement path live admits use, so a from-scratch build and an
-    // incremental one walk identical allocator histories.
+  {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     slot.shard = choose_shard_locked();
     slot.begin = shards_[slot.shard]->allocator.allocate(keys.size(), 0, slot_align());
     slot.end = slot.begin + keys.size();
     user_keys_[user_id] = keys;
-  } else {
-    // Least-loaded placement keeps shard key counts balanced.
-    std::size_t target = 0;
-    for (std::size_t s = 1; s < shards_.size(); ++s)
-      if (shards_[s]->keys.size() < shards_[target]->keys.size()) target = s;
-    Shard& shard = *shards_[target];
-    slot.shard = target;
-    slot.begin = shard.keys.size();
-    for (const Matrix& k : keys) shard.keys.push_back(k);
-    slot.end = shard.keys.size();
   }
   registration_order_.push_back(user_id);
   directory_.update([&](TenantSnapshot& t) { t.slots[user_id] = slot; });
 }
 
 std::shared_ptr<const UserRouter> ShardedOvtStore::build_router(
-    std::size_t user_id, const std::vector<Matrix>& keys, std::size_t begin,
-    std::size_t n) const {
-  const std::size_t key_size = keys[begin].size();
+    std::size_t user_id, const std::vector<Matrix>& keys) const {
+  const std::size_t n = keys.size();
+  const std::size_t key_size = keys[0].size();
 
   std::vector<Matrix> points;
   points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) points.push_back(keys[begin + i].flattened());
+  for (const Matrix& k : keys) points.push_back(k.flattened());
 
   const std::size_t k = std::min(cluster::select_k(n, cfg_.two_phase.k_select), n);
   cluster::KMeansConfig kmcfg = cfg_.two_phase.kmeans;
@@ -256,10 +246,9 @@ void ShardedOvtStore::build(Rng& rng) {
     t.routers.clear();
     for (auto& shard_routers : routers)
       for (auto& [user, router] : shard_routers) t.routers[user] = std::move(router);
-    t.shard_capacity.assign(shards_.size(), 0);
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      if (shards_[s]->retriever != nullptr)
-        t.shard_capacity[s] = shards_[s]->retriever->n_keys();
+    t.shard_capacity.clear();
+    for (const auto& shard : shards_)
+      t.shard_capacity.push_back(shard->capacity.load(std::memory_order_acquire));
   });
   built_ = true;
 }
@@ -267,44 +256,37 @@ void ShardedOvtStore::build(Rng& rng) {
 void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
                                   const std::vector<std::size_t>& users, RouterList& routers) {
   Shard& shard = *shards_[s];
-  if (cfg_.lifecycle.enabled) {
-    const std::size_t tail = shard.allocator.tail();
-    if (tail == 0) return;  // more shards than users (so far)
-    const std::size_t capacity = std::max(
-        tail, static_cast<std::size_t>(
-                  std::ceil(static_cast<double>(tail) * kCapacityFactor)));
-    shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
-    shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
-    shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
-    // Program per user, in registration order — though per-key scales and
-    // per-column noise streams make the result order-independent anyway.
-    // The capacity covers the allocator tail, so every slot fits.
-    for (const std::size_t user : users)
-      shard.retriever->program_keys(snap.slot(user).begin, user_keys_.at(user));
-    if (routed_) {
-      for (const std::size_t user : users) {
-        const std::vector<Matrix>& keys = user_keys_.at(user);
-        routers.emplace_back(user, build_router(user, keys, 0, keys.size()));
-      }
-    }
-    return;
-  }
-  if (shard.keys.empty()) return;  // more shards than users
-  // Phase-1 routers are built from the clean keys before the crossbars
-  // consume (and the shard drops) them. Key order inside the shard is
-  // untouched — programming draws the same noise stream as the exact path,
-  // so nprobe = all reproduces it bit-identically.
-  if (routed_) {
-    for (const std::size_t user : users) {
-      const UserSlot& slot = snap.slot(user);
-      routers.emplace_back(user, build_router(user, shard.keys, slot.begin, slot.n_keys()));
-    }
-  }
+  const std::size_t tail = shard.allocator.tail();
+  if (tail == 0) return;  // more shards than users (so far)
+  // Only a lifecycle store admits after build, so only it gets headroom.
+  const std::size_t capacity =
+      cfg_.lifecycle.enabled
+          ? std::max(tail, static_cast<std::size_t>(
+                               std::ceil(static_cast<double>(tail) * kCapacityFactor)))
+          : tail;
   shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
-  Rng shard_rng = shard_base_rng_[s];
-  shard.retriever->store(shard.keys, shard_rng);
-  shard.keys.clear();
-  shard.keys.shrink_to_fit();
+  shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
+  shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
+  // One program_keys call per run of adjacent slots: per-key scales and
+  // per-column noise streams make the cells independent of how columns are
+  // grouped, and a wide call pays the per-subarray programming setup once.
+  // The capacity covers the allocator tail, so every slot fits.
+  std::vector<Matrix> run;
+  std::size_t run_begin = 0;
+  for (const std::size_t user : users) {
+    const UserSlot& slot = snap.slot(user);
+    if (!run.empty() && slot.begin != run_begin + run.size()) {
+      shard.retriever->program_keys(run_begin, run);
+      run.clear();
+    }
+    if (run.empty()) run_begin = slot.begin;
+    const std::vector<Matrix>& keys = user_keys_.at(user);
+    run.insert(run.end(), keys.begin(), keys.end());
+  }
+  shard.retriever->program_keys(run_begin, run);
+  if (routed_)
+    for (const std::size_t user : users)
+      routers.emplace_back(user, build_router(user, user_keys_.at(user)));
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +331,7 @@ ShardedOvtStore::StagedAdmission ShardedOvtStore::stage_admit(std::size_t user_i
 
   std::shared_ptr<const UserRouter> router;
   if (routed_) {
-    router = build_router(user_id, keys, 0, keys.size());
+    router = build_router(user_id, keys);
     ++router_refreshes_;
   }
   user_keys_[user_id] = keys;
@@ -537,10 +519,7 @@ ShardedOvtStore::UserSlot ShardedOvtStore::slot(std::size_t user_id) const {
 std::size_t ShardedOvtStore::shard_keys(std::size_t shard) const {
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
-  if (cfg_.lifecycle.enabled)
-    return shards_[shard]->capacity.load(std::memory_order_acquire);
-  const Shard& s = *shards_[shard];
-  return s.retriever != nullptr ? s.retriever->n_keys() : 0;
+  return shards_[shard]->capacity.load(std::memory_order_acquire);
 }
 
 std::size_t ShardedOvtStore::router_k(std::size_t user_id) const {
@@ -769,7 +748,7 @@ ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub) 
   // s.mu in the lock order, and a column retiring between snapshot and
   // probe is benign (flagged once more, skipped next pass).
   std::vector<bool> retired(cols, false);
-  if (cfg_.lifecycle.enabled) {
+  {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     for (std::size_t c = begin; c < end; ++c)
       retired[c - begin] = s.allocator.is_quarantined(c, c + 1);

@@ -407,6 +407,7 @@ TEST(Introspection, MetricsScrapeByteIdenticalToInProcessExposition) {
   IntrospectionFixture f;
   serve::ServingConfig cfg = f.config(2, 2, 4);
   cfg.window.bucket_ms = 1e12;  // freeze derived gauges: no boundary crossings
+  cfg.window.retention_ms = cfg.window.window_ms();  // retention must cover the window
   serve::ServingEngine engine(f.model, f.task, cfg);
   for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
   engine.start();

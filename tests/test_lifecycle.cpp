@@ -8,6 +8,8 @@
 //  - a user admitted after build() retrieves identically to a from-scratch
 //    build containing that user; untouched users stay bit-identical across
 //    admit/evict/migrate (nprobe = all included)
+//  - a lifecycle-off build places and programs exactly as a lifecycle-on
+//    one and differs only in having no capacity headroom
 //  - evicted slots are reused by later admits — unless a pinned epoch still
 //    covers them, in which case reuse is deferred until the pin drops
 //  - two-phase recall stays >= 0.95 for users admitted via router refresh
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -244,6 +247,61 @@ TEST(LifecycleStore, AdmitAfterBuildMatchesFromScratchBuild) {
         ASSERT_EQ(yi(q, c), ys(q, c)) << "user " << u << " column " << c;
     for (const Matrix& k : keys[u])
       ASSERT_EQ(inc.retrieve_user(u, k), scratch.retrieve_user(u, k)) << "user " << u;
+  }
+}
+
+TEST(LifecycleStore, LifecycleOffBuildMatchesLifecycleOnOnOccupiedColumns) {
+  // Lifecycle changes the build-time headroom only: the same users under the
+  // same seed land in the same slots and program the same cells either way.
+  Rng kr(305);
+  std::vector<std::vector<Matrix>> keys;
+  for (std::size_t u = 0; u < 7; ++u) keys.push_back(random_keys(3 + u % 5, 4, 8, kr));
+
+  for (const bool two_phase : {false, true}) {
+    SCOPED_TRACE(two_phase ? "two-phase (block-aligned slots)" : "exact (packed slots)");
+    serve::OvtStoreConfig off_cfg = lifecycle_store_config(2, two_phase);
+    off_cfg.lifecycle.enabled = false;
+    serve::ShardedOvtStore off(off_cfg);
+    serve::ShardedOvtStore on(lifecycle_store_config(2, two_phase));
+    for (std::size_t u = 0; u < keys.size(); ++u) {
+      off.add_user(u, keys[u]);
+      on.add_user(u, keys[u]);
+    }
+    Rng r1(17), r2(17);
+    off.build(r1);
+    on.build(r2);
+
+    Rng qr(306);
+    const Matrix queries = Matrix::randn(4, 32, qr);
+    for (std::size_t s = 0; s < 2; ++s) {
+      std::size_t placed = 0, tail = 0;
+      std::vector<bool> occupied(off.shard_keys(s), false);
+      for (std::size_t u = 0; u < keys.size(); ++u) {
+        const auto slot = off.slot(u);
+        const auto slot_on = on.slot(u);
+        ASSERT_EQ(slot.shard, slot_on.shard) << "user " << u;
+        ASSERT_EQ(slot.begin, slot_on.begin) << "user " << u;
+        ASSERT_EQ(slot.end, slot_on.end) << "user " << u;
+        if (slot.shard != s) continue;
+        placed += slot.n_keys();
+        tail = std::max(tail, slot.end);
+        ASSERT_LE(slot.end, occupied.size()) << "user " << u;
+        for (std::size_t c = slot.begin; c < slot.end; ++c) occupied[c] = true;
+      }
+      ASSERT_GT(placed, 0u) << "shard " << s;
+      EXPECT_EQ(off.shard_occupied(s), placed) << "shard " << s;
+      EXPECT_GT(off.shard_subarrays(s), 0u) << "shard " << s;
+      // No headroom: the tail rounded up to whole 16-column subarrays.
+      EXPECT_EQ(off.shard_keys(s), (tail + 15) / 16 * 16) << "shard " << s;
+
+      const Matrix y_off = off.shard_scores(s, queries);
+      const Matrix y_on = on.shard_scores(s, queries);
+      for (std::size_t q = 0; q < queries.rows(); ++q)
+        for (std::size_t c = 0; c < occupied.size(); ++c)
+          if (occupied[c]) {
+            ASSERT_EQ(y_off(q, c), y_on(q, c)) << "shard " << s << " column " << c;
+          }
+    }
   }
 }
 

@@ -633,6 +633,50 @@ TEST(MillisecondInputs, EngineRejectsBadBatchWindowAndScrubberInterval) {
   EXPECT_NO_THROW((serve::ServingEngine{f.model, f.task, cfg}));
 }
 
+TEST(MillisecondInputs, EngineRejectsBadWindowGeometry) {
+  SchedFixture f;
+  // The snapshot cadence must be a positive, clock-representable duration:
+  // at 0 every read pushes a snapshot, and NaN never advances the rings.
+  std::vector<double> bad_buckets = kBadMs;
+  bad_buckets.push_back(0.0);
+  for (const double ms : bad_buckets) {
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.window.bucket_ms = ms;
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error) << "bucket " << ms;
+  }
+  {
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.window.buckets = 0;  // a zero-width window
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error);
+  }
+  {
+    // Retention shorter than the window it backs: 12 × 5 s = 60 s > 30 s.
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.window.retention_ms = 30000.0;
+    cfg.slo.burn.slow_window_ms = 30000.0;
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error);
+  }
+  {
+    // Retention shorter than the slow burn window would silently shorten it.
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.slo.burn.slow_window_ms = cfg.window.retention_ms + 1.0;
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error);
+  }
+  {
+    // NaN retention covers nothing.
+    serve::ServingConfig cfg = f.serving_config(1, 1);
+    cfg.window.retention_ms = std::nan("");
+    EXPECT_THROW((serve::ServingEngine{f.model, f.task, cfg}), Error);
+  }
+  // The defaults pass, and so does retention exactly equal to both windows.
+  EXPECT_NO_THROW((serve::ServingEngine{f.model, f.task, f.serving_config(1, 1)}));
+  serve::ServingConfig cfg = f.serving_config(1, 1);
+  cfg.window = {1000.0, 30, 30000.0};
+  cfg.slo.burn.fast_window_ms = 10000.0;
+  cfg.slo.burn.slow_window_ms = 30000.0;
+  EXPECT_NO_THROW((serve::ServingEngine{f.model, f.task, cfg}));
+}
+
 TEST(MillisecondInputs, SubmitRejectsBadDeadlineAndKeepsServing) {
   SchedFixture f;
   serve::ServingEngine engine(f.model, f.task, f.serving_config(1, 1));

@@ -255,21 +255,10 @@ TEST(ShardedOvtStore, ParallelBuildMatchesStandaloneShardRetrievers) {
       for (std::size_t u = 0; u < keys.size(); ++u)
         if (store->slot(u).shard == s) users.push_back(u);
       ASSERT_FALSE(users.empty()) << "shard " << s;
-      std::sort(users.begin(), users.end(), [&](std::size_t a, std::size_t b) {
-        return store->slot(a).begin < store->slot(b).begin;
-      });
       retrieval::CimRetriever standalone(rcfg);
       const Rng stream = Rng(83).split(0x5A4D0ull + s);
-      if (lifecycle) {
-        standalone.store_mutable(len, store->shard_keys(s), stream);
-        for (const std::size_t u : users) standalone.program_keys(store->slot(u).begin, keys[u]);
-      } else {
-        std::vector<Matrix> shard_keys;
-        for (const std::size_t u : users)
-          shard_keys.insert(shard_keys.end(), keys[u].begin(), keys[u].end());
-        Rng r = stream;
-        standalone.store(shard_keys, r);
-      }
+      standalone.store_mutable(len, store->shard_keys(s), stream);
+      for (const std::size_t u : users) standalone.program_keys(store->slot(u).begin, keys[u]);
       const Matrix want = standalone.scores_batch(queries);
       const Matrix got = store->shard_scores(s, queries);
       const Matrix got_again = again->shard_scores(s, queries);
