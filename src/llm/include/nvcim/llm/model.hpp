@@ -82,9 +82,19 @@ class TinyLM {
                        const KvPrefixValues* kv_prefixes = nullptr,
                        const Matrix* embed_delta = nullptr) const;
 
+  /// A soft prompt's per-block keys and values: the prompt rows come first
+  /// and attend only to each other, so in every block their K/V depend on
+  /// the prompt alone. Built once by prompt_kv_batch(), then read by every
+  /// token forward that runs under the prompt.
+  struct PromptKv {
+    std::size_t rows = 0;      ///< prompt rows (≤ prompt_slots)
+    std::vector<Matrix> k, v;  ///< one rows × d_model matrix per block
+  };
+
   /// Reusable buffers of the tape-free forward. One per thread: the model
   /// stays const and shareable while looping callers (serving workers) stop
-  /// allocating once the buffers are warm.
+  /// allocating once the buffers are warm. Used by both the prompt K/V
+  /// build and the token forward.
   struct Scratch {
     Matrix x;       ///< residual stream: every sequence's rows, stacked
     Matrix ln;      ///< LayerNorm output
@@ -97,23 +107,48 @@ class TinyLM {
     std::vector<std::size_t> row0;  ///< sequence b owns stacked rows [row0[b], row0[b+1])
     std::vector<float> scores;      ///< one attention row
     std::vector<double> exps;
+    std::vector<PromptKv> kv;  ///< the soft-prompt overloads' per-prompt K/V
+    std::vector<const PromptKv*> kv_ptrs;
   };
 
-  /// Last-position logits of each sequence under its soft prompt, as a
-  /// B × vocab matrix held in `scratch`. Tape-free: the group's rows are
-  /// stacked so each row-wise layer runs once; causal attention runs per
-  /// sequence without a mask; the last block computes queries, attention,
-  /// FFN and the head only for each sequence's last row. Row b is
-  /// bit-identical to the last row of logits_inference(*seqs[b],
-  /// soft_prompts[b]). `soft_prompts[b]` may be nullptr for a promptless
-  /// sequence. Throws nvcim::Error on malformed input.
+  /// Per-block K/V of each soft prompt: `outs` is resized to one PromptKv
+  /// per prompt. A stacked, tape-free forward of the prompt rows at their
+  /// right-aligned positions: every block but the last runs in full; the
+  /// last runs only ln1, wk and wv. `prompts[b]` may be nullptr (a PromptKv
+  /// of 0 rows). Throws nvcim::Error on malformed input.
+  void prompt_kv_batch(const std::vector<const Matrix*>& prompts, std::vector<PromptKv>& outs,
+                       Scratch& scratch) const;
+
+  /// Last-position logits of each sequence under its prompt K/V, as a
+  /// B × vocab matrix held in `scratch`. Only token rows are stacked, so
+  /// each row-wise layer runs once over the group's tokens; causal attention
+  /// runs per sequence without a mask, over the prompt's K/V rows and then
+  /// the sequence's own; the last block computes queries, attention, FFN and
+  /// the head only for each sequence's last row. Row b is bit-identical to
+  /// the last row of logits_inference(*seqs[b], prompt) when `kvs[b]` was
+  /// built from that prompt. `kvs[b]` may be nullptr for a promptless
+  /// sequence. Throws nvcim::Error on malformed input, before any
+  /// arithmetic.
+  const Matrix& last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
+                                  const std::vector<const PromptKv*>& kvs,
+                                  Scratch& scratch) const;
+
+  /// last_logits_batch() under soft prompts: prompt_kv_batch() into
+  /// `scratch`, then the token forward. `soft_prompts[b]` may be nullptr.
   const Matrix& last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
                                   const std::vector<const Matrix*>& soft_prompts,
                                   Scratch& scratch) const;
 
   /// Batched classify() over last_logits_batch(): entry b is
-  /// classify(*seqs[b], label_ids, soft_prompts[b]), bit-for-bit. With a
-  /// warm `scratch` the forward allocates nothing.
+  /// classify(*seqs[b], label_ids, prompt) for the prompt `kvs[b]` was built
+  /// from, bit-for-bit. With a warm `scratch` the forward allocates nothing.
+  std::vector<std::size_t> classify_batch(const std::vector<const std::vector<int>*>& seqs,
+                                          const std::vector<int>& label_ids,
+                                          const std::vector<const PromptKv*>& kvs,
+                                          Scratch& scratch) const;
+
+  /// classify_batch() under soft prompts: entry b is
+  /// classify(*seqs[b], label_ids, soft_prompts[b]), bit-for-bit.
   std::vector<std::size_t> classify_batch(const std::vector<const std::vector<int>*>& seqs,
                                           const std::vector<int>& label_ids,
                                           const std::vector<const Matrix*>& soft_prompts,

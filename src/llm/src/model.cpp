@@ -157,22 +157,36 @@ std::size_t argmax_label(const float* row, const std::vector<int>& label_ids) {
   return best;
 }
 
-// Causal attention of one query row over key/value rows [kv0, kv0 + n_keys)
-// of the stacked K/V, all heads, written to out[0, d). Bit-identical to the
-// tape's masked forward: scores as Tape::matmul_nt, then scale, then the
-// mask's + 0; softmax as Tape::row_softmax; the weighted sum as matmul_into.
-// The masked keys are never visited: their exp underflows to exactly 0,
-// which adds nothing to the denominator and which matmul_into skips.
-void attend_row(const float* q, const Matrix& k, const Matrix& v, std::size_t kv0,
-                std::size_t n_keys, std::size_t n_heads, std::vector<float>& scores,
-                std::vector<double>& exps, float* out) {
-  const std::size_t d = k.cols(), dh = d / n_heads;
+// argmax_label() of every row of `z`.
+std::vector<std::size_t> argmax_labels(const Matrix& z, const std::vector<int>& label_ids) {
+  std::vector<std::size_t> out(z.rows());
+  for (std::size_t b = 0; b < out.size(); ++b)
+    out[b] = argmax_label(z.data() + b * z.cols(), label_ids);
+  return out;
+}
+
+// Causal attention of one query row over `n_pre` prompt key/value rows
+// (pk, pv) and then `n_own` of the sequence's own rows (k, v), all heads,
+// written to out[0, d); rows are d wide. Bit-identical to the tape's masked
+// forward over the concatenated [prompt; tokens] rows: keys in the same
+// order, scores as Tape::matmul_nt, then scale, then the mask's + 0;
+// softmax as Tape::row_softmax; the weighted sum as matmul_into. The masked
+// keys are never visited: their exp underflows to exactly 0, which adds
+// nothing to the denominator and which matmul_into skips.
+void attend_row(const float* q, const float* pk, const float* pv, std::size_t n_pre,
+                const float* k, const float* v, std::size_t n_own, std::size_t d,
+                std::size_t n_heads, std::vector<float>& scores, std::vector<double>& exps,
+                float* out) {
+  const std::size_t dh = d / n_heads, n_keys = n_pre + n_own;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  const auto key = [&](const float* pre, const float* own, std::size_t j) {
+    return j < n_pre ? pre + j * d : own + (j - n_pre) * d;
+  };
   std::fill(out, out + d, 0.0f);
   for (std::size_t c0 = 0; c0 < d; c0 += dh) {
     float mx = -1e30f;
     for (std::size_t j = 0; j < n_keys; ++j) {
-      const float* kr = k.data() + (kv0 + j) * d + c0;
+      const float* kr = key(pk, k, j) + c0;
       double dot = 0.0;
       for (std::size_t t = 0; t < dh; ++t) dot += static_cast<double>(q[c0 + t]) * kr[t];
       scores[j] = static_cast<float>(dot) * inv_sqrt_dh + 0.0f;
@@ -187,7 +201,7 @@ void attend_row(const float* q, const Matrix& k, const Matrix& v, std::size_t kv
     for (std::size_t j = 0; j < n_keys; ++j) {
       const float p = static_cast<float>(exps[j] / denom);
       if (p == 0.0f) continue;
-      const float* vr = v.data() + (kv0 + j) * d + c0;
+      const float* vr = key(pv, v, j) + c0;
       for (std::size_t t = 0; t < dh; ++t) o[t] += p * vr[t];
     }
   }
@@ -203,13 +217,39 @@ void gather_last_rows(const Matrix& x, const std::vector<std::size_t>& row0, Mat
   }
 }
 
-// One tape-free transformer block over s.x. With `last_only` the residual
-// stream and queries shrink to each sequence's last row; K and V still
-// cover every row.
-void block_forward(const nn::TransformerBlock& block, bool last_only, TinyLM::Scratch& s) {
+// Rows [r0, r1) of `src` into `dst`.
+void copy_rows(const Matrix& src, std::size_t r0, std::size_t r1, Matrix& dst) {
+  dst.resize(r1 - r0, src.cols());
+  std::copy(src.data() + r0 * src.cols(), src.data() + r1 * src.cols(), dst.data());
+}
+
+// Stacked embedding rows for the tape-free forward: s.x row `row` is `e`
+// plus positional row `pos`.
+void add_embedding_row(const Matrix& pos_emb, const float* e, std::size_t pos, std::size_t row,
+                       TinyLM::Scratch& s) {
+  const std::size_t d = s.x.cols();
+  const float* p = pos_emb.data() + pos * d;
+  float* dst = s.x.data() + row * d;
+  for (std::size_t c = 0; c < d; ++c) dst[c] = e[c] + p[c];
+}
+
+// ln1, wk and wv of one block over every row of s.x.
+void kv_forward(const nn::TransformerBlock& block, TinyLM::Scratch& s) {
   block.ln1.forward_into(s.x, s.ln);
   block.attn.wk.forward_into(s.ln, s.k);
   block.attn.wv.forward_into(s.ln, s.v);
+}
+
+// One tape-free transformer block (block index `layer`) over s.x. Sequence
+// b's rows attend first to the rows of its prompt K/V for this block
+// (`kvs[b]`; none when that is null or `kvs` is empty), then causally to
+// its own rows. With `last_only` the residual stream and queries shrink to
+// each sequence's last row; K and V still cover every row, and stay in s.k
+// and s.v afterwards.
+void block_forward(const nn::TransformerBlock& block, std::size_t layer,
+                   const std::vector<const TinyLM::PromptKv*>& kvs, bool last_only,
+                   TinyLM::Scratch& s) {
+  kv_forward(block, s);
   if (last_only) {
     gather_last_rows(s.ln, s.row0, s.gather);
     std::swap(s.ln, s.gather);
@@ -221,9 +261,15 @@ void block_forward(const nn::TransformerBlock& block, bool last_only, TinyLM::Sc
   s.ctx.resize(s.q.rows(), d);
   std::size_t r = 0;  // query row
   for (std::size_t b = 0; b + 1 < s.row0.size(); ++b) {
+    const TinyLM::PromptKv* kv = kvs.empty() ? nullptr : kvs[b];
+    const float* pk = kv != nullptr ? kv->k[layer].data() : nullptr;
+    const float* pv = kv != nullptr ? kv->v[layer].data() : nullptr;
+    const std::size_t n_pre = kv != nullptr ? kv->rows : 0;
+    const float* k = s.k.data() + s.row0[b] * d;
+    const float* v = s.v.data() + s.row0[b] * d;
     const std::size_t n = s.row0[b + 1] - s.row0[b];
     for (std::size_t i = last_only ? n - 1 : 0; i < n; ++i, ++r)
-      attend_row(s.q.data() + r * d, s.k, s.v, s.row0[b], i + 1, block.attn.n_heads(),
+      attend_row(s.q.data() + r * d, pk, pv, n_pre, k, v, i + 1, d, block.attn.n_heads(),
                  s.scores, s.exps, s.ctx.data() + r * d);
   }
   block.attn.wo.forward_into(s.ctx, s.proj);
@@ -245,61 +291,124 @@ std::size_t TinyLM::classify(const std::vector<int>& tokens, const std::vector<i
   return argmax_label(z.data() + (z.rows() - 1) * z.cols(), label_ids);
 }
 
+void TinyLM::prompt_kv_batch(const std::vector<const Matrix*>& prompts,
+                             std::vector<PromptKv>& outs, Scratch& s) const {
+  const std::size_t d = cfg_.d_model, L = blocks_.size();
+  s.row0.assign(1, 0);
+  std::size_t max_rows = 0;
+  for (const Matrix* p : prompts) {
+    std::size_t n = 0;
+    if (p != nullptr) {
+      NVCIM_CHECK_MSG(p->cols() == d, "soft prompt must have d_model columns");
+      n = p->rows();
+    }
+    NVCIM_CHECK_MSG(n <= cfg_.prompt_slots,
+                    "soft prompt length " << n << " exceeds prompt_slots " << cfg_.prompt_slots);
+    s.row0.push_back(s.row0.back() + n);
+    max_rows = std::max(max_rows, n);
+  }
+  s.scores.resize(max_rows);
+  s.exps.resize(max_rows);
+
+  // Prompt rows right-align into the reserved slots [0, prompt_slots), as in
+  // forward_hidden.
+  s.x.resize(s.row0.back(), d);
+  for (std::size_t b = 0; b < prompts.size(); ++b) {
+    const std::size_t n = s.row0[b + 1] - s.row0[b];
+    for (std::size_t i = 0; i < n; ++i)
+      add_embedding_row(pos_emb_.value, prompts[b]->data() + i * d, cfg_.prompt_slots - n + i,
+                        s.row0[b] + i, s);
+  }
+
+  outs.resize(prompts.size());
+  for (std::size_t b = 0; b < prompts.size(); ++b) {
+    outs[b].rows = s.row0[b + 1] - s.row0[b];
+    outs[b].k.resize(L);
+    outs[b].v.resize(L);
+  }
+  // Nothing after the last block's K/V reaches a token row, so that block
+  // stops there.
+  for (std::size_t l = 0; l < L; ++l) {
+    if (l + 1 < L)
+      block_forward(blocks_[l], l, {}, /*last_only=*/false, s);
+    else
+      kv_forward(blocks_[l], s);
+    for (std::size_t b = 0; b < prompts.size(); ++b) {
+      copy_rows(s.k, s.row0[b], s.row0[b + 1], outs[b].k[l]);
+      copy_rows(s.v, s.row0[b], s.row0[b + 1], outs[b].v[l]);
+    }
+  }
+}
+
 const Matrix& TinyLM::last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
-                                        const std::vector<const Matrix*>& soft_prompts,
+                                        const std::vector<const PromptKv*>& kvs,
                                         Scratch& s) const {
-  NVCIM_CHECK_MSG(soft_prompts.size() == seqs.size(), "one soft prompt (or null) per sequence");
+  NVCIM_CHECK_MSG(kvs.size() == seqs.size(), "one prompt K/V (or null) per sequence");
   const std::size_t d = cfg_.d_model;
   // The tape path gets some of these checks from bounds-checked element
   // access; the raw-pointer forward below needs every one made up front.
   s.row0.assign(1, 0);
-  std::size_t max_rows = 0;
+  std::size_t max_keys = 0;
   for (std::size_t b = 0; b < seqs.size(); ++b) {
     NVCIM_CHECK_MSG(seqs[b] != nullptr && !seqs[b]->empty(), "empty token sequence");
     const std::size_t n_tok = seqs[b]->size();
-    std::size_t n_soft = 0;
-    if (soft_prompts[b] != nullptr) {
-      NVCIM_CHECK_MSG(soft_prompts[b]->cols() == d, "soft prompt must have d_model columns");
-      n_soft = soft_prompts[b]->rows();
+    std::size_t n_pre = 0;
+    if (const PromptKv* kv = kvs[b]) {
+      NVCIM_CHECK_MSG(kv->k.size() == blocks_.size() && kv->v.size() == blocks_.size(),
+                      "prompt K/V has " << kv->k.size() << "/" << kv->v.size()
+                                        << " blocks, model has " << blocks_.size());
+      n_pre = kv->rows;
+      NVCIM_CHECK_MSG(n_pre <= cfg_.prompt_slots, "prompt K/V length "
+                                                      << n_pre << " exceeds prompt_slots "
+                                                      << cfg_.prompt_slots);
+      for (std::size_t l = 0; l < blocks_.size(); ++l)
+        NVCIM_CHECK_MSG(kv->k[l].rows() == n_pre && kv->k[l].cols() == d &&
+                            kv->v[l].rows() == n_pre && kv->v[l].cols() == d,
+                        "prompt K/V block " << l << " must be " << n_pre << " × d_model");
     }
-    NVCIM_CHECK_MSG(n_soft <= cfg_.prompt_slots,
-                    "soft prompt length " << n_soft << " exceeds prompt_slots "
-                                          << cfg_.prompt_slots);
     NVCIM_CHECK_MSG(cfg_.prompt_slots + n_tok <= cfg_.max_seq,
                     "sequence length exceeds max_seq " << cfg_.max_seq);
     for (const int tok : *seqs[b])
       NVCIM_CHECK_MSG(tok >= 0 && static_cast<std::size_t>(tok) < cfg_.vocab,
                       "token id " << tok << " out of vocab " << cfg_.vocab);
-    s.row0.push_back(s.row0.back() + n_soft + n_tok);
-    max_rows = std::max(max_rows, n_soft + n_tok);
+    s.row0.push_back(s.row0.back() + n_tok);
+    max_keys = std::max(max_keys, n_pre + n_tok);
   }
-  s.scores.resize(max_rows);
-  s.exps.resize(max_rows);
+  s.scores.resize(max_keys);
+  s.exps.resize(max_keys);
 
-  // Embed: soft-prompt rows, then token rows, each plus its positional row.
-  // Prompt rows right-align into [0, prompt_slots); tokens start at
-  // prompt_slots (as in forward_hidden).
+  // Embed token rows only; tokens start at prompt_slots (as in
+  // forward_hidden).
   s.x.resize(s.row0.back(), d);
-  const auto add_row = [&](const float* e, std::size_t pos, std::size_t row) {
-    const float* p = pos_emb_.value.data() + pos * d;
-    float* dst = s.x.data() + row * d;
-    for (std::size_t c = 0; c < d; ++c) dst[c] = e[c] + p[c];
-  };
-  for (std::size_t b = 0; b < seqs.size(); ++b) {
-    std::size_t row = s.row0[b];
-    const std::size_t n_soft = soft_prompts[b] != nullptr ? soft_prompts[b]->rows() : 0;
-    for (std::size_t i = 0; i < n_soft; ++i)
-      add_row(soft_prompts[b]->data() + i * d, cfg_.prompt_slots - n_soft + i, row++);
+  for (std::size_t b = 0; b < seqs.size(); ++b)
     for (std::size_t i = 0; i < seqs[b]->size(); ++i)
-      add_row(tok_emb_.value.data() + static_cast<std::size_t>((*seqs[b])[i]) * d,
-              cfg_.prompt_slots + i, row++);
-  }
+      add_embedding_row(pos_emb_.value,
+                        tok_emb_.value.data() + static_cast<std::size_t>((*seqs[b])[i]) * d,
+                        cfg_.prompt_slots + i, s.row0[b] + i, s);
 
   for (std::size_t l = 0; l < blocks_.size(); ++l)
-    block_forward(blocks_[l], /*last_only=*/l + 1 == blocks_.size(), s);
+    block_forward(blocks_[l], l, kvs, /*last_only=*/l + 1 == blocks_.size(), s);
   final_ln_.forward_into(s.x, s.ln);
   lm_head_.forward_into(s.ln, s.logits);
   return s.logits;
+}
+
+const Matrix& TinyLM::last_logits_batch(const std::vector<const std::vector<int>*>& seqs,
+                                        const std::vector<const Matrix*>& soft_prompts,
+                                        Scratch& s) const {
+  NVCIM_CHECK_MSG(soft_prompts.size() == seqs.size(), "one soft prompt (or null) per sequence");
+  prompt_kv_batch(soft_prompts, s.kv, s);
+  s.kv_ptrs.clear();
+  for (const PromptKv& kv : s.kv) s.kv_ptrs.push_back(&kv);
+  return last_logits_batch(seqs, s.kv_ptrs, s);
+}
+
+std::vector<std::size_t> TinyLM::classify_batch(const std::vector<const std::vector<int>*>& seqs,
+                                                const std::vector<int>& label_ids,
+                                                const std::vector<const PromptKv*>& kvs,
+                                                Scratch& scratch) const {
+  check_label_ids(label_ids, cfg_.vocab);
+  return argmax_labels(last_logits_batch(seqs, kvs, scratch), label_ids);
 }
 
 std::vector<std::size_t> TinyLM::classify_batch(
@@ -307,11 +416,8 @@ std::vector<std::size_t> TinyLM::classify_batch(
     const std::vector<const Matrix*>& soft_prompts, Scratch* scratch) const {
   check_label_ids(label_ids, cfg_.vocab);
   Scratch local;
-  const Matrix& z = last_logits_batch(seqs, soft_prompts, scratch != nullptr ? *scratch : local);
-  std::vector<std::size_t> out(seqs.size());
-  for (std::size_t b = 0; b < out.size(); ++b)
-    out[b] = argmax_label(z.data() + b * z.cols(), label_ids);
-  return out;
+  return argmax_labels(
+      last_logits_batch(seqs, soft_prompts, scratch != nullptr ? *scratch : local), label_ids);
 }
 
 std::vector<int> TinyLM::generate(const std::vector<int>& prompt, std::size_t max_new_tokens,

@@ -391,13 +391,22 @@ class ServingEngine {
   /// executing thread's own WorkerState.
   using AuxTask = std::function<void(WorkerState&)>;
 
+  /// One decoded-prompt cache entry: the soft prompt and, when the engine
+  /// classifies, its per-block K/V, so a cache hit runs the classify
+  /// forward over token rows only. Built completely by the decode that
+  /// fills it, then shared const.
+  struct DecodedPrompt {
+    Matrix prompt;
+    llm::TinyLM::PromptKv kv;
+  };
+
   /// One in-flight decode for single-flight misses: the first worker to miss
   /// on a key decodes; later missers wait on `cv` and share the result.
   struct InFlightDecode {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    std::shared_ptr<const Matrix> value;
+    std::shared_ptr<const DecodedPrompt> value;
     std::exception_ptr error;
   };
 
@@ -429,8 +438,11 @@ class ServingEngine {
   /// times still unset.
   std::vector<SlowRequest> finish_stage(Batch& b, WorkerState& ws);
   /// Single-flight decoded-prompt fetch through the LRU cache: concurrent
-  /// misses on one key share a single decode.
+  /// misses on one key share a single decode, and equal keys get the same
+  /// entry. A decode also builds the entry's prompt K/V when classifies().
   void fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& ws);
+  /// The engine labels requests: run_inference on a classification task.
+  bool classifies() const;
   /// Settle one request's future, then fire its on_complete (exactly once,
   /// in that order; callback exceptions are swallowed). The single funnel
   /// for every completion path: served, failed, expired, cancelled, stopped.
@@ -482,7 +494,8 @@ class ServingEngine {
   std::size_t rep_size_ = 0;  ///< flattened query-representation width
 
   mutable std::mutex cache_mu_;
-  LruCache<std::pair<std::size_t, std::size_t>, std::shared_ptr<const Matrix>, UserKeyHash>
+  LruCache<std::pair<std::size_t, std::size_t>, std::shared_ptr<const DecodedPrompt>,
+           UserKeyHash>
       cache_;
   std::unordered_map<std::pair<std::size_t, std::size_t>, std::shared_ptr<InFlightDecode>,
                      UserKeyHash>

@@ -769,7 +769,7 @@ void ServingEngine::expire_requests(std::vector<QueuedRequest>&& expired) {
 struct ServingEngine::PromptFetch {
   const DepRef* ref = nullptr;
   std::size_t ovt_index = 0;
-  std::shared_ptr<const Matrix> value;
+  std::shared_ptr<const DecodedPrompt> value;
   bool hit = false;  ///< served from the cache or another fetch's decode
   std::exception_ptr error;
 };
@@ -1035,23 +1035,24 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
   const std::size_t B = b.size();
   // Optional classification: deduplicated up front, the unique sequences
   // run as one group through TinyLM::classify_batch, a tape-free stacked
-  // forward over the worker's reusable scratch. Serving never builds a tape.
-  const bool classify =
-      cfg_.run_inference && task_->config().kind == data::TaskKind::Classification;
+  // forward of token rows only over each decoded prompt's cached K/V and the
+  // worker's reusable scratch. Serving never builds a tape.
+  const bool classify = classifies();
   std::vector<std::size_t> labels(B, 0);
   std::vector<char> labelled(B, 0);
   if (classify) {
-    // Dedup first: identical (user, OVT, input) requests share one forward.
-    // The O(B²) rescan is bounded by max_batch and short-circuits on the
-    // integer fields, so the token-vector compare only runs for probable
-    // duplicates.
+    // Dedup first on what the forward reads: requests with the same decoded
+    // prompt entry (fetch_prompts hands equal keys one entry) and the same
+    // input share one forward. The O(B²) rescan is bounded by max_batch and
+    // short-circuits on the pointer, so the token-vector compare only runs
+    // for probable duplicates.
     std::vector<std::size_t> uniq;
     std::vector<std::size_t> dup_of(B, B);
     for (std::size_t i = 0; i < B; ++i) {
       if (b.failed[i]) continue;
       for (std::size_t j = 0; j < i && dup_of[i] == B; ++j) {
-        if (!b.failed[j] && dup_of[j] == B && b.reqs[j].user_id == b.reqs[i].user_id &&
-            b.ovt_index[j] == b.ovt_index[i] && b.reqs[j].query.input == b.reqs[i].query.input)
+        if (!b.failed[j] && dup_of[j] == B && b.prompts[j].value == b.prompts[i].value &&
+            b.reqs[j].query.input == b.reqs[i].query.input)
           dup_of[i] = j;
       }
       if (dup_of[i] == B) uniq.push_back(i);
@@ -1059,15 +1060,15 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
     if (!uniq.empty()) {
       try {
         std::vector<const std::vector<int>*> seqs;
-        std::vector<const Matrix*> soft_prompts;
+        std::vector<const llm::TinyLM::PromptKv*> kvs;
         seqs.reserve(uniq.size());
-        soft_prompts.reserve(uniq.size());
+        kvs.reserve(uniq.size());
         for (const std::size_t i : uniq) {
           seqs.push_back(&b.reqs[i].query.input);
-          soft_prompts.push_back(b.prompts[i].value.get());
+          kvs.push_back(&b.prompts[i].value->kv);
         }
         const std::vector<std::size_t> out =
-            model_->classify_batch(seqs, task_->label_ids(), soft_prompts, &ws.classify);
+            model_->classify_batch(seqs, task_->label_ids(), kvs, ws.classify);
         for (std::size_t r = 0; r < uniq.size(); ++r) {
           labels[uniq[r]] = out[r];
           labelled[uniq[r]] = 1;
@@ -1095,7 +1096,7 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
       if (classify) {
         if (!labelled[i]) {  // batched pass failed — retry this request alone
           labels[i] = model_->classify_batch({&p.query.input}, task_->label_ids(),
-                                             {b.prompts[i].value.get()}, &ws.classify)[0];
+                                             {&b.prompts[i].value->kv}, ws.classify)[0];
           labelled[i] = 1;
         }
         resp.label = labels[i];
@@ -1198,12 +1199,15 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
     // Group the missed keys by autoencoder (cross-user groups share one
     // decoder exactly as the encode stage shares encoders) and decode each
     // group in a single stacked GEMM — rows are independent under decode, so
-    // results are bit-identical to per-key decodes. A group failure falls
-    // back to per-key decodes so one bad payload cannot poison its
-    // neighbours. The whole region is fenced: every registered flight MUST
-    // be completed below — an escaped exception (e.g. bad_alloc in the
-    // grouping) becomes the error of every still-unfinished leader, never a
-    // wedged in-flight key that blocks future fetchers forever.
+    // results are bit-identical to per-key decodes. When the engine
+    // classifies, the group's prompt K/V is then built in one stacked
+    // forward, so every later hit classifies token rows only. A group
+    // failure falls back to per-key work so one bad payload cannot poison
+    // its neighbours. Each entry is complete before it is published const.
+    // The whole region is fenced: every registered flight MUST be completed
+    // below — an escaped exception (e.g. bad_alloc in the grouping) becomes
+    // the error of every still-unfinished leader, never a wedged in-flight
+    // key that blocks future fetchers forever.
     const auto row_of = [&](std::size_t l) -> PromptFetch& { return rows[leaders[l].row]; };
     try {
       const auto groups =
@@ -1211,6 +1215,7 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
             return row_of(l).ref->dep->autoencoder.get();
           });
       for (const auto& [ae, group] : groups) {
+        std::vector<std::shared_ptr<DecodedPrompt>> entries(group.size());
         bool fused = false;
         if (group.size() > 1) {
           try {
@@ -1223,30 +1228,62 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
             std::size_t r0 = 0;
             for (std::size_t g = 0; g < group.size(); ++g) {
               const std::size_t n = ws.decode_parts[g]->rows();
-              row_of(group[g]).value =
-                  std::make_shared<const Matrix>(ws.decode_out.row_slice(r0, r0 + n));
+              entries[g] = std::make_shared<DecodedPrompt>();
+              entries[g]->prompt = ws.decode_out.row_slice(r0, r0 + n);
               r0 += n;
               ++prompt_decodes_;
             }
             stats_.record_batched_decode();
             fused = true;
           } catch (...) {
-            for (const std::size_t l : group) row_of(l).value.reset();
+            for (auto& e : entries) e.reset();
           }
         }
         if (!fused) {
-          for (const std::size_t l : group) {
-            PromptFetch& row = row_of(l);
+          for (std::size_t g = 0; g < group.size(); ++g) {
+            PromptFetch& row = row_of(group[g]);
             try {
-              auto owned = std::make_shared<Matrix>();
-              row.ref->dep->decode_prompt_into(row.ovt_index, *owned, &ws.encode.autoencoder);
-              row.value = std::move(owned);
+              auto entry = std::make_shared<DecodedPrompt>();
+              row.ref->dep->decode_prompt_into(row.ovt_index, entry->prompt,
+                                               &ws.encode.autoencoder);
+              entries[g] = std::move(entry);
               ++prompt_decodes_;
             } catch (...) {
               row.error = std::current_exception();
             }
           }
         }
+        if (classifies()) {
+          std::vector<const Matrix*> prompts;
+          std::vector<llm::TinyLM::PromptKv> kvs;
+          std::vector<std::size_t> built;  // group positions with a decoded entry
+          for (std::size_t g = 0; g < group.size(); ++g)
+            if (entries[g]) {
+              prompts.push_back(&entries[g]->prompt);
+              built.push_back(g);
+            }
+          try {
+            model_->prompt_kv_batch(prompts, kvs, ws.classify);
+          } catch (...) {
+            // One prompt at a time: a malformed prompt fails only its own
+            // rows (the classify forward could not run under it).
+            kvs.assign(built.size(), {});
+            for (std::size_t p = 0; p < built.size(); ++p) {
+              std::vector<llm::TinyLM::PromptKv> one;
+              try {
+                model_->prompt_kv_batch({prompts[p]}, one, ws.classify);
+                kvs[p] = std::move(one[0]);
+              } catch (...) {
+                row_of(group[built[p]]).error = std::current_exception();
+                entries[built[p]].reset();
+              }
+            }
+          }
+          for (std::size_t p = 0; p < built.size(); ++p)
+            if (entries[built[p]]) entries[built[p]]->kv = std::move(kvs[p]);
+        }
+        for (std::size_t g = 0; g < group.size(); ++g)
+          if (entries[g]) row_of(group[g]).value = std::move(entries[g]);
       }
     } catch (...) {
       for (std::size_t l = 0; l < leaders.size(); ++l)
@@ -1294,6 +1331,10 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
   }
 }
 
+bool ServingEngine::classifies() const {
+  return cfg_.run_inference && task_->config().kind == data::TaskKind::Classification;
+}
+
 std::shared_ptr<const Matrix> ServingEngine::prompt(std::size_t user_id, std::size_t ovt_index) {
   const DepRef ref = find_deployment(user_id);
   NVCIM_CHECK_MSG(ref.dep != nullptr, "unknown user " << user_id);
@@ -1305,7 +1346,8 @@ std::shared_ptr<const Matrix> ServingEngine::prompt(std::size_t user_id, std::si
   WorkerState ws;
   fetch_prompts(row, ws);
   if (row[0].error) std::rethrow_exception(row[0].error);
-  return row[0].value;
+  const std::shared_ptr<const DecodedPrompt>& entry = row[0].value;
+  return std::shared_ptr<const Matrix>(entry, &entry->prompt);
 }
 
 std::size_t ServingEngine::retrieve_serial(std::size_t user_id, const data::Sample& query) {

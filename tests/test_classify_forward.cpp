@@ -1,5 +1,6 @@
 // Tape-free classify forward: TinyLM::last_logits_batch / classify_batch
-// against the tape reference (logits_inference / classify), byte for byte.
+// against the tape reference (logits_inference / classify), byte for byte,
+// under soft prompts and under prompt K/V built by prompt_kv_batch.
 
 #include <gtest/gtest.h>
 
@@ -215,6 +216,173 @@ TEST(ClassifyForward, RejectsMalformedInput) {
                                           &scratch),
                Error);
   EXPECT_EQ(model.classify_batch(seqs, labels, sps, &scratch)[0],
+            model.classify(ok, labels, &prompt));
+}
+
+// Prompts of 0..prompt_slots rows (0 rows: nullptr or an empty matrix),
+// shared by several sequences: last_logits_batch over prompt K/V equals the
+// tape's last row byte for byte, and classify_batch equals classify.
+void expect_prompt_kv_matches_tape(const llm::TinyLM& model, Rng& rng, const std::string& tag) {
+  const llm::TinyLmConfig& cfg = model.config();
+  std::vector<Matrix> prompts;
+  for (std::size_t n = 0; n <= cfg.prompt_slots; ++n)
+    prompts.push_back(Matrix::randn(n, cfg.d_model, rng));
+  std::vector<const Matrix*> prompt_ptrs{nullptr};
+  for (const Matrix& p : prompts) prompt_ptrs.push_back(&p);
+  llm::TinyLM::Scratch scratch;
+  std::vector<llm::TinyLM::PromptKv> kvs;
+  model.prompt_kv_batch(prompt_ptrs, kvs, scratch);
+  ASSERT_EQ(kvs.size(), prompt_ptrs.size()) << tag;
+
+  // Every prompt at least once, then one random prompt shared by the last
+  // four sequences, as a cached entry is under serving. Sequence 0 passes a
+  // null K/V.
+  const Group g(cfg, prompt_ptrs.size() + 4, rng);
+  const std::size_t shared = 1 + rng.uniform_index(prompt_ptrs.size() - 1);
+  std::vector<std::size_t> pick;
+  std::vector<const llm::TinyLM::PromptKv*> kv_ptrs;
+  for (std::size_t b = 0; b < g.seqs.size(); ++b) {
+    pick.push_back(b < prompt_ptrs.size() ? b : shared);
+    kv_ptrs.push_back(b == 0 ? nullptr : &kvs[pick[b]]);
+  }
+
+  const Matrix& z = model.last_logits_batch(g.seqs, kv_ptrs, scratch);
+  ASSERT_EQ(z.rows(), g.seqs.size()) << tag;
+  ASSERT_EQ(z.cols(), cfg.vocab) << tag;
+  for (std::size_t b = 0; b < g.seqs.size(); ++b) {
+    const Matrix* prompt = b == 0 ? nullptr : prompt_ptrs[pick[b]];
+    const Matrix ref = model.logits_inference(*g.seqs[b], prompt);
+    EXPECT_TRUE(bytes_equal(z.data() + b * z.cols(), ref.data() + (ref.rows() - 1) * ref.cols(),
+                            z.cols()))
+        << tag << " sequence " << b << " (len " << g.seqs[b]->size() << ", prompt rows "
+        << (prompt != nullptr ? prompt->rows() : 0) << ")";
+  }
+  const std::vector<std::size_t> got = model.classify_batch(g.seqs, g.labels, kv_ptrs, scratch);
+  ASSERT_EQ(got.size(), g.seqs.size());
+  for (std::size_t b = 0; b < g.seqs.size(); ++b)
+    EXPECT_EQ(got[b],
+              model.classify(*g.seqs[b], g.labels, b == 0 ? nullptr : prompt_ptrs[pick[b]]))
+        << tag << " sequence " << b;
+}
+
+TEST(ClassifyForward, PromptKvForwardBytewiseEqualTape) {
+  Rng rng(1806);
+  for (const std::size_t layers : {1, 2, 3})
+    for (const std::size_t heads : {1, 2, 3, 4}) {
+      const std::size_t d = 12 * (1 + rng.uniform_index(4));  // divisible by every head count
+      const llm::TinyLmConfig cfg = random_config(d, layers, heads, rng);
+      const llm::TinyLM model(cfg, rng.next_u64());
+      expect_prompt_kv_matches_tape(model, rng,
+                                    "d" + std::to_string(d) + " L" + std::to_string(layers) +
+                                        " H" + std::to_string(heads));
+    }
+  for (const std::size_t layers : {1, 2}) {
+    const llm::TinyLmConfig cfg = random_config(32, layers, 4, rng);
+    llm::TinyLM model(cfg, rng.next_u64());
+    llm::quantize_weights(model, 4);
+    expect_prompt_kv_matches_tape(model, rng, "4-bit L" + std::to_string(layers));
+  }
+}
+
+bool prompt_kv_equal(const llm::TinyLM::PromptKv& a, const llm::TinyLM::PromptKv& b) {
+  if (a.rows != b.rows || a.k.size() != b.k.size() || a.v.size() != b.v.size()) return false;
+  for (std::size_t l = 0; l < a.k.size(); ++l)
+    if (!a.k[l].same_shape(b.k[l]) || !a.v[l].same_shape(b.v[l]) ||
+        !bytes_equal(a.k[l].data(), b.k[l].data(), a.k[l].size()) ||
+        !bytes_equal(a.v[l].data(), b.v[l].data(), a.v[l].size()))
+      return false;
+  return true;
+}
+
+TEST(ClassifyForward, PromptKvBatchEqualsPerPrompt) {
+  Rng rng(1807);
+  for (const std::size_t layers : {1, 2, 3}) {
+    const llm::TinyLmConfig cfg = random_config(32, layers, 4, rng);
+    const llm::TinyLM model(cfg, rng.next_u64());
+    std::vector<Matrix> prompts;
+    std::vector<const Matrix*> ptrs;
+    for (std::size_t b = 0; b < 6; ++b)
+      prompts.push_back(Matrix::randn(rng.uniform_index(cfg.prompt_slots + 1), cfg.d_model, rng));
+    for (const Matrix& p : prompts) ptrs.push_back(&p);
+    ptrs.push_back(nullptr);
+    ptrs.push_back(&prompts[0]);  // the same prompt twice in one stack
+
+    llm::TinyLM::Scratch scratch;
+    std::vector<llm::TinyLM::PromptKv> stacked;
+    model.prompt_kv_batch(ptrs, stacked, scratch);
+    ASSERT_EQ(stacked.size(), ptrs.size());
+    for (std::size_t b = 0; b < ptrs.size(); ++b) {
+      llm::TinyLM::Scratch fresh;
+      std::vector<llm::TinyLM::PromptKv> one;
+      model.prompt_kv_batch({ptrs[b]}, one, fresh);
+      ASSERT_EQ(one.size(), 1u);
+      EXPECT_EQ(stacked[b].rows, ptrs[b] != nullptr ? ptrs[b]->rows() : 0) << "prompt " << b;
+      ASSERT_EQ(stacked[b].k.size(), layers) << "prompt " << b;
+      EXPECT_TRUE(prompt_kv_equal(stacked[b], one[0])) << "L" << layers << " prompt " << b;
+    }
+  }
+}
+
+TEST(ClassifyForward, RejectsMalformedPromptKv) {
+  llm::TinyLmConfig cfg;
+  cfg.vocab = 20;
+  cfg.d_model = 16;
+  cfg.n_layers = 2;
+  cfg.n_heads = 2;
+  cfg.ffn_hidden = 32;
+  cfg.prompt_slots = 4;
+  cfg.max_seq = 12;
+  const llm::TinyLM model(cfg, 6);
+  const std::vector<int> ok{1, 2, 3};
+  const std::vector<int> labels{0, 1};
+  Rng rng(1808);
+  const Matrix prompt = Matrix::randn(3, 16, rng);
+  llm::TinyLM::Scratch scratch;
+  std::vector<llm::TinyLM::PromptKv> built;
+  model.prompt_kv_batch({&prompt}, built, scratch);
+  const llm::TinyLM::PromptKv good = built[0];
+
+  llm::TinyLM::PromptKv one_block = good;
+  one_block.k.pop_back();
+  one_block.v.pop_back();
+  llm::TinyLM::PromptKv missing_v = good;
+  missing_v.v.pop_back();
+  llm::TinyLM::PromptKv narrow = good;
+  narrow.k[1] = Matrix::randn(3, 8, rng);
+  llm::TinyLM::PromptKv narrow_v = good;
+  narrow_v.v[0] = Matrix::randn(3, 20, rng);
+  llm::TinyLM::PromptKv too_many_rows;  // 5 rows > prompt_slots
+  too_many_rows.rows = 5;
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+    too_many_rows.k.push_back(Matrix::randn(5, 16, rng));
+    too_many_rows.v.push_back(Matrix::randn(5, 16, rng));
+  }
+  llm::TinyLM::PromptKv rows_mismatch = good;  // rows disagrees with the matrices
+  rows_mismatch.rows = 2;
+
+  // One malformed K/V poisons its whole group, and a rejection leaves the
+  // reused scratch usable.
+  const auto expect_rejected = [&](const llm::TinyLM::PromptKv& bad, const std::string& what) {
+    const std::vector<const std::vector<int>*> seqs{&ok, &ok};
+    const std::vector<const llm::TinyLM::PromptKv*> kvs{&good, &bad};
+    EXPECT_THROW((void)model.classify_batch(seqs, labels, kvs, scratch), Error) << what;
+    EXPECT_THROW((void)model.last_logits_batch(seqs, kvs, scratch), Error) << what;
+  };
+  expect_rejected(one_block, "wrong block count");
+  expect_rejected(missing_v, "K and V block counts differ");
+  expect_rejected(narrow, "K block of the wrong width");
+  expect_rejected(narrow_v, "V block of the wrong width");
+  expect_rejected(too_many_rows, "more rows than prompt_slots");
+  expect_rejected(rows_mismatch, "row count disagrees with the blocks");
+  EXPECT_THROW((void)model.classify_batch({&ok}, labels, {&good, &good}, scratch), Error)
+      << "kvs/seqs size mismatch";
+
+  const Matrix too_long = Matrix::randn(5, 16, rng);
+  const Matrix wrong_cols = Matrix::randn(2, 8, rng);
+  EXPECT_THROW(model.prompt_kv_batch({&prompt, &too_long}, built, scratch), Error);
+  EXPECT_THROW(model.prompt_kv_batch({&wrong_cols}, built, scratch), Error);
+
+  EXPECT_EQ(model.classify_batch({&ok}, labels, {&good}, scratch)[0],
             model.classify(ok, labels, &prompt));
 }
 

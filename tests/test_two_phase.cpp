@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <memory>
 #include <vector>
@@ -438,6 +439,91 @@ TEST(BatchedClassify, EngineLabelsMatchSerialClassify) {
               f.model.classify(reqs[i].second.input, f.task.label_ids(), prompt.get()))
         << "request " << i;
   }
+  engine.stop();
+}
+
+// An LRU far smaller than the (user, OVT) working set: entries, with their
+// prompt K/V, are evicted and rebuilt all the time, full batches decode
+// misses in fused groups, and repeated requests in one batch coalesce onto
+// one in-flight decode and share its entry.
+TEST(BatchedClassify, EngineLabelsMatchSerialClassifyUnderCachePressure) {
+  TwoPhaseFixture f;
+  const std::size_t n_users = 4;
+  serve::ServingConfig cfg = f.config(false, 0, 2, 3, 8);
+  cfg.run_inference = true;
+  cfg.cache_capacity = 2;
+  cfg.min_batch = 8;
+  cfg.batch_window_ms = 50.0;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  for (std::size_t u = 0; u < n_users; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+
+  // Every request twice in a row, so a batch holds both copies.
+  std::vector<std::pair<std::size_t, data::Sample>> reqs;
+  for (const auto& r : f.requests(48, n_users, 391)) {
+    reqs.push_back(r);
+    reqs.push_back(r);
+  }
+  std::vector<std::future<serve::Response>> futures;
+  for (const auto& [u, q] : reqs)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const serve::Response resp = futures[i].get();
+    ASSERT_TRUE(resp.has_label) << "request " << i;
+    const Matrix decoded = engine.deployment(reqs[i].first).decode_prompt(resp.ovt_index);
+    EXPECT_EQ(resp.label, f.model.classify(reqs[i].second.input, f.task.label_ids(), &decoded))
+        << "request " << i;
+    const std::shared_ptr<const Matrix> cached = engine.prompt(reqs[i].first, resp.ovt_index);
+    ASSERT_TRUE(cached->same_shape(decoded)) << "request " << i;
+    EXPECT_EQ(std::memcmp(cached->data(), decoded.data(), decoded.size() * sizeof(float)), 0)
+        << "request " << i;
+  }
+  EXPECT_GT(engine.cache_evictions(), 0u);
+  EXPECT_GT(engine.stats().batched_decode_gemms, 0u);
+  EXPECT_GT(engine.coalesced_fetches(), 0u);
+  engine.stop();
+}
+
+TEST(BatchedClassify, OversizedPromptFailsOnlyItsRequests) {
+  TwoPhaseFixture f;
+  // One worker that waits for a full batch: both users' misses decode in
+  // one fused group, whose stacked prompt K/V build then throws.
+  serve::ServingConfig cfg = f.config(false, 0, 1, 1, 6);
+  cfg.run_inference = true;
+  cfg.min_batch = 6;
+  cfg.batch_window_ms = 2000.0;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  engine.add_deployment(0, f.make_deployment(0));
+  // User 1's payloads decode to more rows than the backbone's prompt_slots.
+  core::TrainedDeployment oversized = f.make_deployment(1);
+  Rng rng(401);
+  for (Matrix& code : oversized.stored_codes)
+    code = Matrix::rand_uniform(f.model.config().prompt_slots + 1, TwoPhaseFixture::kCodeDim, rng,
+                                -1.0f, 1.0f);
+  engine.add_deployment(1, std::move(oversized));
+  engine.start();
+
+  const auto reqs = f.requests(6, 2, 411);
+  std::vector<std::future<serve::Response>> futures;
+  for (const auto& [u, q] : reqs)
+    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
+  std::size_t served = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (reqs[i].first == 1) {
+      EXPECT_THROW(futures[i].get(), Error) << "request " << i;
+      continue;
+    }
+    const serve::Response resp = futures[i].get();
+    ASSERT_TRUE(resp.has_label) << "request " << i;
+    const Matrix decoded = engine.deployment(0).decode_prompt(resp.ovt_index);
+    EXPECT_EQ(resp.label, f.model.classify(reqs[i].second.input, f.task.label_ids(), &decoded))
+        << "request " << i;
+    ++served;
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_LT(served, reqs.size());
+  EXPECT_EQ(engine.stats().batches, 1u);
+  EXPECT_GT(engine.stats().batched_decode_gemms, 0u);
   engine.stop();
 }
 
