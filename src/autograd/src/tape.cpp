@@ -1,8 +1,73 @@
 #include "nvcim/autograd/tape.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace nvcim::autograd {
+
+namespace {
+
+// e^z for z in [−87, 89], branch-free so the GELU loop vectorises. n is the
+// nearest integer to z·log2 e, found by the 1.5·2²³ shift (no float→int
+// conversion, so it vectorises on the baseline ISA too); r = z − n·ln 2 in
+// two parts, |r| ≤ ln2/2; e^r is a degree-6 Taylor polynomial (relative
+// error ≈ 1e-7 at the interval ends); 2ⁿ is built in the exponent bits.
+// From z ≈ 88.38 on, n = 128 sets the all-ones exponent, so the result
+// saturates to +inf a little before float e^z overflows (88.72).
+inline float exp_kernel(float z) {
+  constexpr float kShift = 12582912.0f;  // 1.5·2²³
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693145751953125f;  // ln 2 to 16 bits: n·kLn2Hi is exact
+  constexpr float kLn2Lo = 1.42860682030941723212e-6f;
+  const float t = z * kLog2e + kShift;
+  const float n = t - kShift;
+  const float r = (z - n * kLn2Hi) - n * kLn2Lo;
+  const float p =
+      1.0f + r * (1.0f + r * (0.5f + r * (1.0f / 6 + r * (1.0f / 24 + r * (1.0f / 120 + r * (1.0f / 720))))));
+  std::uint32_t tb;
+  std::memcpy(&tb, &t, sizeof tb);
+  // t's bits are 0x4B400000 + n; the biased exponent n + 127 is in [1, 255].
+  const std::uint32_t sb = (tb - 0x4B400000u + 127u) << 23;
+  float scale;
+  std::memcpy(&scale, &sb, sizeof scale);
+  return p * scale;
+}
+
+// Order-preserving map from a float's bits to int32 (two's-complement order
+// of the sign-magnitude encoding); it is its own inverse on the result.
+inline std::int32_t ordered_bits(std::int32_t b) { return b ^ ((b >> 31) & 0x7FFFFFFF); }
+
+// z clamped to [lo, hi] by comparing the floats as ordered integers. A float
+// min/max would let the compiler fold the clamped arm to a constant and leave
+// a branch around the rest of the kernel, which blocks vectorisation without
+// AVX-512 masking. NaN lands on a bound.
+inline float clamp_ordered(float z, float lo, float hi) {
+  std::int32_t zb, lb, hb;
+  std::memcpy(&zb, &z, sizeof zb);
+  std::memcpy(&lb, &lo, sizeof lb);
+  std::memcpy(&hb, &hi, sizeof hb);
+  const std::int32_t k = ordered_bits(
+      std::min(std::max(ordered_bits(zb), ordered_bits(lb)), ordered_bits(hb)));
+  float out;
+  std::memcpy(&out, &k, sizeof out);
+  return out;
+}
+
+// e^(−2u) with u = kGeluC·(x + kGeluA·x³) computed in float: 1 / σ(2u) − 1.
+inline float gelu_exp(float x) {
+  const float z = -2.0f * (kGeluC * (x + kGeluA * x * x * x));
+  return exp_kernel(clamp_ordered(z, -87.0f, 89.0f));
+}
+
+}  // namespace
+
+float gelu_value(float x) { return x / (1.0f + gelu_exp(x)); }
+
+void gelu_inplace(float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = gelu_value(x[i]);
+}
 
 const Matrix& Var::value() const { return tape_->value(*this); }
 const Matrix& Var::grad() const { return tape_->grad(*this); }
@@ -148,7 +213,7 @@ Var Tape::relu(Var a) {
 Var Tape::gelu(Var a) {
   const std::size_t ia = a.index();
   Matrix out = nodes_[ia].value;
-  for (std::size_t i = 0; i < out.size(); ++i) out.at_flat(i) = gelu_value(out.at_flat(i));
+  gelu_inplace(out.data(), out.size());
   Var v = make(std::move(out), nodes_[ia].requires_grad, {});
   const std::size_t io = v.index();
   nodes_[io].backward_fn = [this, ia, io] {
@@ -157,12 +222,11 @@ Var Tape::gelu(Var a) {
     const Matrix& xm = nodes_[ia].value;
     Matrix gx(xm.rows(), xm.cols());
     for (std::size_t i = 0; i < gx.size(); ++i) {
+      // y = x·s with s = σ(2u): dy/dx = s + 2·x·s·(1 − s)·du/dx.
       const float x = xm.at_flat(i);
-      const float u = kGeluC * (x + kGeluA * x * x * x);
-      const float t = std::tanh(u);
+      const float s = 1.0f / (1.0f + gelu_exp(x));
       const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-      const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      gx.at_flat(i) = g.at_flat(i) * dy;
+      gx.at_flat(i) = g.at_flat(i) * (s + 2.0f * x * s * (1.0f - s) * du);
     }
     grad_ref(ia) += gx;
   };

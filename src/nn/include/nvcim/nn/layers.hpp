@@ -112,7 +112,8 @@ class TransformerBlock {
   FeedForward ffn;
 };
 
-/// Elementwise GELU in place, bit-identical to Tape::gelu's value.
+/// Elementwise GELU in place, bit-identical to Tape::gelu's value because
+/// both call the same loop, autograd::gelu_inplace.
 void gelu_inplace(Matrix& m);
 
 /// Additive causal mask for S query rows over (P+S) key columns, where the

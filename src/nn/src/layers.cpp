@@ -65,9 +65,7 @@ void LayerNorm::collect(ParamSet& ps) {
   ps.add(bias);
 }
 
-void gelu_inplace(Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) m.at_flat(i) = autograd::gelu_value(m.at_flat(i));
-}
+void gelu_inplace(Matrix& m) { autograd::gelu_inplace(m.data(), m.size()); }
 
 Matrix causal_mask(std::size_t seq, std::size_t n_prefix) {
   Matrix m(seq, n_prefix + seq, 0.0f);

@@ -112,6 +112,20 @@ TEST(Autograd, GeluGrad) {
   gradcheck([](Tape& t, Var x) { return t.mean_all(t.gelu(x)); }, test_input(3, 3, 29));
 }
 
+TEST(Autograd, GeluGradWideRange) {
+  // 20 inputs spread evenly over [−6, 6], both tails included; the sum (not
+  // the mean) keeps each entry's gradient at GELU'(x), so the tolerance is
+  // relative to the derivative itself.
+  Matrix x0(4, 5);
+  for (std::size_t i = 0; i < x0.size(); ++i)
+    x0.at_flat(i) = -6.0f + 12.0f * (static_cast<float>(i) + 0.5f) / static_cast<float>(x0.size());
+  gradcheck(
+      [](Tape& t, Var x) {
+        return t.scale(t.mean_all(t.gelu(x)), static_cast<float>(x.value().size()));
+      },
+      x0);
+}
+
 TEST(Autograd, TanhGrad) {
   gradcheck([](Tape& t, Var x) { return t.mean_all(t.tanh_op(x)); }, test_input(3, 3, 31));
 }
