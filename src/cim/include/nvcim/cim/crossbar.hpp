@@ -151,9 +151,6 @@ class Crossbar {
                          const CandidateSet* candidates = nullptr,
                          std::size_t col_offset = 0);
 
-  /// Ideal (noise-free, ADC-free) reference of the programmed content.
-  const Matrix& programmed_reference() const { return reference_; }
-
   /// Cell-wise readback of the stored values: reconstructs each integer from
   /// its (noisy) analog slice levels. This models reading a payload matrix
   /// back out of NVM storage.
@@ -246,7 +243,6 @@ class Crossbar {
   std::vector<float> cells_;
   std::vector<double> slice_shift_;        ///< 2^(s·bits_per_cell)
   std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
-  Matrix reference_;
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;
   OpCounters counters_;

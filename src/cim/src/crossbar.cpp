@@ -103,7 +103,6 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
   CellWriter w(cfg_, var, opts);
   for (std::size_t i = 0; i < int_values.size(); ++i) check_value(int_values.at_flat(i));
   init_blank(int_values.rows(), int_values.cols());
-  reference_ = int_values;
 
   // One stream in r → c → s order, G+ before G− within a cell.
   const std::size_t S = cfg_.n_slices();
@@ -144,7 +143,6 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
   stuck_.clear();
   killed_ = false;
   age_ = 0;
-  reference_ = Matrix(active_rows_, active_cols_, 0.0f);
 }
 
 void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
@@ -173,10 +171,7 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   const std::size_t P = pitch();
   std::vector<long> row(n);
   for (std::size_t r = 0; r < active_rows_; ++r) {
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = static_cast<long>(std::llround(int_values(j, r)));
-      reference_(r, col_begin + j) = static_cast<float>(row[j]);
-    }
+    for (std::size_t j = 0; j < n; ++j) row[j] = static_cast<long>(std::llround(int_values(j, r)));
     for (std::size_t s = 0; s < S; ++s) {
       const std::size_t base = s * slice_stride() + r * row_stride() + col_begin * P;
       bool nonzero = false;

@@ -79,10 +79,6 @@ struct TrainedDeployment {
   /// prompt inference uses — identical to the exporting framework's
   /// restored_prompts()[idx].
   Matrix decode_prompt(std::size_t idx) const;
-
-  /// decode_prompt() into caller storage, reusing `scratch` across calls.
-  void decode_prompt_into(std::size_t idx, Matrix& out,
-                          compress::Autoencoder::Scratch* scratch = nullptr) const;
 };
 
 /// The NVCiM-assisted prompt-tuning framework (paper Fig. 3), owning the

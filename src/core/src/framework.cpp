@@ -184,12 +184,6 @@ Matrix TrainedDeployment::decode_prompt(std::size_t idx) const {
   return autoencoder->decode(stored_codes[idx]);
 }
 
-void TrainedDeployment::decode_prompt_into(std::size_t idx, Matrix& out,
-                                           compress::Autoencoder::Scratch* scratch) const {
-  NVCIM_CHECK_MSG(idx < stored_codes.size(), "OVT index " << idx << " out of range");
-  autoencoder->decode_into(stored_codes[idx], out, scratch);
-}
-
 std::size_t NvcimPtFramework::retrieve_index(const data::Sample& query) {
   NVCIM_CHECK_MSG(n_stored_ovts() > 0, "no OVTs stored; run train_from_buffer first");
   return retriever_->retrieve(query_representation(query));

@@ -111,6 +111,14 @@ class TinyLM {
     std::vector<const PromptKv*> kv_ptrs;
   };
 
+  /// Throws nvcim::Error unless `tokens` is non-empty and every id lies in
+  /// [0, vocab). With `positioned`, also unless the tokens fit the
+  /// positional table after the reserved prompt slots
+  /// (prompt_slots + size ≤ max_seq), as every forward requires. The one
+  /// token rule set: last_logits_batch() and ServingEngine::submit() both
+  /// apply it.
+  void check_tokens(const std::vector<int>& tokens, bool positioned) const;
+
   /// Per-block K/V of each soft prompt: `outs` is resized to one PromptKv
   /// per prompt. A stacked, tape-free forward of the prompt rows at their
   /// right-aligned positions: every block but the last runs in full; the

@@ -291,6 +291,17 @@ std::size_t TinyLM::classify(const std::vector<int>& tokens, const std::vector<i
   return argmax_label(z.data() + (z.rows() - 1) * z.cols(), label_ids);
 }
 
+void TinyLM::check_tokens(const std::vector<int>& tokens, bool positioned) const {
+  NVCIM_CHECK_MSG(!tokens.empty(), "empty token sequence");
+  for (const int tok : tokens)
+    NVCIM_CHECK_MSG(tok >= 0 && static_cast<std::size_t>(tok) < cfg_.vocab,
+                    "token id " << tok << " out of vocab " << cfg_.vocab);
+  if (positioned)
+    NVCIM_CHECK_MSG(cfg_.prompt_slots + tokens.size() <= cfg_.max_seq,
+                    "sequence length " << tokens.size() << " plus " << cfg_.prompt_slots
+                                       << " prompt slots exceeds max_seq " << cfg_.max_seq);
+}
+
 void TinyLM::prompt_kv_batch(const std::vector<const Matrix*>& prompts,
                              std::vector<PromptKv>& outs, Scratch& s) const {
   const std::size_t d = cfg_.d_model, L = blocks_.size();
@@ -350,7 +361,8 @@ const Matrix& TinyLM::last_logits_batch(const std::vector<const std::vector<int>
   s.row0.assign(1, 0);
   std::size_t max_keys = 0;
   for (std::size_t b = 0; b < seqs.size(); ++b) {
-    NVCIM_CHECK_MSG(seqs[b] != nullptr && !seqs[b]->empty(), "empty token sequence");
+    NVCIM_CHECK_MSG(seqs[b] != nullptr, "null token sequence");
+    check_tokens(*seqs[b], /*positioned=*/true);
     const std::size_t n_tok = seqs[b]->size();
     std::size_t n_pre = 0;
     if (const PromptKv* kv = kvs[b]) {
@@ -366,11 +378,6 @@ const Matrix& TinyLM::last_logits_batch(const std::vector<const std::vector<int>
                             kv->v[l].rows() == n_pre && kv->v[l].cols() == d,
                         "prompt K/V block " << l << " must be " << n_pre << " × d_model");
     }
-    NVCIM_CHECK_MSG(cfg_.prompt_slots + n_tok <= cfg_.max_seq,
-                    "sequence length exceeds max_seq " << cfg_.max_seq);
-    for (const int tok : *seqs[b])
-      NVCIM_CHECK_MSG(tok >= 0 && static_cast<std::size_t>(tok) < cfg_.vocab,
-                      "token id " << tok << " out of vocab " << cfg_.vocab);
     s.row0.push_back(s.row0.back() + n_tok);
     max_keys = std::max(max_keys, n_pre + n_tok);
   }

@@ -27,9 +27,6 @@ using HttpHandler = std::function<HttpResponse(const std::string& target)>;
 struct HttpServerConfig {
   std::string bind = "127.0.0.1";  ///< IPv4 literal to bind
   std::uint16_t port = 0;          ///< 0 = kernel-assigned ephemeral port
-  std::size_t handler_threads = 2;
-  std::size_t max_pending = 64;    ///< accepted fds queued for handlers
-  int recv_timeout_ms = 2000;      ///< per-connection read/write timeout
 };
 
 /// Small, dependency-free blocking HTTP/1.1 server for introspection

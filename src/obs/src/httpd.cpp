@@ -16,6 +16,13 @@ namespace nvcim::obs {
 
 namespace {
 
+/// Handler threads draining the accepted-connection queue.
+constexpr std::size_t kHandlerThreads = 2;
+/// Accepted connections queued for handlers; beyond it new ones are shed.
+constexpr std::size_t kMaxPending = 64;
+/// Per-connection read/write timeout.
+constexpr int kIoTimeoutMs = 2000;
+
 const char* status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -62,9 +69,7 @@ bool write_response(int fd, const HttpResponse& resp) {
 
 }  // namespace
 
-HttpServer::HttpServer(HttpServerConfig cfg) : cfg_(std::move(cfg)) {
-  if (cfg_.handler_threads == 0) cfg_.handler_threads = 1;
-}
+HttpServer::HttpServer(HttpServerConfig cfg) : cfg_(std::move(cfg)) {}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -109,8 +114,8 @@ bool HttpServer::start() {
     stopping_ = false;
   }
   acceptor_ = std::thread(&HttpServer::accept_loop, this, fd);
-  handlers_.reserve(cfg_.handler_threads);
-  for (std::size_t i = 0; i < cfg_.handler_threads; ++i) {
+  handlers_.reserve(kHandlerThreads);
+  for (std::size_t i = 0; i < kHandlerThreads; ++i) {
     handlers_.emplace_back(&HttpServer::handler_loop, this);
   }
   return true;
@@ -161,7 +166,7 @@ void HttpServer::accept_loop(int listen_fd) {
         return;
       }
       if (conn >= 0) {
-        if (pending_.size() >= cfg_.max_pending) {
+        if (pending_.size() >= kMaxPending) {
           ::close(conn);  // overloaded: shed instead of queueing unboundedly
           continue;
         }
@@ -191,7 +196,7 @@ void HttpServer::handler_loop() {
 }
 
 void HttpServer::serve_connection(int fd) {
-  set_io_timeout(fd, cfg_.recv_timeout_ms);
+  set_io_timeout(fd, kIoTimeoutMs);
   std::string req;
   char buf[2048];
   // Read until the end of the header block; bodies are ignored (GET only)

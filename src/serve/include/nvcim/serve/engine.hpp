@@ -43,7 +43,7 @@ struct ScrubberConfig {
   /// Subarrays probed per round, across all shards (0 = the whole fleet
   /// every round). Small values bound the serving interference per round.
   std::size_t subarrays_per_round = 1;
-  ScrubPolicy policy;  ///< repair/migrate toggles and quarantine threshold
+  ScrubPolicy policy;  ///< quarantine threshold
 };
 
 /// Embedded introspection server: when enabled, start() binds a local HTTP
@@ -54,7 +54,6 @@ struct IntrospectionConfig {
   bool enabled = false;
   std::string bind = "127.0.0.1";
   std::uint16_t port = 0;
-  std::size_t handler_threads = 2;
 };
 
 /// Declarative SLOs evaluated by the engine's health monitor over dual
@@ -216,6 +215,11 @@ class AdmissionHandle {
 ///   4. classify — optional backbone classification, deduplicated within
 ///                 the batch for identical (user, OVT, input) requests
 ///
+/// Each stage makes one batched call per group (autoencoder, shard or
+/// batch); if that call throws, every request in the group fails with its
+/// error. Per-request failures are caught earlier, at the edges: requests
+/// are validated in submit(), deployments in add_deployment()/admit().
+///
 /// Per-stage wall-clock is accumulated into EngineStats. Batched results
 /// are bit-identical to the serial reference path (retrieve_serial).
 ///
@@ -230,6 +234,13 @@ class ServingEngine {
   ServingEngine& operator=(const ServingEngine&) = delete;
 
   /// Take ownership of a trained user deployment. Must precede start().
+  /// Throws nvcim::Error, and takes nothing over, unless the deployment
+  /// fits the backbone: at least one OVT, an autoencoder whose input_dim is
+  /// the backbone's d_model, n_virtual_tokens > 0, one stored code per key,
+  /// every stored code n_virtual_tokens × code_dim, every key
+  /// n_virtual_tokens · code_dim elements and, when the engine classifies,
+  /// n_virtual_tokens ≤ prompt_slots. The store then rejects (also with
+  /// nvcim::Error) keys whose size differs from the other tenants'.
   void add_deployment(std::size_t user_id, core::TrainedDeployment deployment);
 
   /// Build the sharded store and launch the worker pool.
@@ -249,6 +260,14 @@ class ServingEngine {
   /// `opts` (see SubmitOptions), not in which function was called. With a
   /// full queue the call blocks under OverloadPolicy::Block and returns an
   /// invalid handle (bumping EngineStats::rejected_requests) under Reject.
+  ///
+  /// Every per-request failure is found here, before any batch forms, and
+  /// settles the returned handle's future without queueing the request
+  /// (submit() itself does not throw for it): UnknownUser for a user that
+  /// is not deployed and live, and nvcim::Error for a query the backbone
+  /// would reject (TinyLM::check_tokens: empty input, a token id outside
+  /// [0, vocab) or, when the engine classifies, prompt_slots + length >
+  /// max_seq).
   RequestHandle submit(Request request, SubmitOptions opts = {});
 
   /// Cancel a still-queued request by id (RequestHandle::cancel()'s
@@ -281,6 +300,10 @@ class ServingEngine {
   /// At LifecycleConfig::max_pending_admissions admissions in flight the
   /// call blocks (backpressure); `opts.non_blocking` returns an invalid
   /// handle instead. `opts.wait` joins before returning.
+  ///
+  /// The deployment is validated as by add_deployment(): a shape that does
+  /// not fit throws nvcim::Error from admit() itself, before anything is
+  /// staged or programmed.
   AdmissionHandle admit(std::size_t user_id, core::TrainedDeployment deployment,
                         AdmitOptions opts = {});
 
@@ -451,8 +474,9 @@ class ServingEngine {
   /// Settle a batch of already-expired requests with DeadlineExceeded and
   /// account them (stats + tracer). Called outside queue_mu_.
   void expire_requests(std::vector<QueuedRequest>&& expired);
-  /// Validate a deployment before it is taken over.
-  static void check_deployment(std::size_t user_id, const core::TrainedDeployment& deployment);
+  /// Validate a deployment before it is taken over: every shape a serving
+  /// stage relies on (see add_deployment()). Throws nvcim::Error.
+  void check_deployment(std::size_t user_id, const core::TrainedDeployment& deployment) const;
   /// Register a deployment under a fresh admission generation.
   void deploy(std::size_t user_id, std::shared_ptr<const core::TrainedDeployment> deployment);
   /// Drop a user's deployment (if any) and purge its generation's decoded

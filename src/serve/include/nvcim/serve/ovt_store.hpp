@@ -43,14 +43,12 @@ struct TwoPhaseConfig {
 ///              unrepairable columns, or killed outright).
 enum class SubarrayHealth : std::uint8_t { Healthy, Degraded, Failed };
 
-/// Repair policy of one scrub pass. Detection has no knob: a column is
-/// degraded when any of its cells deviates from its pristine programming.
+/// Repair policy of one scrub pass. Detection and repair have no knob: a
+/// column is degraded when any of its cells deviates from its pristine
+/// programming; degraded columns are re-programmed in place from the
+/// tenants' retained keys, and tenants on columns that fail the rewrite
+/// (stuck hardware) migrate to the least-loaded other shard.
 struct ScrubPolicy {
-  /// Re-program degraded columns in place from the tenants' retained keys.
-  bool auto_repair = true;
-  /// Migrate tenants off columns that fail the in-place rewrite (stuck
-  /// hardware) to the least-loaded other shard.
-  bool auto_migrate = true;
   /// Quarantine the subarray once this many of its columns are
   /// unrepairable (stuck or unowned-deviant after a repair pass).
   std::size_t quarantine_after = 8;
@@ -361,7 +359,7 @@ class ShardedOvtStore {
                                           const std::vector<std::size_t>& cols);
 
   /// Full pass: scrub_subarray → repair_columns → migrate tenants still on
-  /// stuck columns (auto_migrate, needs ≥ 2 shards) → quarantine the
+  /// stuck columns (needs ≥ 2 shards) → quarantine the
   /// subarray when unrepairable columns reach policy.quarantine_after.
   ScrubOutcome scrub_and_repair(std::size_t shard, std::size_t sub,
                                 const ScrubPolicy& policy = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <utility>
 
 namespace nvcim::serve {
@@ -143,10 +144,31 @@ void ServingEngine::add_deployment(std::size_t user_id, core::TrainedDeployment 
 }
 
 void ServingEngine::check_deployment(std::size_t user_id,
-                                     const core::TrainedDeployment& deployment) {
-  NVCIM_CHECK_MSG(deployment.n_ovts() > 0, "deployment for user " << user_id << " is empty");
-  NVCIM_CHECK_MSG(deployment.autoencoder != nullptr,
-                  "deployment for user " << user_id << " has no autoencoder");
+                                     const core::TrainedDeployment& deployment) const {
+  const std::string who = "deployment for user " + std::to_string(user_id);
+  NVCIM_CHECK_MSG(deployment.n_ovts() > 0, who << " is empty");
+  NVCIM_CHECK_MSG(deployment.autoencoder != nullptr, who << " has no autoencoder");
+  // Every shape a serving stage relies on, checked once here, so no stage
+  // ever meets a deployment its batched call would reject.
+  const compress::AutoencoderConfig& ae = deployment.autoencoder->config();
+  const llm::TinyLmConfig& lm = model_->config();
+  const std::size_t n_vt = deployment.n_virtual_tokens;
+  NVCIM_CHECK_MSG(ae.input_dim == lm.d_model, who << ": autoencoder input_dim " << ae.input_dim
+                                                   << " != d_model " << lm.d_model);
+  NVCIM_CHECK_MSG(n_vt > 0, who << " has no virtual tokens");
+  NVCIM_CHECK_MSG(deployment.stored_codes.size() == deployment.n_ovts(),
+                  who << " has " << deployment.stored_codes.size() << " stored codes for "
+                      << deployment.n_ovts() << " keys");
+  for (std::size_t k = 0; k < deployment.n_ovts(); ++k) {
+    const Matrix& code = deployment.stored_codes[k];
+    NVCIM_CHECK_MSG(deployment.keys[k].size() == n_vt * ae.code_dim &&
+                        code.rows() == n_vt && code.cols() == ae.code_dim,
+                    who << ": OVT " << k << " needs a key of " << n_vt * ae.code_dim
+                        << " elements and a " << n_vt << " x " << ae.code_dim << " stored code");
+  }
+  if (classifies())
+    NVCIM_CHECK_MSG(n_vt <= lm.prompt_slots, who << ": " << n_vt << " virtual tokens exceed "
+                                                 << lm.prompt_slots << " prompt slots");
 }
 
 void ServingEngine::deploy(std::size_t user_id,
@@ -617,8 +639,17 @@ RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   // handle's future settles with UnknownUser, so async callers (who may
   // race a submit against an eviction or a still-pending admission) learn
   // of it on the same channel as every other per-request error.
-  const bool known =
-      find_deployment(request.user_id).dep != nullptr && store_.user_live(request.user_id);
+  // A token sequence the backbone would reject fails the same way, so it
+  // never reaches a batch: with deployments checked at admission, no stage
+  // has a per-request failure left to isolate.
+  std::exception_ptr rejected;
+  try {
+    if (find_deployment(request.user_id).dep == nullptr || !store_.user_live(request.user_id))
+      throw UnknownUser("unknown or not-yet-live user " + std::to_string(request.user_id));
+    model_->check_tokens(request.query.input, /*positioned=*/classifies());
+  } catch (const Error&) {
+    rejected = std::current_exception();
+  }
   QueuedRequest qr;
   qr.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   qr.user_id = request.user_id;
@@ -629,9 +660,8 @@ RequestHandle ServingEngine::submit(Request request, SubmitOptions opts) {
   qr.on_complete = std::move(opts.on_complete);
   const QueuedRequest::Clock::time_point enqueued = qr.enqueued;
   RequestHandle handle(this, qr.id, qr.promise.get_future());
-  if (!known) {
-    finish_error(qr, std::make_exception_ptr(UnknownUser(
-                         "unknown or not-yet-live user " + std::to_string(qr.user_id))));
+  if (rejected != nullptr) {
+    finish_error(qr, rejected);
     return handle;
   }
   {
@@ -780,10 +810,10 @@ struct ServingEngine::PromptFetch {
 struct ServingEngine::Batch {
   std::size_t size() const { return reqs.size(); }
 
-  /// Fail request `i` alone: a bad request (e.g. a query the backbone
-  /// rejects) must fail only its own future, never the worker thread — an
-  /// exception escaping worker_loop would std::terminate the whole serving
-  /// process.
+  /// Settle request `i` with `error` and skip it in every later stage. A
+  /// stage failure fails its group's requests through here, never the
+  /// worker thread — an exception escaping worker_loop would std::terminate
+  /// the whole serving process.
   void fail(std::size_t i, std::exception_ptr error = std::current_exception()) {
     failed[i] = 1;
     finish_error(reqs[i], std::move(error));
@@ -872,7 +902,6 @@ void ServingEngine::encode_stage(Batch& b, WorkerState& ws) {
   });
   for (const auto& [ae, members] : groups) {
     (void)ae;
-    bool fused = false;
     try {
       std::vector<const core::TrainedDeployment*> group_deps;
       std::vector<const data::Sample*> queries;
@@ -889,21 +918,8 @@ void ServingEngine::encode_stage(Batch& b, WorkerState& ws) {
       for (std::size_t r = 0; r < members.size(); ++r)
         std::memcpy(reps.data() + members[r] * rep_size_, group_reps.data() + r * rep_size_,
                     rep_size_ * sizeof(float));
-      fused = true;
     } catch (...) {
-      // Fall through to the serial path below: one malformed query must not
-      // poison the whole group's GEMM.
-    }
-    if (!fused) {
-      for (const std::size_t i : members) {
-        try {
-          const Matrix rep = b.deps[i].dep->query_representation(*model_, b.reqs[i].query);
-          NVCIM_CHECK_MSG(rep.size() == rep_size_, "representation width mismatch");
-          std::memcpy(reps.data() + i * rep_size_, rep.data(), rep_size_ * sizeof(float));
-        } catch (...) {
-          b.fail(i);
-        }
-      }
+      for (const std::size_t i : members) b.fail(i);
     }
   }
 }
@@ -916,7 +932,7 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
   // independent (distinct crossbar banks, disjoint request rows), so fanning
   // them out across the pool gives results identical to the serial loop.
   const PinnedDirectory& pinned = b.pinned;
-  const bool routed = cfg_.two_phase.enabled && store_.routed();
+  const bool routed = store_.routed();
   std::vector<std::vector<std::size_t>> by_shard(store_.n_shards());
   for (std::size_t i = 0; i < b.size(); ++i)
     if (!b.failed[i]) by_shard[pinned.slot(b.reqs[i].user_id).shard].push_back(i);
@@ -1039,7 +1055,6 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
   // worker's reusable scratch. Serving never builds a tape.
   const bool classify = classifies();
   std::vector<std::size_t> labels(B, 0);
-  std::vector<char> labelled(B, 0);
   if (classify) {
     // Dedup first on what the forward reads: requests with the same decoded
     // prompt entry (fetch_prompts hands equal keys one entry) and the same
@@ -1069,20 +1084,15 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
         }
         const std::vector<std::size_t> out =
             model_->classify_batch(seqs, task_->label_ids(), kvs, ws.classify);
-        for (std::size_t r = 0; r < uniq.size(); ++r) {
-          labels[uniq[r]] = out[r];
-          labelled[uniq[r]] = 1;
-        }
+        for (std::size_t r = 0; r < uniq.size(); ++r) labels[uniq[r]] = out[r];
       } catch (...) {
-        // Fall through: the finish loop below retries each request alone, so
-        // one malformed query cannot poison the whole group's batch.
+        // The group is every request still standing, duplicates included.
+        for (std::size_t i = 0; i < B; ++i)
+          if (!b.failed[i]) b.fail(i);
       }
     }
-    for (std::size_t i = 0; i < B; ++i) {
-      if (b.failed[i] || labelled[i] || dup_of[i] == B) continue;
-      labels[i] = labels[dup_of[i]];
-      labelled[i] = labelled[dup_of[i]];
-    }
+    for (std::size_t i = 0; i < B; ++i)
+      if (!b.failed[i] && dup_of[i] != B) labels[i] = labels[dup_of[i]];
   }
   std::vector<SlowRequest> slow;
   for (std::size_t i = 0; i < B; ++i) {
@@ -1094,11 +1104,6 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
       resp.ovt_index = b.ovt_index[i];
       resp.cache_hit = b.prompts[i].hit;
       if (classify) {
-        if (!labelled[i]) {  // batched pass failed — retry this request alone
-          labels[i] = model_->classify_batch({&p.query.input}, task_->label_ids(),
-                                             {&b.prompts[i].value->kv}, ws.classify)[0];
-          labelled[i] = 1;
-        }
         resp.label = labels[i];
         resp.has_label = true;
       }
@@ -1201,13 +1206,14 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
     // group in a single stacked GEMM — rows are independent under decode, so
     // results are bit-identical to per-key decodes. When the engine
     // classifies, the group's prompt K/V is then built in one stacked
-    // forward, so every later hit classifies token rows only. A group
-    // failure falls back to per-key work so one bad payload cannot poison
-    // its neighbours. Each entry is complete before it is published const.
-    // The whole region is fenced: every registered flight MUST be completed
-    // below — an escaped exception (e.g. bad_alloc in the grouping) becomes
-    // the error of every still-unfinished leader, never a wedged in-flight
-    // key that blocks future fetchers forever.
+    // forward, so every later hit classifies token rows only. Admission
+    // checked every stored code's shape, so a group fails only as a whole:
+    // its rows take the error, other groups are untouched. Each entry is
+    // complete before it is published const. The whole region is fenced:
+    // every registered flight MUST be completed below — an escaped exception
+    // (e.g. bad_alloc in the grouping) becomes the error of every
+    // still-unfinished leader, never a wedged in-flight key that blocks
+    // future fetchers forever.
     const auto row_of = [&](std::size_t l) -> PromptFetch& { return rows[leaders[l].row]; };
     try {
       const auto groups =
@@ -1215,75 +1221,36 @@ void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& w
             return row_of(l).ref->dep->autoencoder.get();
           });
       for (const auto& [ae, group] : groups) {
-        std::vector<std::shared_ptr<DecodedPrompt>> entries(group.size());
-        bool fused = false;
-        if (group.size() > 1) {
-          try {
-            ws.decode_parts.clear();
-            ws.decode_parts.reserve(group.size());
-            for (const std::size_t l : group)
-              ws.decode_parts.push_back(&row_of(l).ref->dep->stored_codes[row_of(l).ovt_index]);
-            stack_rows_into(ws.decode_parts, ws.decode_stacked);
-            ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
-            std::size_t r0 = 0;
-            for (std::size_t g = 0; g < group.size(); ++g) {
-              const std::size_t n = ws.decode_parts[g]->rows();
-              entries[g] = std::make_shared<DecodedPrompt>();
-              entries[g]->prompt = ws.decode_out.row_slice(r0, r0 + n);
-              r0 += n;
-              ++prompt_decodes_;
-            }
-            stats_.record_batched_decode();
-            fused = true;
-          } catch (...) {
-            for (auto& e : entries) e.reset();
-          }
-        }
-        if (!fused) {
+        try {
+          ws.decode_parts.clear();
+          ws.decode_parts.reserve(group.size());
+          for (const std::size_t l : group)
+            ws.decode_parts.push_back(&row_of(l).ref->dep->stored_codes[row_of(l).ovt_index]);
+          stack_rows_into(ws.decode_parts, ws.decode_stacked);
+          ae->decode_into(ws.decode_stacked, ws.decode_out, &ws.encode.autoencoder);
+          prompt_decodes_ += group.size();
+          if (group.size() > 1) stats_.record_batched_decode();
+          std::vector<std::shared_ptr<DecodedPrompt>> entries(group.size());
+          std::size_t r0 = 0;
           for (std::size_t g = 0; g < group.size(); ++g) {
-            PromptFetch& row = row_of(group[g]);
-            try {
-              auto entry = std::make_shared<DecodedPrompt>();
-              row.ref->dep->decode_prompt_into(row.ovt_index, entry->prompt,
-                                               &ws.encode.autoencoder);
-              entries[g] = std::move(entry);
-              ++prompt_decodes_;
-            } catch (...) {
-              row.error = std::current_exception();
-            }
+            const std::size_t n = ws.decode_parts[g]->rows();
+            entries[g] = std::make_shared<DecodedPrompt>();
+            entries[g]->prompt = ws.decode_out.row_slice(r0, r0 + n);
+            r0 += n;
           }
-        }
-        if (classifies()) {
-          std::vector<const Matrix*> prompts;
-          std::vector<llm::TinyLM::PromptKv> kvs;
-          std::vector<std::size_t> built;  // group positions with a decoded entry
-          for (std::size_t g = 0; g < group.size(); ++g)
-            if (entries[g]) {
-              prompts.push_back(&entries[g]->prompt);
-              built.push_back(g);
-            }
-          try {
+          if (classifies()) {
+            std::vector<const Matrix*> prompts;
+            std::vector<llm::TinyLM::PromptKv> kvs;
+            prompts.reserve(group.size());
+            for (const auto& e : entries) prompts.push_back(&e->prompt);
             model_->prompt_kv_batch(prompts, kvs, ws.classify);
-          } catch (...) {
-            // One prompt at a time: a malformed prompt fails only its own
-            // rows (the classify forward could not run under it).
-            kvs.assign(built.size(), {});
-            for (std::size_t p = 0; p < built.size(); ++p) {
-              std::vector<llm::TinyLM::PromptKv> one;
-              try {
-                model_->prompt_kv_batch({prompts[p]}, one, ws.classify);
-                kvs[p] = std::move(one[0]);
-              } catch (...) {
-                row_of(group[built[p]]).error = std::current_exception();
-                entries[built[p]].reset();
-              }
-            }
+            for (std::size_t g = 0; g < group.size(); ++g) entries[g]->kv = std::move(kvs[g]);
           }
-          for (std::size_t p = 0; p < built.size(); ++p)
-            if (entries[built[p]]) entries[built[p]]->kv = std::move(kvs[p]);
+          for (std::size_t g = 0; g < group.size(); ++g)
+            row_of(group[g]).value = std::move(entries[g]);
+        } catch (...) {
+          for (const std::size_t l : group) row_of(l).error = std::current_exception();
         }
-        for (std::size_t g = 0; g < group.size(); ++g)
-          if (entries[g]) row_of(group[g]).value = std::move(entries[g]);
       }
     } catch (...) {
       for (std::size_t l = 0; l < leaders.size(); ++l)

@@ -239,7 +239,6 @@ void ServingEngine::start_introspection() {
   obs::HttpServerConfig hcfg;
   hcfg.bind = cfg_.introspection.bind;
   hcfg.port = cfg_.introspection.port;
-  hcfg.handler_threads = cfg_.introspection.handler_threads;
   auto server = std::make_unique<obs::HttpServer>(hcfg);
 
   server->handle("/", [](const std::string&) {

@@ -826,11 +826,8 @@ ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t su
   out.health = report.health;
   if (report.degraded.empty()) return out;
 
-  std::vector<std::size_t> stuck = report.degraded;
-  if (policy.auto_repair) {
-    stuck = repair_columns(shard, report.degraded);
-    out.columns_repaired = report.degraded.size() - stuck.size();
-  }
+  const std::vector<std::size_t> stuck = repair_columns(shard, report.degraded);
+  out.columns_repaired = report.degraded.size() - stuck.size();
   out.columns_stuck = stuck.size();
   if (stuck.empty()) {
     std::lock_guard<std::mutex> h(health_mu_);
@@ -852,7 +849,7 @@ ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t su
       shards_[shard]->allocator.quarantine(col, col + 1);
       for (const auto& [user, slot] : snap->slots) {
         if (slot.shard != shard || col < slot.begin || col >= slot.end) continue;
-        if (policy.auto_migrate && shards_.size() > 1 && snap->pending.count(user) == 0 &&
+        if (shards_.size() > 1 && snap->pending.count(user) == 0 &&
             owners.insert(user).second)
           moves.emplace_back(user, choose_migration_target_locked(shard));
         break;

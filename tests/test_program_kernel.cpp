@@ -122,13 +122,8 @@ void check_program_columns(bool differential, const cim::ProgramOptions& opts) {
   if (verify) {
     EXPECT_GT(oracle.pulses, oracle.cells_programmed);  // re-pulses happened
   }
-  for (std::size_t c = 0; c < cfg.cols; ++c) {
+  for (std::size_t c = 0; c < cfg.cols; ++c)
     EXPECT_EQ(xb.probe_column(c).deviant, 0u) << "column " << c;
-    for (std::size_t r = 0; r < cfg.rows; ++r) {
-      const float want = c >= col0 && c < col0 + n ? vals(c - col0, r) : 0.0f;
-      EXPECT_EQ(xb.programmed_reference()(r, c), want) << "reference (" << r << ", " << c << ")";
-    }
-  }
 }
 
 cim::ProgramOptions write_verify() {
@@ -284,8 +279,6 @@ TEST(ProgramKernel, NegativeValueInNonDifferentialSpanWritesNothing) {
       for (std::size_t c = 0; c < cfg.cols; ++c)
         ASSERT_EQ(xb.cell_level(s, r, c, false), before.cell_level(s, r, c, false))
             << "slice " << s << " cell (" << r << ", " << c << ")";
-  for (std::size_t i = 0; i < xb.programmed_reference().size(); ++i)
-    ASSERT_EQ(xb.programmed_reference().at_flat(i), before.programmed_reference().at_flat(i));
   EXPECT_EQ(xb.counters().cells_programmed, before.counters().cells_programmed);
   EXPECT_EQ(xb.counters().write_pulses, before.counters().write_pulses);
 }

@@ -536,8 +536,8 @@ TEST(ServingEngine, BadRequestFailsItsFutureNotTheWorker) {
   engine.add_deployment(0, fw.export_deployment());
   engine.start();
 
-  // An empty token sequence is rejected deep inside the backbone; the
-  // exception must surface through this request's future only.
+  // An empty token sequence is rejected at submit(); the error must
+  // surface through this request's future only.
   data::Sample bad;  // empty input
   auto bad_future = engine.submit(serve::Request{0, bad}).take_future();
   EXPECT_THROW(bad_future.get(), Error);

@@ -13,13 +13,19 @@
 //  - the parallel per-shard fan-out stays deterministic with masks on
 //    (this suite also runs under TSan in CI)
 //  - the batched decode GEMM and TinyLM::classify_batch satellites match
-//    their serial counterparts bit-for-bit.
+//    their serial counterparts bit-for-bit
+//  - malformed requests are settled at submit() and malformed deployments
+//    refused at add_deployment()/admit(), so no batch ever meets either.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nvcim/serve/engine.hpp"
@@ -484,71 +490,189 @@ TEST(BatchedClassify, EngineLabelsMatchSerialClassifyUnderCachePressure) {
   engine.stop();
 }
 
-TEST(BatchedClassify, OversizedPromptFailsOnlyItsRequests) {
+// ---------------------------------------------------------------------------
+// Per-request failure at the edges: requests are validated in submit(),
+// deployments in add_deployment()/admit(), so no batch ever holds a request
+// or a deployment its stages' batched calls would reject.
+// ---------------------------------------------------------------------------
+
+/// One shape violation per entry, each derived from a valid deployment of
+/// `f` (so exactly one rule is broken), with the rule's name.
+std::vector<std::pair<std::string, core::TrainedDeployment>> shape_violations(
+    TwoPhaseFixture& f) {
+  std::vector<std::pair<std::string, core::TrainedDeployment>> out;
+  const auto variant = [&](const std::string& what, const auto& mutate) {
+    core::TrainedDeployment d = f.make_deployment(5);
+    mutate(d);
+    out.emplace_back(what, std::move(d));
+  };
+  variant("autoencoder input_dim != d_model", [&](core::TrainedDeployment& d) {
+    compress::AutoencoderConfig acfg = f.autoencoder->config();
+    acfg.input_dim = TwoPhaseFixture::kDModel + 1;
+    d.autoencoder = std::make_shared<const compress::Autoencoder>(acfg);
+  });
+  variant("no virtual tokens", [](core::TrainedDeployment& d) { d.n_virtual_tokens = 0; });
+  variant("fewer stored codes than keys",
+          [](core::TrainedDeployment& d) { d.stored_codes.pop_back(); });
+  variant("stored code with too many rows", [](core::TrainedDeployment& d) {
+    Rng rng(401);
+    d.stored_codes[1] = Matrix::rand_uniform(TwoPhaseFixture::kTokens + 1,
+                                             TwoPhaseFixture::kCodeDim, rng, -1.0f, 1.0f);
+  });
+  variant("stored code with too few columns", [](core::TrainedDeployment& d) {
+    Rng rng(402);
+    d.stored_codes[2] = Matrix::rand_uniform(TwoPhaseFixture::kTokens,
+                                             TwoPhaseFixture::kCodeDim - 1, rng, -1.0f, 1.0f);
+  });
+  variant("key with the wrong element count", [](core::TrainedDeployment& d) {
+    Rng rng(403);
+    d.keys[3] = Matrix::rand_uniform(TwoPhaseFixture::kTokens, TwoPhaseFixture::kCodeDim + 2,
+                                     rng, -1.0f, 1.0f);
+  });
+  // Self-consistent, but its decoded prompts overflow the backbone's
+  // reserved prompt slots: only a classifying engine must refuse it.
+  Rng rng(404);
+  out.emplace_back("more virtual tokens than prompt_slots",
+                   clustered_deployment(f.autoencoder, f.model.config().prompt_slots + 1,
+                                        TwoPhaseFixture::kCodeDim, 2, 2, rng));
+  return out;
+}
+
+TEST(DeploymentValidation, AddDeploymentRejectsEachShapeViolation) {
   TwoPhaseFixture f;
-  // One worker that waits for a full batch: both users' misses decode in
-  // one fused group, whose stacked prompt K/V build then throws.
+  serve::ServingConfig cfg = f.config(false, 0, 2, 1, 8);
+  cfg.run_inference = true;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  for (auto& [what, bad] : shape_violations(f)) {
+    EXPECT_THROW(engine.add_deployment(7, std::move(bad)), Error) << what;
+    EXPECT_EQ(engine.n_users(), 0u) << what;
+    EXPECT_FALSE(engine.store().has_user(7)) << what;
+  }
+  // Before start(), admit() is add_deployment() and rejects the same way.
+  for (auto& [what, bad] : shape_violations(f))
+    EXPECT_THROW(engine.admit(7, std::move(bad)), Error) << what << " (admit)";
+  EXPECT_EQ(engine.n_users(), 0u);
+
+  // The prompt_slots rule binds only an engine that classifies.
+  serve::ServingEngine retrieval_only(f.model, f.task, f.config(false, 0, 1, 1, 8));
+  EXPECT_NO_THROW(retrieval_only.add_deployment(7, std::move(shape_violations(f).back().second)));
+
+  // Nothing was half-taken: valid deployments still go in and serve.
+  for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+  const auto reqs = f.requests(4, 2, 421);
+  for (const auto& [u, q] : reqs) {
+    const serve::Response resp = engine.submit(serve::Request{u, q}).get();
+    EXPECT_TRUE(resp.has_label);
+    EXPECT_EQ(resp.ovt_index, engine.retrieve_serial(u, q));
+  }
+  engine.stop();
+}
+
+TEST(DeploymentValidation, AdmitRejectsEachShapeViolation) {
+  TwoPhaseFixture f;
+  serve::ServingConfig cfg = f.config(false, 0, 2, 2, 8);
+  cfg.run_inference = true;
+  cfg.lifecycle.enabled = true;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+  const std::size_t epoch = engine.store().epoch();
+  for (auto& [what, bad] : shape_violations(f)) {
+    EXPECT_THROW(engine.admit(7, std::move(bad)), Error) << what;
+    // Rejected before anything was staged: no deployment, no slot, no epoch.
+    EXPECT_EQ(engine.n_users(), 2u) << what;
+    EXPECT_FALSE(engine.store().has_user(7)) << what;
+    EXPECT_EQ(engine.store().epoch(), epoch) << what;
+  }
+  const serve::StatsSnapshot rejected = engine.stats();
+  EXPECT_EQ(rejected.users_admitted, 0u);
+  EXPECT_THROW(engine.submit(serve::Request{7, f.requests(1, 1, 431)[0].second}).get(),
+               serve::UnknownUser);
+
+  // The tenant id is still free, and a valid deployment is admitted and
+  // served under it.
+  engine.admit(7, f.make_deployment(7)).wait();
+  for (const auto& req : f.requests(4, 1, 432)) {
+    const data::Sample& q = req.second;
+    const serve::Response resp = engine.submit(serve::Request{7, q}).get();
+    EXPECT_TRUE(resp.has_label);
+    EXPECT_EQ(resp.ovt_index, engine.retrieve_serial(7, q));
+  }
+  EXPECT_EQ(engine.stats().users_admitted, 1u);
+  engine.stop();
+}
+
+TEST(BatchedClassify, OversizedPromptRejectedAtAdmission) {
+  TwoPhaseFixture f;
+  // One worker that waits for a full batch: the valid user's misses decode
+  // in one fused group.
   serve::ServingConfig cfg = f.config(false, 0, 1, 1, 6);
   cfg.run_inference = true;
   cfg.min_batch = 6;
   cfg.batch_window_ms = 2000.0;
   serve::ServingEngine engine(f.model, f.task, cfg);
   engine.add_deployment(0, f.make_deployment(0));
-  // User 1's payloads decode to more rows than the backbone's prompt_slots.
-  core::TrainedDeployment oversized = f.make_deployment(1);
+  // User 1's payloads decode to more rows than the backbone's prompt_slots:
+  // once as codes longer than its n_virtual_tokens, once as a consistent
+  // deployment whose n_virtual_tokens itself is too large. Either is
+  // refused whole, before a batch could meet it.
+  core::TrainedDeployment long_codes = f.make_deployment(1);
   Rng rng(401);
-  for (Matrix& code : oversized.stored_codes)
+  for (Matrix& code : long_codes.stored_codes)
     code = Matrix::rand_uniform(f.model.config().prompt_slots + 1, TwoPhaseFixture::kCodeDim, rng,
                                 -1.0f, 1.0f);
-  engine.add_deployment(1, std::move(oversized));
+  EXPECT_THROW(engine.add_deployment(1, std::move(long_codes)), Error);
+  EXPECT_THROW(engine.add_deployment(1, clustered_deployment(
+                                            f.autoencoder, f.model.config().prompt_slots + 1,
+                                            TwoPhaseFixture::kCodeDim, 2, 2, rng)),
+               Error);
+  EXPECT_EQ(engine.n_users(), 1u);
   engine.start();
 
-  const auto reqs = f.requests(6, 2, 411);
+  const auto reqs = f.requests(6, 1, 411);
   std::vector<std::future<serve::Response>> futures;
   for (const auto& [u, q] : reqs)
     futures.push_back(engine.submit(serve::Request{u, q}).take_future());
-  std::size_t served = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (reqs[i].first == 1) {
-      EXPECT_THROW(futures[i].get(), Error) << "request " << i;
-      continue;
-    }
     const serve::Response resp = futures[i].get();
     ASSERT_TRUE(resp.has_label) << "request " << i;
     const Matrix decoded = engine.deployment(0).decode_prompt(resp.ovt_index);
     EXPECT_EQ(resp.label, f.model.classify(reqs[i].second.input, f.task.label_ids(), &decoded))
         << "request " << i;
-    ++served;
   }
-  EXPECT_GT(served, 0u);
-  EXPECT_LT(served, reqs.size());
   EXPECT_EQ(engine.stats().batches, 1u);
   EXPECT_GT(engine.stats().batched_decode_gemms, 0u);
   engine.stop();
 }
 
-TEST(BatchedClassify, MalformedRequestFailsAloneValidOnesLabelled) {
+TEST(BatchedClassify, MalformedRequestRejectedAtSubmitValidOnesLabelled) {
   TwoPhaseFixture f;
   const std::size_t n_users = 2;
-  // One worker that waits for a full batch, so the malformed request shares
-  // its batch with the valid ones.
+  // One worker that waits for the five valid requests: the malformed one
+  // never joins the queue, so it cannot count toward the batch.
   serve::ServingConfig cfg = f.config(false, 0, 1, 1, 6);
   cfg.run_inference = true;
-  cfg.min_batch = 6;
+  cfg.min_batch = 5;
   cfg.batch_window_ms = 2000.0;
   serve::ServingEngine engine(f.model, f.task, cfg);
   for (std::size_t u = 0; u < n_users; ++u) engine.add_deployment(u, f.make_deployment(u));
   engine.start();
 
   auto reqs = f.requests(6, n_users, 381);
-  // Encodes and retrieves like any query, but runs past the LM's max_seq,
-  // so the group's batched forward throws.
+  // Encodes like any query, but runs past the LM's max_seq.
   const std::size_t bad = 2;
   const llm::TinyLmConfig& mc = f.model.config();
   reqs[bad].second.input.assign(mc.max_seq - mc.prompt_slots + 1, 1);
   std::vector<std::future<serve::Response>> futures;
-  for (const auto& [u, q] : reqs)
-    futures.push_back(engine.submit(serve::Request{u, q}).take_future());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    futures.push_back(engine.submit(serve::Request{reqs[i].first, reqs[i].second}).take_future());
+    if (i == bad) {
+      // Settled by submit() itself, while the batch is still forming.
+      EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)), std::future_status::ready);
+      EXPECT_EQ(engine.stats().batches, 0u);
+    }
+  }
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (i == bad) {
       EXPECT_THROW(futures[i].get(), Error);
@@ -561,7 +685,80 @@ TEST(BatchedClassify, MalformedRequestFailsAloneValidOnesLabelled) {
               f.model.classify(reqs[i].second.input, f.task.label_ids(), prompt.get()))
         << "request " << i;
   }
-  EXPECT_EQ(engine.stats().batches, 1u);  // the fallback ran inside one batch
+  EXPECT_EQ(engine.stats().batches, 1u);  // the five valid requests, together
+  EXPECT_EQ(engine.stats().requests, reqs.size() - 1);
+  engine.stop();
+}
+
+TEST(SubmitValidation, MalformedRequestSettledAtSubmitNeverBatched) {
+  TwoPhaseFixture f;
+  serve::ServingConfig cfg = f.config(false, 0, 2, 2, 8);
+  cfg.run_inference = true;
+  serve::ServingEngine engine(f.model, f.task, cfg);
+  for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+
+  const llm::TinyLmConfig& mc = f.model.config();
+  const auto valid = f.requests(8, 2, 441);
+  std::vector<std::pair<std::string, std::vector<int>>> malformed;
+  malformed.emplace_back("empty input", std::vector<int>{});
+  malformed.emplace_back("token id == vocab", std::vector<int>{1, static_cast<int>(mc.vocab), 2});
+  malformed.emplace_back("negative token id", std::vector<int>{-1, 2});
+  malformed.emplace_back("prompt_slots + length > max_seq",
+                         std::vector<int>(mc.max_seq - mc.prompt_slots + 1, 1));
+  std::size_t served = 0;
+  for (std::size_t k = 0; k < malformed.size(); ++k) {
+    const auto& [what, input] = malformed[k];
+    const std::size_t batches = engine.stats().batches;
+    data::Sample q = valid[k].second;
+    q.input = input;
+    std::atomic<int> callbacks{0};
+    serve::SubmitOptions opts;
+    opts.on_complete = [&callbacks](const serve::Response&, std::exception_ptr error) {
+      if (error != nullptr) ++callbacks;
+    };
+    serve::RequestHandle h = engine.submit(serve::Request{valid[k].first, q}, opts);
+    ASSERT_TRUE(h.valid()) << what;
+    EXPECT_EQ(h.future().wait_for(std::chrono::seconds(0)), std::future_status::ready) << what;
+    EXPECT_THROW(h.get(), Error) << what;
+    EXPECT_EQ(callbacks.load(), 1) << what;
+    EXPECT_EQ(engine.stats().batches, batches) << what;
+
+    // Valid traffic keeps being served, labelled as the serial path does.
+    for (std::size_t v = 2 * k; v < 2 * k + 2; ++v) {
+      const auto& [u, vq] = valid[v];
+      const serve::Response resp = engine.submit(serve::Request{u, vq}).get();
+      ASSERT_TRUE(resp.has_label) << what;
+      const Matrix decoded = engine.deployment(u).decode_prompt(resp.ovt_index);
+      EXPECT_EQ(resp.label, f.model.classify(vq.input, f.task.label_ids(), &decoded)) << what;
+      EXPECT_EQ(resp.ovt_index, engine.retrieve_serial(u, vq)) << what;
+      ++served;
+    }
+  }
+  EXPECT_EQ(engine.stats().requests, served);
+  engine.stop();
+}
+
+TEST(SubmitValidation, OverlongInputServedWhenNotClassifying) {
+  // Retrieval alone never places tokens after the prompt slots, so only a
+  // classifying engine bounds the input length.
+  TwoPhaseFixture f;
+  serve::ServingEngine engine(f.model, f.task, f.config(false, 0, 2, 1, 8));
+  for (std::size_t u = 0; u < 2; ++u) engine.add_deployment(u, f.make_deployment(u));
+  engine.start();
+  const llm::TinyLmConfig& mc = f.model.config();
+  for (const auto& [u, q] : f.requests(4, 2, 451)) {
+    data::Sample long_q = q;
+    while (mc.prompt_slots + long_q.input.size() <= mc.max_seq)
+      long_q.input.insert(long_q.input.end(), q.input.begin(), q.input.end());
+    const serve::Response resp = engine.submit(serve::Request{u, long_q}).get();
+    EXPECT_FALSE(resp.has_label);
+    EXPECT_EQ(resp.ovt_index, engine.retrieve_serial(u, long_q));
+  }
+  // An out-of-vocab id is still refused: the encode stage embeds every token.
+  data::Sample bad = f.requests(1, 1, 452)[0].second;
+  bad.input.push_back(static_cast<int>(mc.vocab));
+  EXPECT_THROW(engine.submit(serve::Request{0, bad}).get(), Error);
   engine.stop();
 }
 
