@@ -170,9 +170,10 @@ std::vector<std::size_t> argmax_labels(const Matrix& z, const std::vector<int>& 
 // written to out[0, d); rows are d wide. Bit-identical to the tape's masked
 // forward over the concatenated [prompt; tokens] rows: keys in the same
 // order, scores as Tape::matmul_nt, then scale, then the mask's + 0;
-// softmax as Tape::row_softmax; the weighted sum as matmul_into. The masked
-// keys are never visited: their exp underflows to exactly 0, which adds
-// nothing to the denominator and which matmul_into skips.
+// softmax as Tape::row_softmax; the weighted sum as matmul_into, with its
+// madd. The masked keys are never visited: their exp underflows to exactly
+// 0, which adds nothing to the denominator, and a 0·v term leaves
+// matmul_into's sum unchanged.
 void attend_row(const float* q, const float* pk, const float* pv, std::size_t n_pre,
                 const float* k, const float* v, std::size_t n_own, std::size_t d,
                 std::size_t n_heads, std::vector<float>& scores, std::vector<double>& exps,
@@ -202,7 +203,7 @@ void attend_row(const float* q, const float* pk, const float* pv, std::size_t n_
       const float p = static_cast<float>(exps[j] / denom);
       if (p == 0.0f) continue;
       const float* vr = key(pv, v, j) + c0;
-      for (std::size_t t = 0; t < dh; ++t) o[t] += p * vr[t];
+      for (std::size_t t = 0; t < dh; ++t) o[t] = madd(p, vr[t], o[t]);
     }
   }
 }

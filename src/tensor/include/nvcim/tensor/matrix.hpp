@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
@@ -110,12 +111,30 @@ Matrix operator*(Matrix a, float s);
 Matrix operator*(float s, Matrix a);
 Matrix hadamard(Matrix a, const Matrix& b);
 
-/// C = A·B. Shapes checked. Blocked over (rows, shared dim) so the B panel
-/// stays cache-resident on tall batched inputs; per-element accumulation
-/// order is unchanged, so results are bit-identical to the naive kernel.
+/// The multiply-add of matmul_into(): std::fma where the target has FMA,
+/// `acc + a * b` otherwise, so its rounding never depends on whether the
+/// compiler contracts (-O0 builds do not). A hand-written loop that must
+/// equal a matmul_into() product bit for bit accumulates with it too.
+inline float madd(float a, float b, float acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+/// C = A·B. Shapes checked. See matmul_into() for the kernel.
 Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A·B written into caller storage — no allocation when `out` already
-/// has the right element count. Bit-identical to matmul().
+/// has the right element count (prior contents are ignored). The kernel
+/// holds a 4-row × 32-column output tile in registers across the whole
+/// shared dimension and stores it once; leftover rows run as 1-row tiles and
+/// leftover columns through the same 32-wide tile over a zero-padded copy of
+/// B. Each output element is one chain of madd() over k in ascending order
+/// from +0, so the result is bit-identical to the textbook i-k-j madd() loop
+/// that skips zeros of A whenever B is finite (a skipped 0·inf is NaN
+/// here). The one exception is a sign of zero: on FMA targets a sum that
+/// underflows to −0 reads +0 after a later zero term.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// C = Aᵀ·B without materializing the transpose.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);

@@ -167,12 +167,37 @@ Matrix operator*(float s, Matrix a) { return a *= s; }
 Matrix hadamard(Matrix a, const Matrix& b) { return a.hadamard_inplace(b); }
 
 namespace {
-// L1 blocking of the A·B kernel: a KC-row panel of B is reused across MC rows
-// of A before moving on. For each output element the shared dimension is
-// still traversed in ascending order, so the accumulated float is the same
-// bit pattern the unblocked kernel produced.
-constexpr std::size_t kMatmulBlockRows = 32;  // MC: A rows per panel pass
-constexpr std::size_t kMatmulBlockK = 128;    // KC: B rows kept hot in L1
+// Register tile of the A·B kernel: kTileRows output rows × kTileCols output
+// columns stay in accumulators across the whole shared dimension, and each
+// output element is stored once.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 32;
+
+// C[0:R, 0:ncols] = A[0:R, :]·B[:, 0:kTileCols]. B rows are ldb apart and
+// must hold kTileCols readable columns; only the first ncols are stored.
+template <std::size_t R>
+void gemm_tile(const float* a, std::size_t K, const float* b, std::size_t ldb, float* c,
+               std::size_t ldc, std::size_t ncols) {
+  float acc[R][kTileCols] = {};
+  for (std::size_t k = 0; k < K; ++k) {
+    const float* bk = b + k * ldb;
+    for (std::size_t r = 0; r < R; ++r) {
+      const float av = a[r * K + k];
+      for (std::size_t j = 0; j < kTileCols; ++j) acc[r][j] = madd(av, bk[j], acc[r][j]);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    std::copy(acc[r], acc[r] + ncols, c + r * ldc);
+}
+
+// Every kTileCols-wide column strip of C, in 4-row tiles then 1-row tiles.
+void gemm_strip(const float* a, std::size_t M, std::size_t K, const float* b, std::size_t ldb,
+                float* c, std::size_t ldc, std::size_t ncols) {
+  std::size_t i = 0;
+  for (; i + kTileRows <= M; i += kTileRows)
+    gemm_tile<kTileRows>(a + i * K, K, b, ldb, c + i * ldc, ldc, ncols);
+  for (; i < M; ++i) gemm_tile<1>(a + i * K, K, b, ldb, c + i * ldc, ldc, ncols);
+}
 }  // namespace
 
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -180,24 +205,18 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
                                                   << b.rows() << "x" << b.cols());
   NVCIM_CHECK_MSG(&out != &a && &out != &b, "matmul_into output must not alias an input");
   out.resize(a.rows(), b.cols());
-  out.fill(0.0f);
   const std::size_t M = a.rows(), K = a.cols(), N = b.cols();
-  for (std::size_t i0 = 0; i0 < M; i0 += kMatmulBlockRows) {
-    const std::size_t i1 = std::min(i0 + kMatmulBlockRows, M);
-    for (std::size_t k0 = 0; k0 < K; k0 += kMatmulBlockK) {
-      const std::size_t k1 = std::min(k0 + kMatmulBlockK, K);
-      for (std::size_t i = i0; i < i1; ++i) {
-        float* crow = out.data() + i * N;
-        const float* arow = a.data() + i * K;
-        for (std::size_t k = k0; k < k1; ++k) {
-          const float av = arow[k];
-          if (av == 0.0f) continue;
-          const float* brow = b.data() + k * N;
-          for (std::size_t j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
+  std::size_t j = 0;
+  for (; j + kTileCols <= N; j += kTileCols)
+    gemm_strip(a.data(), M, K, b.data() + j, N, out.data() + j, N, kTileCols);
+  if (j == N) return;
+  // The N mod kTileCols tail columns go through the same tile over a
+  // zero-padded copy of B's last strip; the padding columns are not stored.
+  thread_local std::vector<float> tail;
+  tail.assign(K * kTileCols, 0.0f);
+  for (std::size_t k = 0; k < K; ++k)
+    std::copy(b.data() + k * N + j, b.data() + (k + 1) * N, tail.data() + k * kTileCols);
+  gemm_strip(a.data(), M, K, tail.data(), kTileCols, out.data() + j, N, N - j);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "nvcim/tensor/matrix.hpp"
 
@@ -187,28 +191,70 @@ TEST(Matrix, ResampleRowsIdentity) {
   EXPECT_TRUE(allclose(resample_rows(x, 5), x));
 }
 
-TEST(Matrix, BlockedMatmulMatchesNaiveReferenceBitForBit) {
-  // The production matmul is blocked over (rows, shared dim); per-element
-  // accumulation order must be unchanged, so results are bit-identical to
-  // the textbook triple loop. Shapes straddle the block sizes (32, 128).
-  Rng rng(31);
-  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 4},    {32, 128, 8},
-                                   {33, 129, 7}, {70, 300, 5}, {2, 257, 3}};
-  for (const auto& s : shapes) {
-    const std::size_t M = s[0], K = s[1], N = s[2];
-    const Matrix a = Matrix::randn(M, K, rng);
-    const Matrix b = Matrix::randn(K, N, rng);
-    Matrix ref(M, N, 0.0f);
-    for (std::size_t i = 0; i < M; ++i)
-      for (std::size_t k = 0; k < K; ++k) {
-        const float av = a(i, k);
-        if (av == 0.0f) continue;
-        for (std::size_t j = 0; j < N; ++j) ref(i, j) += av * b(k, j);
+// The textbook i-k-j loop, zero skip included: the oracle matmul_into must
+// match bit for bit whenever B is finite. Its multiply-add is spelled out
+// (fused on FMA targets, as -march=native builds contracted the old
+// production loop) so the oracle does not hang on the compiler's choice.
+Matrix textbook_matmul(const Matrix& a, const Matrix& b) {
+  Matrix ref(a.rows(), b.cols(), 0.0f);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const float av = a(i, k);
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+#ifdef __FMA__
+        ref(i, j) = std::fma(av, b(k, j), ref(i, j));
+#else
+        ref(i, j) += av * b(k, j);
+#endif
       }
-    const Matrix c = matmul(a, b);
-    ASSERT_TRUE(c.same_shape(ref));
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c.at_flat(i), ref.at_flat(i)) << M << "x" << K << "x" << N << " flat " << i;
+    }
+  return ref;
+}
+
+std::uint32_t bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+void expect_matches_oracle(const Matrix& a, const Matrix& b, Matrix& out) {
+  matmul_into(a, b, out);
+  const Matrix ref = textbook_matmul(a, b);
+  ASSERT_TRUE(out.same_shape(ref));
+  for (std::size_t i = 0; i < out.size(); ++i)
+    ASSERT_EQ(bits(out.at_flat(i)), bits(ref.at_flat(i)))
+        << a.rows() << "x" << a.cols() << "x" << b.cols() << " flat " << i;
+}
+
+TEST(Gemm, TileMatchesTextbookOracle) {
+  Rng rng(31);
+  // Fixed shapes: single elements, K = 0, K around 128, tall and wide, and
+  // serving-sized products (d_model 64, autoencoder hidden 256).
+  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 4},    {32, 128, 8}, {33, 129, 7},
+                                   {70, 300, 5}, {2, 257, 3},  {5, 0, 9},    {53, 64, 256},
+                                   {53, 256, 48}, {24, 256, 64}, {100, 64, 64}};
+  for (const auto& s : shapes) {
+    Matrix out;
+    expect_matches_oracle(Matrix::randn(s[0], s[1], rng), Matrix::randn(s[1], s[2], rng), out);
+  }
+  // Random shapes: every N mod 32 class below and above one tile, every
+  // M mod 4 class, K straddling 128, with exact zeros in A (scattered
+  // entries and one whole row), into an `out` full of NaN garbage that is
+  // the right size, larger or smaller.
+  const std::size_t ks[] = {1, 2, 17, 64, 127, 128, 129, 200};
+  const float garbage = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t n = 1; n <= 64; ++n) {
+    const std::size_t m = 1 + rng.uniform_index(13);
+    const std::size_t k = ks[rng.uniform_index(std::size(ks))];
+    Matrix a = Matrix::randn(m, k, rng);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (rng.uniform() < 0.3) a.at_flat(i) = 0.0f;
+    const std::size_t zero_row = rng.uniform_index(m);
+    for (std::size_t c = 0; c < k; ++c) a(zero_row, c) = 0.0f;
+    const std::size_t out_rows[] = {m, m + 3, 1};
+    Matrix out(out_rows[n % 3], n, garbage);
+    expect_matches_oracle(a, Matrix::randn(k, n, rng), out);
   }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail when a sanitizer job's ``--gtest_filter`` names tests that do not exist.
+"""Fail when a sanitizer job's ``--gtest_filter`` names tests that do not exist,
+or names the same pattern twice.
 
     python3 tools/check_ci_filters.py build/nvcim_tests [--workflow .github/workflows/ci.yml]
 
@@ -10,13 +11,16 @@ sanitizer coverage disappears without any job failing. This check lists the
 suite's tests (``--gtest_list_tests``) and matches every pattern of every
 ``--gtest_filter`` in the workflow against the full ``Suite.Test`` names,
 with gtest's glob rules (``*`` any run of characters, ``?`` one character).
-Negative patterns (after a ``-``) are checked the same way.
+Negative patterns (after a ``-``) are checked the same way. A pattern listed
+twice in one filter is reported as DUPLICATE: it adds no coverage, and a
+copy left behind by an edit hides what the filter was meant to say.
 
-Exit status: 0 = every pattern matches a test, 1 = stale pattern(s),
-2 = usage/IO error.
+Exit status: 0 = every pattern matches a test and none repeats, 1 = stale or
+duplicate pattern(s), 2 = usage/IO error.
 """
 
 import argparse
+import collections
 import fnmatch
 import os
 import re
@@ -77,9 +81,15 @@ def main():
     for line, p in stale:
         print(f"STALE  {args.workflow}:{line}: --gtest_filter pattern '{p}' "
               "matches no test")
+    # Patterns of one filter share its line number, so a repeated
+    # (line, pattern) pair is a pattern listed twice in the same filter.
+    duplicate = [(lp, n) for lp, n in collections.Counter(patterns).items() if n > 1]
+    for (line, p), n in duplicate:
+        print(f"DUPLICATE  {args.workflow}:{line}: --gtest_filter pattern '{p}' "
+              f"appears {n} times")
     print(f"check_ci_filters: {len(patterns)} patterns against {len(names)} tests, "
-          f"{len(stale)} stale")
-    return 1 if stale else 0
+          f"{len(stale)} stale, {len(duplicate)} duplicate")
+    return 1 if stale or duplicate else 0
 
 
 if __name__ == "__main__":
