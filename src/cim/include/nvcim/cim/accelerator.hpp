@@ -10,11 +10,11 @@ namespace nvcim::cim {
 /// A bank of subarrays holding a key matrix for in-memory similarity search:
 /// keys are stored column-wise (Kᵀ, shape len×n_keys) across a grid of
 /// 384×128 tiles, and query(x) computes x·Kᵀ — one inner product per stored
-/// key — entirely through the noisy crossbar MVMs.
+/// key — entirely through the noisy crossbar MVMs. Every cell is written
+/// with a single pulse (write-verify is SWV's, on Crossbar::program).
 class Accelerator {
  public:
-  Accelerator(CrossbarConfig cfg, nvm::VariationModel var, ProgramOptions opts = {})
-      : cfg_(cfg), var_(var), opts_(opts) {}
+  Accelerator(CrossbarConfig cfg, nvm::VariationModel var) : cfg_(cfg), var_(var) {}
 
   /// Store `keys` (n_keys × len, one key per row). Quantizes to int16 with a
   /// single global scale and programs every tile. May be called again to
@@ -127,7 +127,6 @@ class Accelerator {
 
   CrossbarConfig cfg_;
   nvm::VariationModel var_;
-  ProgramOptions opts_;
   Matrix keys_ref_;  ///< dequantized reference of what was stored
   float scale_ = 1.0f;
   std::size_t n_keys_ = 0;

@@ -14,24 +14,21 @@
 namespace nvcim::cim {
 
 /// Geometry and conversion parameters of one NVCiM subarray. The defaults
-/// follow the paper: 384×128 subarrays of 2-bit cells holding int16 values,
-/// which bit-slices to 8 cell planes per polarity.
+/// follow the paper: 384×128 subarrays of 2-bit cells holding int16 values
+/// as G+ − G− pairs, which bit-slices to 8 cell planes per polarity. The
+/// cell layout is fixed (see Crossbar).
 struct CrossbarConfig {
   std::size_t rows = 384;
   std::size_t cols = 128;
-  std::size_t bits_per_cell = 2;
   std::size_t value_bits = 16;  ///< integer precision of stored values
   std::size_t adc_bits = 8;     ///< 0 = ideal (no ADC quantization)
-  bool differential = true;     ///< signed values as G+ − G− cell pairs
 
-  std::size_t levels() const { return 1ull << bits_per_cell; }
-  std::size_t n_slices() const {
-    const std::size_t magnitude_bits = value_bits - (differential ? 1 : 0);
-    return (magnitude_bits + bits_per_cell - 1) / bits_per_cell;
-  }
+  std::size_t levels() const;    ///< 2^Crossbar::kBitsPerCell
+  std::size_t n_slices() const;  ///< magnitude bits / kBitsPerCell, rounded up
 };
 
-/// Options controlling programming (write) behaviour.
+/// Write-verify options of Crossbar::program, the path SWV drives
+/// (mitigation::SelectiveWriteVerify); every other write is single-pulse.
 struct ProgramOptions {
   double verify_tolerance = 0.0;       ///< 0 disables write-verify
   std::size_t max_write_iterations = 1;
@@ -61,22 +58,28 @@ struct OpCounters {
 };
 
 /// Functional model of a single NVM crossbar subarray with bit-sliced,
-/// differential multi-level cells. Programming draws the per-cell conductance
-/// noise once (spatial variation persists across reads); the analog MVM then
-/// reads those noisy conductances, with per-slice ADC quantization.
+/// differential multi-level cells: a G+ cell holds a value's positive part
+/// and a G− cell its negative part (ISAAC/PRIME). Programming draws the
+/// per-cell conductance noise once (spatial variation persists across
+/// reads); the analog MVM then reads those noisy conductances, with
+/// per-slice ADC quantization.
 ///
 /// Storage is interleaved per slice: each row holds [G+ G−] pairs
-/// contiguously ([G+] only without differential pairs), so the fused MVM
-/// kernel streams one unit-stride array per slice and feeds both polarities'
-/// accumulators in a single pass. Per-slice shift factors (2^(s·bits)) and
-/// all-zero-slice flags are precomputed at program time.
+/// contiguously, so the fused MVM kernel streams one unit-stride array per
+/// slice and feeds both polarities' accumulators in a single pass. Per-slice
+/// shift factors (2^(s·kBitsPerCell)) and all-zero-slice flags are
+/// precomputed at program time.
 class Crossbar {
  public:
+  static constexpr std::size_t kBitsPerCell = 2;  ///< per NVM cell, as in the paper
+  static constexpr std::size_t kPitch = 2;  ///< floats per key column: [G+ G−]
   /// Width (in interleaved accumulator lanes) of the fused kernel's register
-  /// blocks — candidate masking prunes at this granularity, covering
-  /// kAccumulatorLanes / pitch output columns per block. Exposed so the
-  /// routing layer can account examined work the way the kernel computes it.
+  /// blocks.
   static constexpr std::size_t kAccumulatorLanes = 32;
+  /// Key columns per accumulator block, the granularity candidate masking
+  /// prunes at. The one derivation of that width: the store aligns slots to
+  /// it and routing counts examined work in it, as the kernel computes.
+  static constexpr std::size_t kBlockColumns = kAccumulatorLanes / kPitch;
 
   explicit Crossbar(CrossbarConfig cfg = {}) : cfg_(cfg) {}
 
@@ -86,8 +89,8 @@ class Crossbar {
   /// of shape at most rows×cols. Smaller matrices occupy the top-left corner.
   /// Every cell draws from the one stream `rng`, in rows → columns → slices
   /// order (slices ascending, G+ before G− within a slice); write-verify
-  /// re-draws a cell before moving on. The matrix is validated before any
-  /// cell is written.
+  /// (`opts`, SWV's path) re-draws a cell before moving on. The matrix is
+  /// validated before any cell is written.
   void program(const Matrix& int_values, const nvm::VariationModel& var, Rng& rng,
                const ProgramOptions& opts = {});
 
@@ -107,15 +110,14 @@ class Crossbar {
   /// what keeps untouched columns bit-identical across admits and lets an
   /// incremental program reproduce a from-scratch one exactly. Other
   /// columns' cells are not touched. The whole span is validated before any
-  /// cell is written. `verify_mask` is not supported on this path.
+  /// cell is written.
   ///
-  /// Draw order: column j draws only from rngs[j], rows ascending, slices
-  /// ascending, G+ before G− (write-verify re-draws a cell before moving
-  /// on). The kernel walks rows → slices → span columns, so each row of a
-  /// slice plane is written unit-stride while every stream keeps that order.
+  /// Draw order: one pulse per cell; column j draws only from rngs[j], rows
+  /// ascending, slices ascending, G+ before G−. The kernel walks rows →
+  /// slices → span columns, so each row of a slice plane is written
+  /// unit-stride while every stream keeps that order.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
-                       const nvm::VariationModel& var, Rng* rngs,
-                       const ProgramOptions& opts = {});
+                       const nvm::VariationModel& var, Rng* rngs);
 
   /// y = x · W for x of shape m×r (r = programmed rows). Returns m×c in the
   /// stored-integer scale. Non-const: accumulates op counters. A plain
@@ -136,8 +138,8 @@ class Crossbar {
   ///
   /// With `candidates`, only output columns whose candidate bit is set (for
   /// some query of the kernel's 4-query register tile) are computed; an
-  /// entire 32-accumulator column block is skipped when no query of the tile
-  /// has a candidate in it. `col_offset` maps this subarray's columns into
+  /// entire kBlockColumns-wide column block is skipped when no query of the
+  /// tile has a candidate in it. `col_offset` maps this subarray's columns into
   /// the candidate set's key index space (column c here is key
   /// `col_offset + c`). Computed entries are bit-identical to the unmasked
   /// kernel — skipping a block never reorders another block's accumulation.
@@ -162,7 +164,7 @@ class Crossbar {
   /// Analog level of one programmed cell (slice s, row r, col c, polarity).
   /// Diagnostic accessor used by bit-identity tests and benches.
   float cell_level(std::size_t s, std::size_t r, std::size_t c, bool negative) const {
-    return cells_[s * slice_stride() + r * row_stride() + c * pitch() + (negative ? 1 : 0)];
+    return cells_[s * slice_stride() + r * row_stride() + c * kPitch + (negative ? 1 : 0)];
   }
 
   /// True when every cell of slice `s` (both polarities) is exactly zero, so
@@ -220,18 +222,18 @@ class Crossbar {
   /// Per-call write tables and pulse count (defined in crossbar.cpp).
   struct CellWriter;
 
-  /// Validate one entry before any cell is written: integer-valued, within
-  /// int<value_bits>, and non-negative without differential pairs.
+  /// Validate one entry before any cell is written: integer-valued and
+  /// within int<value_bits>.
   void check_value(double vf) const;
 
   /// Program slice `s` of value `v` into the cell pair at flat index `idx`
   /// — G+ then G− from `rng` — writing the cell and its pristine shadow in
-  /// one pass; a stuck cell keeps its pinned level. The one per-cell write
-  /// of both programming paths. Returns true when the stored cell is nonzero.
+  /// one pass, re-pulsing each cell when `verify` is set; a stuck cell keeps
+  /// its pinned level. The one per-cell write of both programming paths.
+  /// Returns true when either stored cell is nonzero.
   bool write_cell(std::size_t idx, long v, std::size_t s, CellWriter& w, Rng& rng, bool verify);
 
-  std::size_t pitch() const { return cfg_.differential ? 2 : 1; }
-  std::size_t row_stride() const { return active_cols_ * pitch(); }
+  std::size_t row_stride() const { return active_cols_ * kPitch; }
   std::size_t slice_stride() const { return active_rows_ * row_stride(); }
 
   void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
@@ -239,9 +241,9 @@ class Crossbar {
 
   CrossbarConfig cfg_;
   /// Interleaved analog cell levels (0..levels-1 plus noise): slice-major,
-  /// then row-major, each row `active_cols_ × pitch()` floats.
+  /// then row-major, each row `active_cols_ × kPitch` floats.
   std::vector<float> cells_;
-  std::vector<double> slice_shift_;        ///< 2^(s·bits_per_cell)
+  std::vector<double> slice_shift_;        ///< 2^(s·kBitsPerCell)
   std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;
@@ -263,5 +265,12 @@ class Crossbar {
   std::vector<double> lsb_;
   std::vector<std::uint8_t> block_need_;
 };
+
+inline std::size_t CrossbarConfig::levels() const {
+  return std::size_t{1} << Crossbar::kBitsPerCell;
+}
+inline std::size_t CrossbarConfig::n_slices() const {  // the sign lives in the G+/G− pair
+  return (value_bits - 1 + Crossbar::kBitsPerCell - 1) / Crossbar::kBitsPerCell;
+}
 
 }  // namespace nvcim::cim

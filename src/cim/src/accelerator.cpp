@@ -29,7 +29,7 @@ void Accelerator::store(const Matrix& keys, Rng& rng) {
       const std::size_t c1 = std::min(c0 + cfg_.cols, n_keys_);
       Crossbar xb(cfg_);
       Rng tile_rng = rng.split(rt * 7919 + ct);
-      xb.program(kt.row_slice(r0, r1).col_slice(c0, c1), var_, tile_rng, opts_);
+      xb.program(kt.row_slice(r0, r1).col_slice(c0, c1), var_, tile_rng);
       tiles_.push_back(std::move(xb));
     }
   }
@@ -130,8 +130,7 @@ void Accelerator::program_keys(const Matrix& keys, std::size_t col_begin) {
         // was programmed — the bit-identity anchor of the lifecycle path.
         rngs.push_back(base_rng_.split(rt * 0x100000001B3ull + c));
       }
-      tiles_[rt * col_tiles_ + ct].program_columns(seg, c0 % cfg_.cols, var_, rngs.data(),
-                                                   opts_);
+      tiles_[rt * col_tiles_ + ct].program_columns(seg, c0 % cfg_.cols, var_, rngs.data());
     }
   }
 }

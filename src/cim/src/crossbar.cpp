@@ -19,15 +19,16 @@ constexpr double kProbeEps = 1e-6;
 
 /// Per-call write state: the per-nibble target level and sigma that
 /// nvm::program_cell derives per cell, built once through the same functions
-/// (so every value is identical), plus the write pulses the call issued.
+/// (so every value is identical), the write-verify limits of program()
+/// (single-pulse by default), plus the write pulses the call issued.
 struct Crossbar::CellWriter {
   CellWriter(const CrossbarConfig& cfg, const nvm::VariationModel& var,
-             const ProgramOptions& opts)
+             const ProgramOptions& opts = {})
       : denorm(static_cast<double>(cfg.levels() - 1)),
         tolerance(opts.verify_tolerance),
         max_iterations(opts.max_write_iterations) {
     NVCIM_CHECK_MSG(var.device.n_levels == cfg.levels(),
-                    "device level count must match bits_per_cell");
+                    "device level count must match the " << kBitsPerCell << "-bit cells");
     if (tolerance > 0.0) NVCIM_CHECK(max_iterations >= 1);
     for (std::size_t nibble = 0; nibble < cfg.levels(); ++nibble) {
       const std::size_t level =
@@ -68,31 +69,26 @@ void Crossbar::check_value(double vf) const {
   const long v = static_cast<long>(std::llround(vf));
   NVCIM_CHECK_MSG(std::labs(v) <= qmax_for_bits(static_cast<int>(cfg_.value_bits)),
                   "value " << v << " exceeds int" << cfg_.value_bits);
-  NVCIM_CHECK_MSG(cfg_.differential || v >= 0,
-                  "non-differential crossbar requires non-negative values");
 }
 
 bool Crossbar::write_cell(std::size_t idx, long v, std::size_t s, CellWriter& w, Rng& rng,
                           bool verify) {
   const long mask = static_cast<long>(cfg_.levels()) - 1;
-  const std::size_t shift = s * cfg_.bits_per_cell;
+  const std::size_t shift = s * kBitsPerCell;
   float* cell = cells_.data() + idx;
   float* shadow = pristine_.data() + idx;
   shadow[0] = cell[0] = w.write(((v > 0 ? v : 0) >> shift) & mask, rng, verify);
-  if (cfg_.differential)
-    shadow[1] = cell[1] = w.write(((v < 0 ? -v : 0) >> shift) & mask, rng, verify);
+  shadow[1] = cell[1] = w.write(((v < 0 ? -v : 0) >> shift) & mask, rng, verify);
   if (!stuck_.empty()) {
     // Stuck cells ignore the write pulse: the fresh level lands in the
     // pristine shadow (what the cell SHOULD hold) but the analog cell
     // stays pinned — which is exactly what a scrub probe then sees.
-    auto it = stuck_.find(idx);
-    if (it != stuck_.end()) cell[0] = it->second;
-    if (cfg_.differential) {
-      it = stuck_.find(idx + 1);
-      if (it != stuck_.end()) cell[1] = it->second;
+    for (std::size_t p = 0; p < kPitch; ++p) {
+      const auto it = stuck_.find(idx + p);
+      if (it != stuck_.end()) cell[p] = it->second;
     }
   }
-  return cell[0] != 0.0f || (cfg_.differential && cell[1] != 0.0f);
+  return cell[0] != 0.0f || cell[1] != 0.0f;
 }
 
 void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var, Rng& rng,
@@ -113,11 +109,11 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
           opts.verify_tolerance > 0.0 &&
           (opts.verify_mask == nullptr || (*opts.verify_mask)(r, c) > 0.0f);
       for (std::size_t s = 0; s < S; ++s)
-        if (write_cell(s * slice_stride() + r * row_stride() + c * pitch(), v, s, w, rng, verify))
+        if (write_cell(s * slice_stride() + r * row_stride() + c * kPitch, v, s, w, rng, verify))
           slice_zero_[s] = 0;
     }
   }
-  counters_.cells_programmed += active_rows_ * active_cols_ * S * pitch();
+  counters_.cells_programmed += active_rows_ * active_cols_ * S * kPitch;
   counters_.write_pulses += w.pulses;
 }
 
@@ -132,7 +128,7 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
   cells_.assign(S * slice_stride(), 0.0f);
   slice_shift_.resize(S);
   for (std::size_t s = 0; s < S; ++s)
-    slice_shift_[s] = std::ldexp(1.0, static_cast<int>(s * cfg_.bits_per_cell));
+    slice_shift_[s] = std::ldexp(1.0, static_cast<int>(s * kBitsPerCell));
   // Every cell is exactly zero (never pulsed): all slices start elided.
   // write_cell clears a slice's flag the moment a nonzero analog
   // level lands in it — monotonic, so the flag is only ever conservative.
@@ -146,21 +142,17 @@ void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
 }
 
 void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
-                               const nvm::VariationModel& var, Rng* rngs,
-                               const ProgramOptions& opts) {
+                               const nvm::VariationModel& var, Rng* rngs) {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar region not initialized");
   const std::size_t n = int_values.rows();
   NVCIM_CHECK_MSG(n > 0 && col_begin + n <= active_cols_,
                   "columns [" << col_begin << ", " << col_begin + n << ") out of range");
   NVCIM_CHECK_MSG(int_values.cols() == active_rows_,
                   "column values must be Nx" << active_rows_);
-  NVCIM_CHECK_MSG(opts.verify_mask == nullptr,
-                  "verify_mask is not supported on column programming");
-  CellWriter w(cfg_, var, opts);
+  CellWriter w(cfg_, var);
   // Validate the whole span up front, so a bad value can never leave the
   // span half-programmed.
   for (std::size_t i = 0; i < int_values.size(); ++i) check_value(int_values.at_flat(i));
-  const bool verify = opts.verify_tolerance > 0.0;
 
   // Rows → slices → span columns: unit-stride writes along each row, while
   // every column still draws from its own stream in rows-ascending,
@@ -168,7 +160,7 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   // function of (values, position, its own stream), whatever span it was
   // written in.
   const std::size_t S = cfg_.n_slices();
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   std::vector<long> row(n);
   for (std::size_t r = 0; r < active_rows_; ++r) {
     for (std::size_t j = 0; j < n; ++j) row[j] = static_cast<long>(std::llround(int_values(j, r)));
@@ -176,7 +168,7 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
       const std::size_t base = s * slice_stride() + r * row_stride() + col_begin * P;
       bool nonzero = false;
       for (std::size_t j = 0; j < n; ++j)
-        nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j], verify);
+        nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j], false);
       if (nonzero) slice_zero_[s] = 0;
     }
   }
@@ -203,7 +195,7 @@ std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
   // stuck level — pinning one of those is guaranteed observable.
   std::vector<std::size_t> cand;
   const std::size_t S = cfg_.n_slices();
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t r = 0; r < active_rows_; ++r) {
       const std::size_t base = s * slice_stride() + r * row_stride() + col * P;
@@ -235,7 +227,7 @@ void Crossbar::advance_age(std::uint64_t ticks) {
   const double f = nvm::drift_factor(drift_rate_, ticks);
   if (f == 1.0) return;
   const std::size_t S = cfg_.n_slices();
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     if (slice_zero_[s]) continue;  // all-zero plane: nothing to decay
     for (std::size_t r = 0; r < active_rows_; ++r) {
@@ -257,7 +249,7 @@ ColumnProbe Crossbar::probe_column(std::size_t col) const {
   NVCIM_CHECK_MSG(col < active_cols_, "column " << col << " out of range");
   ColumnProbe pr;
   const std::size_t S = cfg_.n_slices();
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t r = 0; r < active_rows_; ++r) {
       const std::size_t base = s * slice_stride() + r * row_stride() + col * P;
@@ -276,7 +268,7 @@ ColumnProbe Crossbar::probe_column(std::size_t col) const {
 Matrix Crossbar::read_values() const {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
   const std::size_t S = cfg_.n_slices();
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   Matrix out(active_rows_, active_cols_, 0.0f);
   for (std::size_t s = 0; s < S; ++s) {
     const double shift = slice_shift_[s];
@@ -284,8 +276,7 @@ Matrix Crossbar::read_values() const {
     for (std::size_t r = 0; r < active_rows_; ++r) {
       const float* row = cells_.data() + s * slice_stride() + r * row_stride();
       for (std::size_t c = 0; c < active_cols_; ++c) {
-        double v = row[c * P];
-        if (cfg_.differential) v -= row[c * P + 1];
+        const double v = static_cast<double>(row[c * P]) - row[c * P + 1];
         out(r, c) += static_cast<float>(shift * v);
       }
     }
@@ -306,7 +297,7 @@ Matrix Crossbar::matvec(const Matrix& x) {
                                                            << active_rows_);
   const std::size_t S = cfg_.n_slices();
   const double denorm = static_cast<double>(cfg_.levels() - 1);
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   Matrix y(x.rows(), active_cols_, 0.0f);
 
   for (std::size_t m = 0; m < x.rows(); ++m) {
@@ -327,7 +318,7 @@ Matrix Crossbar::matvec(const Matrix& x) {
         const float* cell = plane + c * P;
         for (std::size_t r = 0; r < active_rows_; ++r, cell += row_stride()) {
           acc_pos += static_cast<double>(x(m, r)) * cell[0];
-          if (cfg_.differential) acc_neg += static_cast<double>(x(m, r)) * cell[1];
+          acc_neg += static_cast<double>(x(m, r)) * cell[1];
         }
         const double v =
             adc_quantize(acc_pos, full_scale) - adc_quantize(acc_neg, full_scale);
@@ -353,7 +344,7 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   const std::size_t S = cfg_.n_slices();
   const std::size_t B = x.rows();
   const double denorm = static_cast<double>(cfg_.levels() - 1);
-  const std::size_t P = pitch();
+  constexpr std::size_t P = kPitch;
   const std::size_t lane = row_stride();
 
   // ADC full scale per query row: the worst-case column current given that
@@ -388,8 +379,8 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
 
   // Candidate masking: one byte per (query, column block) saying whether any
   // candidate key lands in that block's output columns. kBlk interleaved
-  // accumulators cover kBlk/P output columns, so block boundaries align with
-  // whole columns and a cleared byte skips the block's entire row sweep.
+  // accumulators cover kBlockColumns whole output columns, so a cleared
+  // byte skips the block's entire row sweep.
   const std::size_t n_blocks = (lane + kBlk - 1) / kBlk;
   const bool masked = candidates != nullptr;
   std::size_t computed_cols = masked ? 0 : B * active_cols_;
@@ -397,8 +388,8 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
     block_need_.assign(B * n_blocks, 0);
     for (std::size_t m = 0; m < B; ++m) {
       for (std::size_t bk = 0; bk < n_blocks; ++bk) {
-        const std::size_t c_lo = bk * kBlk / P;
-        const std::size_t c_hi = std::min(active_cols_, ((bk + 1) * kBlk + P - 1) / P);
+        const std::size_t c_lo = bk * kBlockColumns;
+        const std::size_t c_hi = std::min(active_cols_, c_lo + kBlockColumns);
         // Columns beyond the candidate set's width (possible when a mutable
         // store grew after the bitmap was routed) are never candidates.
         const std::size_t k_lo = col_offset + c_lo;
@@ -428,15 +419,10 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
     const auto quantize = [lsb](double analog) {
       return lsb > 0.0 ? std::round(analog / lsb) * lsb : analog;
     };
-    float* yrow = y.data() + m * active_cols_;
-    if (cfg_.differential) {
-      for (std::size_t j = 0; j < kb; j += 2) {
-        const double v = quantize(bt[j]) - quantize(bt[j + 1]);
-        yrow[(k0 + j) / 2] += static_cast<float>(shift * v);
-      }
-    } else {
-      for (std::size_t j = 0; j < kb; ++j)
-        yrow[k0 + j] += static_cast<float>(shift * quantize(bt[j]));
+    float* yrow = y.data() + m * active_cols_ + k0 / P;
+    for (std::size_t j = 0; j < kb; j += P) {
+      const double v = quantize(bt[j]) - quantize(bt[j + 1]);
+      yrow[j / P] += static_cast<float>(shift * v);
     }
   };
 

@@ -33,8 +33,7 @@ PerfEstimate cim_retrieval_cost(const CimPerfParams& p, const CrossbarConfig& cf
                                 std::size_t n_keys, std::size_t key_len) {
   const std::size_t row_tiles = (key_len + cfg.rows - 1) / cfg.rows;
   const std::size_t col_tiles = (n_keys + cfg.cols - 1) / cfg.cols;
-  const std::size_t polarity = cfg.differential ? 2 : 1;
-  const std::size_t activations = row_tiles * col_tiles * cfg.n_slices() * polarity;
+  const std::size_t activations = row_tiles * col_tiles * cfg.n_slices() * Crossbar::kPitch;
 
   PerfEstimate est;
   const double serial_rounds =

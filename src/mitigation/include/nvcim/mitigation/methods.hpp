@@ -8,11 +8,11 @@
 namespace nvcim::mitigation {
 
 /// Round-trip a float matrix through NVM storage with *no* mitigation:
-/// int16-quantize, program (tiled across subarrays), read back, dequantize.
-/// All mitigation baselines build on this path.
+/// int16-quantize, program (tiled across subarrays, one pulse per cell),
+/// read back, dequantize. Every mitigation baseline but SWV builds on this
+/// path; SWV adds selective write-verify to the same tiling.
 Matrix nvm_roundtrip(const Matrix& w, const cim::CrossbarConfig& cfg,
                      const nvm::VariationModel& var, Rng& rng,
-                     const cim::ProgramOptions& opts = {},
                      cim::OpCounters* counters = nullptr);
 
 /// A noise-mitigation strategy applied when writing a payload matrix (an

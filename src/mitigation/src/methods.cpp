@@ -10,11 +10,11 @@ namespace nvcim::mitigation {
 namespace {
 
 /// Program an integer matrix of arbitrary shape by tiling across subarrays
-/// and read the noisy values back (cell-wise).
+/// and read the noisy values back (cell-wise). `opts.verify_mask`, when set,
+/// covers the whole matrix and is sliced per tile.
 Matrix program_and_read_tiled(const Matrix& int_values, const cim::CrossbarConfig& cfg,
                               const nvm::VariationModel& var, Rng& rng,
-                              const cim::ProgramOptions& opts, const Matrix* verify_mask,
-                              cim::OpCounters* counters) {
+                              const cim::ProgramOptions& opts, cim::OpCounters* counters) {
   Matrix out(int_values.rows(), int_values.cols(), 0.0f);
   const std::size_t row_tiles = (int_values.rows() + cfg.rows - 1) / cfg.rows;
   const std::size_t col_tiles = (int_values.cols() + cfg.cols - 1) / cfg.cols;
@@ -27,8 +27,8 @@ Matrix program_and_read_tiled(const Matrix& int_values, const cim::CrossbarConfi
       cim::Crossbar xb(cfg);
       cim::ProgramOptions tile_opts = opts;
       Matrix mask_tile;
-      if (verify_mask != nullptr) {
-        mask_tile = verify_mask->row_slice(r0, r1).col_slice(c0, c1);
+      if (opts.verify_mask != nullptr) {
+        mask_tile = opts.verify_mask->row_slice(r0, r1).col_slice(c0, c1);
         tile_opts.verify_mask = &mask_tile;
       }
       Rng tile_rng = rng.split(rt * 104729 + ct);
@@ -45,11 +45,10 @@ Matrix program_and_read_tiled(const Matrix& int_values, const cim::CrossbarConfi
 }  // namespace
 
 Matrix nvm_roundtrip(const Matrix& w, const cim::CrossbarConfig& cfg,
-                     const nvm::VariationModel& var, Rng& rng,
-                     const cim::ProgramOptions& opts, cim::OpCounters* counters) {
+                     const nvm::VariationModel& var, Rng& rng, cim::OpCounters* counters) {
   const cim::QuantizedMatrix q =
       cim::quantize_symmetric(w, static_cast<int>(cfg.value_bits));
-  Matrix noisy = program_and_read_tiled(q.q, cfg, var, rng, opts, opts.verify_mask, counters);
+  Matrix noisy = program_and_read_tiled(q.q, cfg, var, rng, {}, counters);
   return noisy * q.scale;
 }
 
@@ -78,7 +77,8 @@ Matrix SelectiveWriteVerify::store_and_restore(const Matrix& w, const cim::Cross
   cim::ProgramOptions opts;
   opts.verify_tolerance = opt_.tolerance;
   opts.max_write_iterations = opt_.max_iterations;
-  Matrix noisy = program_and_read_tiled(q.q, cfg, var, rng, opts, &mask, nullptr);
+  opts.verify_mask = &mask;
+  Matrix noisy = program_and_read_tiled(q.q, cfg, var, rng, opts, nullptr);
   return noisy * q.scale;
 }
 

@@ -53,6 +53,14 @@ class Histogram {
   /// 0 when empty.
   double value_at_quantile(double q) const;
 
+  /// The rank walk behind every value_at_quantile: the value at quantile
+  /// q in (0, 1) of `counts` (buckets of this geometry, summing to
+  /// `total` > 0), rank-interpolated within the bucket holding the q-th
+  /// record, with that bucket's bounds clamped to [lo, hi]. A window, which
+  /// has no exact min/max, passes ±infinity.
+  double quantile_in_buckets(const std::vector<std::uint64_t>& counts, std::uint64_t total,
+                             double q, double lo, double hi) const;
+
   std::size_t n_buckets() const { return buckets_.size(); }
   std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);

@@ -120,6 +120,12 @@ double Histogram::value_at_quantile(double q) const {
   const double hi = max_.load(std::memory_order_relaxed);
   if (q <= 0.0) return lo;
   if (q >= 1.0) return hi;
+  return quantile_in_buckets(counts, total, q, lo, hi);
+}
+
+double Histogram::quantile_in_buckets(const std::vector<std::uint64_t>& counts,
+                                      std::uint64_t total, double q, double lo,
+                                      double hi) const {
   std::uint64_t target =
       static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
   target = std::max<std::uint64_t>(1, std::min(target, total));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nvcim/obs/metrics.hpp"
 
@@ -49,22 +50,8 @@ double WindowDelta::value_at_quantile(double q) const {
     for (std::size_t i = counts_.size(); i-- > 0;)
       if (counts_[i] > 0) return geom_->bucket_upper(i);
   }
-  std::uint64_t target =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
-  target = std::max<std::uint64_t>(1, std::min(target, total));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) {
-      const std::uint64_t before = seen - counts_[i];
-      const double frac = static_cast<double>(target - before) /
-                          static_cast<double>(counts_[i]);
-      const double blo = geom_->bucket_lower(i);
-      const double bhi = geom_->bucket_upper(i);
-      return blo + frac * std::max(0.0, bhi - blo);
-    }
-  }
-  return 0.0;  // unreachable (target <= total)
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return geom_->quantile_in_buckets(counts_, total, q, -kInf, kInf);
 }
 
 std::uint64_t WindowDelta::count_le(double v) const {

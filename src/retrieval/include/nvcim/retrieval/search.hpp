@@ -32,12 +32,13 @@ std::size_t ssa_retrieve_exact(const Matrix& query, const std::vector<Matrix>& k
 /// pooled copies of every key (the paper's "Scale & Copy" layout, Fig. 4).
 class CimRetriever {
  public:
+  /// Search algorithm, crossbar geometry and device variation. Keys are
+  /// written single-pulse (see cim::Accelerator).
   struct Config {
     Algorithm algorithm = Algorithm::SSA;
     ScaledSearchConfig ssa;
     cim::CrossbarConfig crossbar;
     nvm::VariationModel variation;
-    cim::ProgramOptions program;
   };
 
   explicit CimRetriever(Config cfg) : cfg_(std::move(cfg)) {}

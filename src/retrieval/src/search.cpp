@@ -74,7 +74,7 @@ void CimRetriever::store(const std::vector<Matrix>& keys, Rng& rng) {
     Matrix pooled_keys(n_keys_, pooled_len);
     for (std::size_t i = 0; i < n_keys_; ++i)
       pooled_keys.set_row(i, average_pool_flat(keys[i], scale));
-    auto acc = std::make_unique<cim::Accelerator>(cfg_.crossbar, cfg_.variation, cfg_.program);
+    auto acc = std::make_unique<cim::Accelerator>(cfg_.crossbar, cfg_.variation);
     Rng bank_rng = rng.split(0xB00Bull + b);
     acc->store(pooled_keys, bank_rng);
     banks_.push_back(std::move(acc));
@@ -90,7 +90,7 @@ void CimRetriever::store_mutable(std::size_t key_size, std::size_t capacity, con
   for (std::size_t b = 0; b < bank_scales_.size(); ++b) {
     const std::size_t scale = bank_scales_[b];
     const std::size_t pooled_len = (key_size_ + scale - 1) / scale;
-    auto acc = std::make_unique<cim::Accelerator>(cfg_.crossbar, cfg_.variation, cfg_.program);
+    auto acc = std::make_unique<cim::Accelerator>(cfg_.crossbar, cfg_.variation);
     // Same per-bank stream derivation as store(), so a mutable store seeded
     // identically programs identical noise at identical positions.
     acc->init_mutable(pooled_len, capacity, rng.split(0xB00Bull + b));

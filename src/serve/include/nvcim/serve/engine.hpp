@@ -456,10 +456,12 @@ class ServingEngine {
   void retrieve_stage(Batch& b, WorkerState& ws);
   /// Stage 3: decoded prompts through fetch_prompts(); fills b.prompts.
   void decode_stage(Batch& b, WorkerState& ws);
-  /// Stage 4: optional deduplicated classification, then settle every
-  /// surviving request. Returns the batch's slow-request exemplars, stage
-  /// times still unset.
-  std::vector<SlowRequest> finish_stage(Batch& b, WorkerState& ws);
+  /// Stage 4: optional deduplicated classification; fills b.labels.
+  void classify_stage(Batch& b, WorkerState& ws);
+  /// After the stages: settle every surviving request (response, stats,
+  /// request spans, slow-request exemplars carrying `stages`' batch id and
+  /// stage times). Runs outside every timed stage.
+  void settle_batch(Batch& b, const SlowRequest& stages);
   /// Single-flight decoded-prompt fetch through the LRU cache: concurrent
   /// misses on one key share a single decode, and equal keys get the same
   /// entry. A decode also builds the entry's prompt K/V when classifies().

@@ -270,7 +270,7 @@ class ShardedOvtStore {
   ///
   /// Returns the key columns the masked exact pass will actually compute:
   /// the fused kernel prunes at accumulator-block granularity
-  /// (Crossbar::kAccumulatorLanes), so candidate work rounds up to whole
+  /// (Crossbar::kBlockColumns), so candidate work rounds up to whole
   /// blocks — this count matches the kernel's own ADC accounting, not the
   /// (smaller) raw candidate count.
   std::size_t route_candidates(const TenantSnapshot& snap, std::size_t shard,

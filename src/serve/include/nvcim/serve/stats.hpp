@@ -73,7 +73,7 @@ struct StatsSnapshot {
   // Two-phase retrieval accounting (zero when the feature is off).
   /// Key columns the masked exact pass actually computes. Block-granular:
   /// the fused kernel rounds candidate work up to whole accumulator blocks
-  /// (Crossbar::kAccumulatorLanes), so this matches the kernel's own ADC
+  /// (Crossbar::kBlockColumns), so this matches the kernel's own ADC
   /// accounting and exceeds the raw candidate count.
   std::size_t candidates_examined = 0;
   /// Keys a full unmasked pass would have scored (B × shard keys, summed).

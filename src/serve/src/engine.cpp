@@ -832,6 +832,8 @@ struct ServingEngine::Batch {
   std::vector<std::size_t> ovt_index = std::vector<std::size_t>(reqs.size(), 0);
   /// decode: the decoded prompt per request
   std::vector<PromptFetch> prompts = std::vector<PromptFetch>(reqs.size());
+  /// classify: the label per request (read only when the engine classifies)
+  std::vector<std::size_t> labels = std::vector<std::size_t>(reqs.size(), 0);
 };
 
 void ServingEngine::process_batch(std::vector<QueuedRequest>&& requests, WorkerState& ws) {
@@ -858,17 +860,19 @@ void ServingEngine::process_batch(std::vector<QueuedRequest>&& requests, WorkerS
   const double encode_ms = stage("encode", [&] { encode_stage(b, ws); });
   const double retrieve_ms = stage("retrieve", [&] { retrieve_stage(b, ws); });
   const double decode_ms = stage("decode", [&] { decode_stage(b, ws); });
-  std::vector<SlowRequest> slow;
-  const double classify_ms = stage("classify", [&] { slow = finish_stage(b, ws); });
-
+  const double classify_ms = stage("classify", [&] { classify_stage(b, ws); });
   stats_.record_stage_times(encode_ms, retrieve_ms, decode_ms, classify_ms);
-  for (SlowRequest& sr : slow) {
-    sr.encode_ms = encode_ms;
-    sr.retrieve_ms = retrieve_ms;
-    sr.decode_ms = decode_ms;
-    sr.classify_ms = classify_ms;
-    stats_.record_slow_request(sr);
-  }
+
+  // Settling runs after the last stage boundary: its futures, on_complete
+  // callbacks, stats and request spans are no stage's time, so every
+  // request's service time covers its batch's four stage spans.
+  SlowRequest stages;
+  stages.batch_id = batch_id;
+  stages.encode_ms = encode_ms;
+  stages.retrieve_ms = retrieve_ms;
+  stages.decode_ms = decode_ms;
+  stages.classify_ms = classify_ms;
+  settle_batch(b, stages);
 }
 
 void ServingEngine::encode_stage(Batch& b, WorkerState& ws) {
@@ -1046,16 +1050,14 @@ void ServingEngine::decode_stage(Batch& b, WorkerState& ws) {
     if (b.prompts[i].error) b.fail(i, b.prompts[i].error);
 }
 
-std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) {
-  using Clock = std::chrono::steady_clock;
+void ServingEngine::classify_stage(Batch& b, WorkerState& ws) {
   const std::size_t B = b.size();
   // Optional classification: deduplicated up front, the unique sequences
   // run as one group through TinyLM::classify_batch, a tape-free stacked
   // forward of token rows only over each decoded prompt's cached K/V and the
   // worker's reusable scratch. Serving never builds a tape.
-  const bool classify = classifies();
-  std::vector<std::size_t> labels(B, 0);
-  if (classify) {
+  if (classifies()) {
+    std::vector<std::size_t>& labels = b.labels;
     // Dedup first on what the forward reads: requests with the same decoded
     // prompt entry (fetch_prompts hands equal keys one entry) and the same
     // input share one forward. The O(B²) rescan is bounded by max_batch and
@@ -1094,8 +1096,12 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
     for (std::size_t i = 0; i < B; ++i)
       if (!b.failed[i] && dup_of[i] != B) labels[i] = labels[dup_of[i]];
   }
-  std::vector<SlowRequest> slow;
-  for (std::size_t i = 0; i < B; ++i) {
+}
+
+void ServingEngine::settle_batch(Batch& b, const SlowRequest& stages) {
+  using Clock = std::chrono::steady_clock;
+  const bool classify = classifies();
+  for (std::size_t i = 0; i < b.size(); ++i) {
     if (b.failed[i]) continue;
     QueuedRequest& p = b.reqs[i];
     try {
@@ -1104,7 +1110,7 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
       resp.ovt_index = b.ovt_index[i];
       resp.cache_hit = b.prompts[i].hit;
       if (classify) {
-        resp.label = labels[i];
+        resp.label = b.labels[i];
         resp.has_label = true;
       }
       const Clock::time_point done = Clock::now();
@@ -1145,19 +1151,17 @@ std::vector<SlowRequest> ServingEngine::finish_stage(Batch& b, WorkerState& ws) 
                            "priority", static_cast<std::int64_t>(p.priority));
       }
       if (cfg_.slow_request_ms > 0.0 && resp.latency_ms >= cfg_.slow_request_ms) {
-        SlowRequest sr;
+        SlowRequest sr = stages;
         sr.user_id = p.user_id;
-        sr.batch_id = b.id;
         sr.latency_ms = resp.latency_ms;
         sr.queue_wait_ms = wait_ms;
-        slow.push_back(sr);
+        stats_.record_slow_request(sr);
       }
       finish(p, std::move(resp));
     } catch (...) {
       b.fail(i);
     }
   }
-  return slow;
 }
 
 void ServingEngine::fetch_prompts(std::vector<PromptFetch>& rows, WorkerState& ws) {

@@ -90,7 +90,7 @@ std::size_t ShardedOvtStore::slot_align() const {
   // Block-aligned slots only help when subarray boundaries are themselves
   // block-aligned (true for the paper geometry: 128-column subarrays, 16-
   // column accumulator blocks).
-  const std::size_t block = cim::Crossbar::kAccumulatorLanes / (cfg_.crossbar.differential ? 2 : 1);
+  constexpr std::size_t block = cim::Crossbar::kBlockColumns;
   return cfg_.crossbar.cols % block == 0 ? block : 1;
 }
 
@@ -602,11 +602,10 @@ std::size_t ShardedOvtStore::route_candidates(const TenantSnapshot& snap, std::s
 
   // Block-granular examined count, mirroring the kernel: columns tile into
   // crossbar subarrays of cfg_.crossbar.cols, and within a tile candidate
-  // work rounds up to accumulator blocks of kAccumulatorLanes / pitch
-  // output columns. Sum per query over blocks containing any candidate.
+  // work rounds up to accumulator blocks of Crossbar::kBlockColumns output
+  // columns. Sum per query over blocks containing any candidate.
   const std::size_t tile_cols = cfg_.crossbar.cols;
-  const std::size_t block_cols =
-      cim::Crossbar::kAccumulatorLanes / (cfg_.crossbar.differential ? 2 : 1);
+  constexpr std::size_t block_cols = cim::Crossbar::kBlockColumns;
   std::size_t examined = 0;
   for (std::size_t b = 0; b < B; ++b) {
     for (std::size_t t0 = 0; t0 < out.n_keys; t0 += tile_cols) {

@@ -47,7 +47,7 @@ TEST(NvmRoundtrip, TilesLargeMatrices) {
 TEST(NvmRoundtrip, CountersReported) {
   cim::OpCounters counters;
   Rng store(6);
-  nvm_roundtrip(payload(6), xbar_config(), {nvm::rram1(), 0.0}, store, {}, &counters);
+  nvm_roundtrip(payload(6), xbar_config(), {nvm::rram1(), 0.0}, store, &counters);
   EXPECT_GT(counters.cells_programmed, 0u);
   EXPECT_GT(counters.write_pulses, 0u);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <future>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -490,6 +491,66 @@ TEST(ObsEngine, TraceLinksRequestBatchStageAndShardSpans) {
   EXPECT_NE(json.find("\"request\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(ObsEngine, StageSpansFitInsideEveryRequestsServiceTime) {
+  // One batch of six requests whose on_complete callbacks each take ~2 ms.
+  // Settling them is no stage's work: for every request, the four stage
+  // spans of its batch must fit inside its own service time (latency minus
+  // queue wait), the earliest-settled request included.
+  ObsEngineFixture f;
+  serve::ServingConfig scfg = f.serving_config(1, 1);
+  scfg.tracing.enabled = true;
+  scfg.run_inference = true;
+  scfg.min_batch = 6;
+  scfg.batch_window_ms = 2000.0;
+  scfg.slow_request_ms = 1e-6;  // every request leaves an exemplar
+  serve::ServingEngine engine(f.model, f.task, scfg);
+  f.add_user(engine, 0, 630);
+  engine.start();
+
+  Rng qr(45);
+  std::vector<std::future<serve::Response>> futs;
+  for (int i = 0; i < 6; ++i) {
+    serve::SubmitOptions opts;
+    opts.on_complete = [](const serve::Response&, std::exception_ptr) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
+    futs.push_back(
+        engine
+            .submit(serve::Request{0, f.task.sample(qr.uniform_index(f.task.config().n_domains),
+                                                    qr)},
+                    std::move(opts))
+            .take_future());
+  }
+  std::vector<serve::Response> resps;
+  for (auto& fu : futs) resps.push_back(fu.get());
+  engine.stop();  // joins the worker: every callback has returned
+
+  const std::vector<obs::TraceEvent> evs = engine.tracer().events();
+  std::map<std::int64_t, double> stage_ms;  // batch id → sum of stage spans
+  std::set<std::int64_t> request_batches;
+  for (const obs::TraceEvent& e : evs) {
+    if (std::string(e.cat) == "stage") stage_ms[e.v1] += static_cast<double>(e.dur_us) / 1e3;
+    if (std::string(e.name) == "request") request_batches.insert(e.v2);
+  }
+  ASSERT_EQ(request_batches.size(), 1u) << "the six requests must share one batch";
+  const double stages = stage_ms[*request_batches.begin()];
+  EXPECT_GT(stages, 0.0);
+  constexpr double kRoundingMs = 0.01;  // four µs-rounded span durations
+  for (const serve::Response& r : resps) {
+    EXPECT_TRUE(r.has_label);
+    EXPECT_LE(stages, r.latency_ms - r.queue_wait_ms + kRoundingMs)
+        << "latency " << r.latency_ms << " ms, queue wait " << r.queue_wait_ms << " ms";
+  }
+  // Slow-request exemplars carry the same stage times, set directly.
+  const std::vector<serve::SlowRequest> slow = engine.slow_requests();
+  ASSERT_EQ(slow.size(), resps.size());
+  for (const serve::SlowRequest& sr : slow) {
+    EXPECT_EQ(static_cast<std::int64_t>(sr.batch_id), *request_batches.begin());
+    EXPECT_LE(sr.encode_ms + sr.retrieve_ms + sr.decode_ms + sr.classify_ms,
+              sr.latency_ms - sr.queue_wait_ms + kRoundingMs);
+  }
 }
 
 TEST(ObsEngine, SlowRequestExemplarsAndExposition) {

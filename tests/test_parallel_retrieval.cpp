@@ -1,8 +1,8 @@
 // Fused crossbar slice kernel + parallel sharded retrieval (PR 3).
 //
 //  - bit-identity of the fused interleaved kernel against the scalar
-//    per-query matvec() oracle, across noise/ADC/differential
-//    configurations, including the zero-slice-skip fast path
+//    per-query matvec() oracle, across noise/ADC configurations, including
+//    the zero-slice-skip fast path
 //  - allocation-free scratch variants (query_batch_into, scores_batch_into)
 //    against their allocating counterparts
 //  - the parallel per-shard retrieve fan-out: every answer equals
@@ -40,8 +40,7 @@ void expect_fused_matches_scalar(cim::CrossbarConfig cfg, double sigma, int valu
                                     std::uint64_t seed) {
   cim::Crossbar fused(cfg);
   Rng wr(seed);
-  const Matrix w = random_int_matrix(cfg.rows, cfg.cols, cfg.differential ? -value_range : 0,
-                                     value_range, wr);
+  const Matrix w = random_int_matrix(cfg.rows, cfg.cols, -value_range, value_range, wr);
   Rng pr(seed + 1);
   fused.program(w, {nvm::fefet3(), sigma}, pr);
   cim::Crossbar scalar = fused;
@@ -76,15 +75,6 @@ TEST(FusedKernel, BitIdenticalToReferenceNoiseless) {
   cfg.cols = 12;
   cfg.adc_bits = 0;
   expect_fused_matches_scalar(cfg, 0.0, 30000, 23);
-}
-
-TEST(FusedKernel, BitIdenticalToReferenceNonDifferential) {
-  cim::CrossbarConfig cfg;
-  cfg.rows = 40;
-  cfg.cols = 16;
-  cfg.differential = false;
-  cfg.adc_bits = 6;
-  expect_fused_matches_scalar(cfg, 0.1, 500, 37);
 }
 
 TEST(FusedKernel, ZeroSliceSkipFiresAndStaysExact) {

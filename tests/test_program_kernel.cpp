@@ -1,10 +1,10 @@
 // Crossbar write-kernel oracle: every cell written by Crossbar::program and
 // Crossbar::program_columns must equal a scalar loop that calls
-// nvm::program_cell (or nvm::write_verify_cell) once per cell, slice and
-// polarity in the documented draw order:
+// nvm::program_cell (or, for program()'s write-verify, nvm::write_verify_cell)
+// once per cell, slice and polarity in the documented draw order:
 //
-//  - program_columns: column j draws only from its own stream, rows
-//    ascending, slices ascending, G+ before G−;
+//  - program_columns: one pulse per cell; column j draws only from its own
+//    stream, rows ascending, slices ascending, G+ before G−;
 //  - program: one stream over rows → columns → slices, G+ before G−.
 //
 // This is the write kernel's oracle, as scalar matvec is the fused MVM
@@ -55,10 +55,10 @@ struct Oracle {
       return static_cast<float>(wv.conductance * denorm);
     };
     for (std::size_t s = 0; s < cfg.n_slices(); ++s) {
-      const std::size_t shift = s * cfg.bits_per_cell;
+      const std::size_t shift = s * cim::Crossbar::kBitsPerCell;
       at(s, r, c, false) = draw((pos >> shift) & mask);
-      if (cfg.differential) at(s, r, c, true) = draw((neg >> shift) & mask);
-      cells_programmed += cfg.differential ? 2 : 1;
+      at(s, r, c, true) = draw((neg >> shift) & mask);
+      cells_programmed += 2;
     }
   }
 
@@ -68,13 +68,13 @@ struct Oracle {
   std::size_t cells_programmed = 0, pulses = 0;
 };
 
-/// Random exact integers in the crossbar's value range (non-negative without
-/// differential pairs), with some zeros so all-zero nibbles occur.
+/// Random exact integers in the crossbar's value range, with some zeros so
+/// all-zero nibbles occur.
 long random_value(const cim::CrossbarConfig& cfg, Rng& rng) {
   const long vmax = cim::qmax_for_bits(static_cast<int>(cfg.value_bits));
   if (rng.uniform_index(8) == 0) return 0;
   const long mag = static_cast<long>(rng.uniform_index(static_cast<std::size_t>(vmax) + 1));
-  return cfg.differential && rng.uniform_index(2) == 0 ? -mag : mag;
+  return rng.uniform_index(2) == 0 ? -mag : mag;
 }
 
 void expect_cells_match(const cim::Crossbar& xb, Oracle& oracle) {
@@ -82,7 +82,6 @@ void expect_cells_match(const cim::Crossbar& xb, Oracle& oracle) {
     for (std::size_t r = 0; r < oracle.rows; ++r)
       for (std::size_t c = 0; c < oracle.cols; ++c)
         for (const bool neg : {false, true}) {
-          if (neg && !oracle.cfg.differential) continue;
           ASSERT_EQ(xb.cell_level(s, r, c, neg), oracle.at(s, r, c, neg))
               << "slice " << s << " cell (" << r << ", " << c << ") neg=" << neg;
         }
@@ -90,14 +89,13 @@ void expect_cells_match(const cim::Crossbar& xb, Oracle& oracle) {
 
 /// Program an unaligned span [3, 10) of a 13×12 region with per-column
 /// streams, then compare against the scalar oracle.
-void check_program_columns(bool differential, const cim::ProgramOptions& opts) {
+TEST(ProgramKernel, ColumnsMatchScalarOracleDifferential) {
   cim::CrossbarConfig cfg;
   cfg.rows = 13;
   cfg.cols = 12;
-  cfg.differential = differential;
   const std::size_t col0 = 3, n = 7;
   const Rng base(9001);
-  Rng vr(differential ? 1 : 2);
+  Rng vr(1);
   Matrix vals(n, cfg.rows);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t r = 0; r < cfg.rows; ++r)
@@ -107,21 +105,18 @@ void check_program_columns(bool differential, const cim::ProgramOptions& opts) {
   xb.init_blank(cfg.rows, cfg.cols);
   std::vector<Rng> streams;
   for (std::size_t j = 0; j < n; ++j) streams.push_back(base.split(j));
-  xb.program_columns(vals, col0, kVar, streams.data(), opts);
+  xb.program_columns(vals, col0, kVar, streams.data());
 
   Oracle oracle(cfg, cfg.rows, cfg.cols);
-  const bool verify = opts.verify_tolerance > 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     Rng stream = base.split(j);
     for (std::size_t r = 0; r < cfg.rows; ++r)
-      oracle.program_value(r, col0 + j, static_cast<long>(vals(j, r)), stream, verify, opts);
+      oracle.program_value(r, col0 + j, static_cast<long>(vals(j, r)), stream, false, {});
   }
   expect_cells_match(xb, oracle);  // columns outside the span stay exactly 0
   EXPECT_EQ(xb.counters().cells_programmed, oracle.cells_programmed);
   EXPECT_EQ(xb.counters().write_pulses, oracle.pulses);
-  if (verify) {
-    EXPECT_GT(oracle.pulses, oracle.cells_programmed);  // re-pulses happened
-  }
+  EXPECT_EQ(oracle.pulses, oracle.cells_programmed);  // one pulse per cell
   for (std::size_t c = 0; c < cfg.cols; ++c)
     EXPECT_EQ(xb.probe_column(c).deviant, 0u) << "column " << c;
 }
@@ -131,19 +126,6 @@ cim::ProgramOptions write_verify() {
   opts.verify_tolerance = 0.05;
   opts.max_write_iterations = 4;
   return opts;
-}
-
-TEST(ProgramKernel, ColumnsMatchScalarOracleDifferential) {
-  check_program_columns(true, {});
-}
-
-TEST(ProgramKernel, ColumnsMatchScalarOracleNonDifferential) {
-  check_program_columns(false, {});
-}
-
-TEST(ProgramKernel, ColumnsMatchScalarOracleWithWriteVerify) {
-  check_program_columns(true, write_verify());
-  check_program_columns(false, write_verify());
 }
 
 TEST(ProgramKernel, ProgramMatchesSingleStreamOracle) {
@@ -246,11 +228,10 @@ TEST(ProgramKernel, StuckCellStaysPinnedWhileItsShadowUpdates) {
   }
 }
 
-TEST(ProgramKernel, NegativeValueInNonDifferentialSpanWritesNothing) {
+TEST(ProgramKernel, OutOfRangeValueInSpanWritesNothing) {
   cim::CrossbarConfig cfg;
   cfg.rows = 10;
   cfg.cols = 6;
-  cfg.differential = false;
   const Rng base(55);
   Rng vr(5);
   cim::Crossbar xb(cfg);
@@ -265,11 +246,13 @@ TEST(ProgramKernel, NegativeValueInNonDifferentialSpanWritesNothing) {
   }
   const cim::Crossbar before = xb;
 
-  // A span whose last column holds a negative value: valid columns first.
+  // A span whose last column holds a value beyond int16: valid columns
+  // first, so a kernel that validated while writing would already have
+  // written three columns when it hit the bad one.
   Matrix bad(4, cfg.rows);
   for (std::size_t i = 0; i < bad.size(); ++i)
     bad.at_flat(i) = static_cast<float>(random_value(cfg, vr));
-  bad(3, cfg.rows - 1) = -5.0f;
+  bad(3, cfg.rows - 1) = -40000.0f;
   std::vector<Rng> streams;
   for (std::size_t j = 0; j < 4; ++j) streams.push_back(base.split(100 + j));
   EXPECT_THROW(xb.program_columns(bad, 1, kVar, streams.data()), Error);
@@ -277,8 +260,9 @@ TEST(ProgramKernel, NegativeValueInNonDifferentialSpanWritesNothing) {
   for (std::size_t s = 0; s < cfg.n_slices(); ++s)
     for (std::size_t r = 0; r < cfg.rows; ++r)
       for (std::size_t c = 0; c < cfg.cols; ++c)
-        ASSERT_EQ(xb.cell_level(s, r, c, false), before.cell_level(s, r, c, false))
-            << "slice " << s << " cell (" << r << ", " << c << ")";
+        for (const bool neg : {false, true})
+          ASSERT_EQ(xb.cell_level(s, r, c, neg), before.cell_level(s, r, c, neg))
+              << "slice " << s << " cell (" << r << ", " << c << ") neg=" << neg;
   EXPECT_EQ(xb.counters().cells_programmed, before.counters().cells_programmed);
   EXPECT_EQ(xb.counters().write_pulses, before.counters().write_pulses);
 }

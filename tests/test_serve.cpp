@@ -274,11 +274,10 @@ TEST(ShardedOvtStore, ParallelBuildMatchesStandaloneShardRetrievers) {
       EXPECT_EQ(store->router_k(u), again->router_k(u)) << "user " << u;
     if (lifecycle) {
       // Routed lifecycle slots, built or admitted, start on an accumulator-
-      // block boundary (16 output columns for differential cells), though
-      // no slot here is a whole block long.
+      // block boundary (16 output columns), though no slot here is a whole
+      // block long.
       store->admit_user(99, user_keys(3, len, kr));
-      const std::size_t block =
-          cim::Crossbar::kAccumulatorLanes / (cfg.crossbar.differential ? 2 : 1);
+      const std::size_t block = cim::Crossbar::kBlockColumns;
       ASSERT_EQ(cfg.crossbar.cols % block, 0u);
       for (std::size_t u = 0; u < keys.size(); ++u)
         EXPECT_EQ(store->slot(u).begin % block, 0u) << "user " << u;
@@ -298,6 +297,9 @@ std::size_t live_threads() {
 
 TEST(ShardedOvtStore, ParallelBuildRethrowsShardFailureAfterJoiningThreads) {
   const bool have_proc = std::filesystem::exists("/proc/self/task");
+  // ThreadSanitizer starts a helper thread at the process's first thread
+  // creation; create and join one first so `before` already counts it.
+  std::thread([] {}).join();
   for (const bool lifecycle : {false, true}) {
     SCOPED_TRACE(lifecycle ? "lifecycle on" : "lifecycle off");
     ShardedOvtStore store(noisy_store(lifecycle));

@@ -348,8 +348,7 @@ TEST(SlotScopedCounters, OneRequestPaysOnlyItsSlotColumns) {
     engine.start();
     serve::ShardedOvtStore& store = engine.store_mutable();
     const std::size_t cols = store.cols_per_subarray();
-    const std::size_t block =
-        cim::Crossbar::kAccumulatorLanes / (cfg.crossbar.differential ? 2 : 1);
+    const std::size_t block = cim::Crossbar::kBlockColumns;
 
     // Unit costs from one unmasked single-query pass over the whole shard:
     // ADC conversions per computed column and activations per subarray
