@@ -72,8 +72,8 @@ class Accelerator {
   ///
   /// With `candidates` (per-query bitmaps over the n_keys columns), only
   /// candidate columns are scored: a column tile none of the batch's queries
-  /// needs is skipped outright, and inside a tile the crossbar kernel skips
-  /// whole accumulator blocks per query tile (see
+  /// needs is skipped outright, and inside a tile the crossbar kernel
+  /// computes each accumulator block only for the queries that need it (see
   /// Crossbar::matvec_batch_into). Candidate entries are bit-identical to
   /// the unmasked pass; non-candidate entries are exact 0 or the exact
   /// full-pass value (block-granular masking) — argmax over candidates only.

@@ -13,9 +13,10 @@ namespace nvcim::cim {
 /// column k. Produced by a phase-1 router (k-means centroid ranking + low-bit
 /// sketch prefilter in the serving store) or, for exact retrieval, by setting
 /// each row's whole tenant slot (set_range), and consumed by the fused MVM
-/// kernel, which skips whole accumulator column blocks no query of a tile
-/// needs. Columns whose bit is clear come back as exact 0 in the score
-/// matrix — callers must argmax over candidates only.
+/// kernel, which sweeps each accumulator column block only for the rows with
+/// a candidate in it. A clear column comes back as exact 0 when its block
+/// holds no candidate of its row, and as its exact score otherwise — callers
+/// must argmax over candidates only.
 struct CandidateSet {
   std::size_t n_queries = 0;
   std::size_t n_keys = 0;

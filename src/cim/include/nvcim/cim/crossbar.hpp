@@ -136,19 +136,19 @@ class Crossbar {
   /// matvec_batch() written into caller storage — allocation-free once `y`
   /// is warm. Bit-identical to matvec_batch().
   ///
-  /// With `candidates`, only output columns whose candidate bit is set (for
-  /// some query of the kernel's 4-query register tile) are computed; an
-  /// entire kBlockColumns-wide column block is skipped when no query of the
-  /// tile has a candidate in it. `col_offset` maps this subarray's columns into
-  /// the candidate set's key index space (column c here is key
+  /// With `candidates`, each kBlockColumns-wide column block is computed only
+  /// for the queries with a candidate in it: the kernel gathers those rows
+  /// per block, so neither the batch's row order nor the other rows' masks
+  /// change what a row computes. `col_offset` maps this subarray's columns
+  /// into the candidate set's key index space (column c here is key
   /// `col_offset + c`). Computed entries are bit-identical to the unmasked
   /// kernel — skipping a block never reorders another block's accumulation.
   /// Masking is block-granular per query: a non-candidate column is exact 0
-  /// when its whole block was pruned for that query, or the exact full-pass
-  /// value when a candidate shares its block — callers must argmax over
-  /// candidates only. ADC-conversion counters advance only
-  /// for computed (query, column) pairs, so pruning is visible in the cost
-  /// model; subarray activations still follow the input-side schedule.
+  /// iff its block holds no candidate of that query, and the exact full-pass
+  /// value otherwise — callers must argmax over candidates only.
+  /// ADC-conversion counters advance only for computed (query, column)
+  /// pairs, so pruning is visible in the cost model; subarray activations
+  /// still follow the input-side schedule.
   void matvec_batch_into(const Matrix& x, Matrix& y,
                          const CandidateSet* candidates = nullptr,
                          std::size_t col_offset = 0);
@@ -258,12 +258,13 @@ class Crossbar {
   std::uint64_t age_ = 0;
   bool killed_ = false;
   // Reusable kernel scratch (per-query ADC full scale and LSB, plus the
-  // per-(query, column-block) candidate flags of a masked pass); members so
-  // steady-state batches allocate nothing. The crossbar is externally
-  // synchronized (per-shard locks in the serving store).
+  // per-column-block gathered query rows of a pass); members so steady-state
+  // batches allocate nothing. The crossbar is externally synchronized
+  // (per-shard locks in the serving store).
   std::vector<double> fullscale_;
   std::vector<double> lsb_;
-  std::vector<std::uint8_t> block_need_;
+  std::vector<std::size_t> block_rows_;   ///< rows needing each block, block-major
+  std::vector<std::size_t> block_start_;  ///< block bk's rows: [start[bk], start[bk+1])
 };
 
 inline std::size_t CrossbarConfig::levels() const {

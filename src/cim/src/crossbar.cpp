@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "nvcim/cim/quant.hpp"
 
@@ -329,16 +330,54 @@ Matrix Crossbar::matvec(const Matrix& x) {
   return y;
 }
 
-/// Fused slice kernel, iterated slice-major with register/L1 blocking: each
-/// slice's interleaved [G+ G−] plane is swept once per query tile (the
-/// scalar matvec() re-streams every plane per query), feeding a resident
-/// kTile×kBlk accumulator block, then one ADC/shift pass with a hoisted
-/// per-query LSB folds the block into the output rows. It is bit-identical
-/// to matvec() because (a) every accumulator element
-/// still sums rows r = 0..R-1 in ascending order starting from zero, and
-/// (b) each output element still receives its per-slice contributions in
-/// ascending slice order — only the interleaving of independent (query,
-/// column) partial sums changed.
+namespace {
+
+constexpr std::size_t kBlk = Crossbar::kAccumulatorLanes;
+
+/// One register tile of the fused kernel: T gathered query rows (`idx` into
+/// `x`) swept down one kBlk-wide column stripe `col` of a slice plane, each
+/// accumulator summing rows 0..rows-1 in ascending order from zero, then
+/// `fold(m, acc, width)` per query. A full stripe runs a fixed-width body
+/// the compiler keeps in vector registers; a column remainder runs the same
+/// body at its runtime width.
+template <std::size_t T, class Fold>
+void sweep_tile(const Matrix& x, const std::size_t* idx, const float* col, std::size_t rows,
+                std::size_t lane, std::size_t kb, Fold&& fold) {
+  const float* xs[T];
+  for (std::size_t t = 0; t < T; ++t) xs[t] = x.data() + idx[t] * x.cols();
+  const auto run = [&](auto width) {
+    double acc[T][kBlk] = {};
+    for (std::size_t r = 0; r < rows; ++r, col += lane) {
+      double v[T];
+      for (std::size_t t = 0; t < T; ++t) v[t] = xs[t][r];
+      for (std::size_t j = 0; j < width; ++j) {
+        const double p = col[j];
+        for (std::size_t t = 0; t < T; ++t) acc[t][j] += v[t] * p;
+      }
+    }
+    for (std::size_t t = 0; t < T; ++t) fold(idx[t], acc[t], width);
+  };
+  if (kb == kBlk)
+    run(std::integral_constant<std::size_t, kBlk>{});
+  else
+    run(kb);
+}
+
+}  // namespace
+
+/// Fused slice kernel, iterated slice → column block → gathered query rows:
+/// each block's stripe of a slice's interleaved [G+ G−] plane is swept once
+/// per tile of up to four rows that need the block (the scalar matvec()
+/// re-streams every plane per query), feeding resident kBlk-wide
+/// accumulators, then one ADC/shift pass with a hoisted per-query LSB folds
+/// each row's block into its output row. It is bit-identical to matvec()
+/// because (a) every accumulator element still sums rows r = 0..R-1 in
+/// ascending order starting from zero, and (b) each output element still
+/// receives its per-slice contributions in ascending slice order — only
+/// which independent (query, column) sums are formed together changed, so
+/// neither the batch's row order nor its grouping into tiles moves a bit.
+/// Slices are the outer loop so that every block of a plane is swept while
+/// that plane's pages are hot.
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                             std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
@@ -363,47 +402,29 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
     lsb_[m] = adc_on && fullscale_[m] > 0.0 ? fullscale_[m] / n_codes : 0.0;
   }
 
-  // Register blocking: kTile queries × kBlk accumulator columns per pass.
-  // The four per-query blocks live in vector registers across the entire
-  // row sweep (a kernel that re-loads and re-stores a full accumulator lane
-  // every row is bound by that L1 traffic, not by the FMAs),
-  // each plane element is loaded once per query tile and feeds all four
-  // queries' FMAs, and each pass reads a kBlk-wide column stripe of the
-  // plane exactly once. Iteration order over (query, column block) changes
-  // only WHICH element's sum is formed when; every accumulator element
-  // still sums rows r = 0..R-1 in ascending order starting from zero,
-  // exactly as matvec()'s per-column loop — so results are bit-identical.
-  constexpr std::size_t kTile = 4;
-  constexpr std::size_t kBlk = kAccumulatorLanes;
-  const std::size_t rows = active_rows_;
-
-  // Candidate masking: one byte per (query, column block) saying whether any
-  // candidate key lands in that block's output columns. kBlk interleaved
-  // accumulators cover kBlockColumns whole output columns, so a cleared
-  // byte skips the block's entire row sweep.
+  // Row gather, once per call: block bk's rows are
+  // block_rows_[block_start_[bk], block_start_[bk + 1]) — every row
+  // unmasked; with candidates, the rows with a candidate key among the
+  // block's kBlockColumns output columns (columns beyond the candidate set's
+  // width, possible when a mutable store grew after the bitmap was routed,
+  // are never candidates). A row enters only the tiles of blocks it needs,
+  // whatever its neighbours need.
   const std::size_t n_blocks = (lane + kBlk - 1) / kBlk;
-  const bool masked = candidates != nullptr;
-  std::size_t computed_cols = masked ? 0 : B * active_cols_;
-  if (masked) {
-    block_need_.assign(B * n_blocks, 0);
-    for (std::size_t m = 0; m < B; ++m) {
-      for (std::size_t bk = 0; bk < n_blocks; ++bk) {
-        const std::size_t c_lo = bk * kBlockColumns;
-        const std::size_t c_hi = std::min(active_cols_, c_lo + kBlockColumns);
-        // Columns beyond the candidate set's width (possible when a mutable
-        // store grew after the bitmap was routed) are never candidates.
-        const std::size_t k_lo = col_offset + c_lo;
-        const std::size_t k_hi = std::min(col_offset + c_hi, candidates->n_keys);
-        if (k_lo < k_hi && candidates->any_in_range(m, k_lo, k_hi)) {
-          block_need_[m * n_blocks + bk] = 1;
-          computed_cols += c_hi - c_lo;
-        }
-      }
-    }
+  block_rows_.clear();
+  block_start_.assign(1, 0);
+  std::size_t computed_cols = 0;
+  for (std::size_t bk = 0; bk < n_blocks; ++bk) {
+    const std::size_t c_lo = bk * kBlockColumns;
+    const std::size_t c_hi = std::min(active_cols_, c_lo + kBlockColumns);
+    const std::size_t k_lo = col_offset + c_lo;
+    const std::size_t k_hi =
+        candidates ? std::min(col_offset + c_hi, candidates->n_keys) : col_offset + c_hi;
+    for (std::size_t m = 0; m < B; ++m)
+      if (!candidates || (k_lo < k_hi && candidates->any_in_range(m, k_lo, k_hi)))
+        block_rows_.push_back(m);
+    computed_cols += (block_rows_.size() - block_start_.back()) * (c_hi - c_lo);
+    block_start_.push_back(block_rows_.size());
   }
-  const auto need = [&](std::size_t m, std::size_t k0) {
-    return !masked || block_need_[m * n_blocks + k0 / kBlk] != 0;
-  };
 
   // Subarray activations follow the input-side schedule (a plane activation
   // is shared by every column of the wave); ADC conversions advance only for
@@ -412,87 +433,39 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   counters_.subarray_activations += B * S * P;
   counters_.adc_conversions += S * P * computed_cols;
 
-  // ADC + shift fold of one query's accumulator block into its output row.
-  const auto fold = [&](std::size_t m, const double* bt, std::size_t k0, std::size_t kb,
-                        double shift) {
-    const double lsb = lsb_[m];
-    const auto quantize = [lsb](double analog) {
-      return lsb > 0.0 ? std::round(analog / lsb) * lsb : analog;
-    };
-    float* yrow = y.data() + m * active_cols_ + k0 / P;
-    for (std::size_t j = 0; j < kb; j += P) {
-      const double v = quantize(bt[j]) - quantize(bt[j + 1]);
-      yrow[j / P] += static_cast<float>(shift * v);
-    }
-  };
-
   for (std::size_t s = 0; s < S; ++s) {
     if (slice_zero_[s]) continue;  // contributes exactly zero
     const double shift = slice_shift_[s];
     const float* plane = cells_.data() + s * slice_stride();
-    std::size_t m0 = 0;
-    for (; m0 + kTile <= B; m0 += kTile) {
-      const float* x0 = x.data() + (m0 + 0) * x.cols();
-      const float* x1 = x.data() + (m0 + 1) * x.cols();
-      const float* x2 = x.data() + (m0 + 2) * x.cols();
-      const float* x3 = x.data() + (m0 + 3) * x.cols();
-      std::size_t k0 = 0;
-      for (; k0 + kBlk <= lane; k0 += kBlk) {
-        const bool n0 = need(m0 + 0, k0), n1 = need(m0 + 1, k0);
-        const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
-        if (!(n0 || n1 || n2 || n3)) continue;  // no candidate in this block
-        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
-        const float* col = plane + k0;
-        for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
-          for (std::size_t j = 0; j < kBlk; ++j) {
-            const double p = col[j];
-            b0[j] += v0 * p;
-            b1[j] += v1 * p;
-            b2[j] += v2 * p;
-            b3[j] += v3 * p;
-          }
+    for (std::size_t bk = 0; bk < n_blocks; ++bk) {
+      const std::size_t k0 = bk * kBlk;
+      const std::size_t kb = std::min(kBlk, lane - k0);
+      // ADC + shift fold of one query's accumulator block into its output
+      // row: quantize the block into a contiguous array first (the
+      // vectorizable libm-free round), then take the G+ − G− differences.
+      // Like matvec(), it must subtract rounded products: an FMA that fused
+      // a product into the subtraction would move bits.
+      const auto fold = [&](std::size_t m, const double* acc, auto width) {
+        const double lsb = lsb_[m];
+        double q[kBlk];
+        if (lsb > 0.0) {
+          for (std::size_t j = 0; j < width; ++j) q[j] = round_half_away(acc[j] / lsb) * lsb;
+        } else {
+          for (std::size_t j = 0; j < width; ++j) q[j] = acc[j];
         }
-        if (n0) fold(m0 + 0, b0, k0, kBlk, shift);
-        if (n1) fold(m0 + 1, b1, k0, kBlk, shift);
-        if (n2) fold(m0 + 2, b2, k0, kBlk, shift);
-        if (n3) fold(m0 + 3, b3, k0, kBlk, shift);
-      }
-      if (k0 < lane) {  // column remainder, full query tile
-        const bool n0 = need(m0 + 0, k0), n1 = need(m0 + 1, k0);
-        const bool n2 = need(m0 + 2, k0), n3 = need(m0 + 3, k0);
-        if (!(n0 || n1 || n2 || n3)) continue;
-        const std::size_t kb = lane - k0;
-        double b0[kBlk] = {}, b1[kBlk] = {}, b2[kBlk] = {}, b3[kBlk] = {};
-        const float* col = plane + k0;
-        for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
-          for (std::size_t j = 0; j < kb; ++j) {
-            const double p = col[j];
-            b0[j] += v0 * p;
-            b1[j] += v1 * p;
-            b2[j] += v2 * p;
-            b3[j] += v3 * p;
-          }
-        }
-        if (n0) fold(m0 + 0, b0, k0, kb, shift);
-        if (n1) fold(m0 + 1, b1, k0, kb, shift);
-        if (n2) fold(m0 + 2, b2, k0, kb, shift);
-        if (n3) fold(m0 + 3, b3, k0, kb, shift);
-      }
-    }
-    for (; m0 < B; ++m0) {  // query remainder, one query at a time
-      const float* xq = x.data() + m0 * x.cols();
-      for (std::size_t k0 = 0; k0 < lane; k0 += kBlk) {
-        if (!need(m0, k0)) continue;
-        const std::size_t kb = std::min(kBlk, lane - k0);
-        double b0[kBlk] = {};
-        const float* col = plane + k0;
-        for (std::size_t r = 0; r < rows; ++r, col += lane) {
-          const double v0 = xq[r];
-          for (std::size_t j = 0; j < kb; ++j) b0[j] += v0 * col[j];
-        }
-        fold(m0, b0, k0, kb, shift);
+        float* yrow = y.data() + m * active_cols_ + k0 / P;
+        for (std::size_t j = 0; j < width / P; ++j)
+          yrow[j] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
+      };
+      const float* col = plane + k0;
+      const std::size_t* idx = block_rows_.data() + block_start_[bk];
+      const std::size_t* end = block_rows_.data() + block_start_[bk + 1];
+      for (; end - idx >= 4; idx += 4) sweep_tile<4>(x, idx, col, active_rows_, lane, kb, fold);
+      switch (end - idx) {
+        case 3: sweep_tile<3>(x, idx, col, active_rows_, lane, kb, fold); break;
+        case 2: sweep_tile<2>(x, idx, col, active_rows_, lane, kb, fold); break;
+        case 1: sweep_tile<1>(x, idx, col, active_rows_, lane, kb, fold); break;
+        default: break;
       }
     }
   }

@@ -932,23 +932,16 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
   // One batched, masked MVM pass per shard: each row scores only its
   // tenant's slot columns (exact mode) or the router's shortlist inside that
   // slot (two-phase), so the crossbar work and the modelled ADC cost cover
-  // just the columns the request reads. The per-shard passes are
-  // independent (distinct crossbar banks, disjoint request rows), so fanning
-  // them out across the pool gives results identical to the serial loop.
+  // just the columns the request reads. Rows keep batch order: the kernel
+  // gathers each column block's rows itself, so neither its work nor any
+  // score depends on row order. The per-shard passes are independent
+  // (distinct crossbar banks, disjoint request rows), so fanning them out
+  // across the pool gives results identical to the serial loop.
   const PinnedDirectory& pinned = b.pinned;
   const bool routed = store_.routed();
   std::vector<std::vector<std::size_t>> by_shard(store_.n_shards());
   for (std::size_t i = 0; i < b.size(); ++i)
     if (!b.failed[i]) by_shard[pinned.slot(b.reqs[i].user_id).shard].push_back(i);
-  // Group a shard pass's rows by slot: the masked kernel skips an
-  // accumulator block only when none of its 4-query register tile needs it,
-  // so packing one slot's queries adjacently keeps each tile's candidate
-  // columns confined to (mostly) one slot. Row order does not affect any
-  // row's scores — each query's accumulation is independent.
-  for (auto& members : by_shard)
-    std::stable_sort(members.begin(), members.end(), [&](std::size_t x, std::size_t y) {
-      return pinned.slot(b.reqs[x].user_id).begin < pinned.slot(b.reqs[y].user_id).begin;
-    });
 
   // One shard's retrieval, on the *executing* thread's scratch: pack that
   // shard's representation rows, build their candidate bitmaps (slot spans,

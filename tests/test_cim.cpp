@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "nvcim/cim/accelerator.hpp"
 #include "nvcim/cim/perf.hpp"
@@ -49,6 +52,53 @@ TEST(Quant, ZeroMatrixSafe) {
   const QuantizedMatrix q = quantize_symmetric(Matrix(2, 2, 0.0f), 16);
   EXPECT_FLOAT_EQ(q.scale, 1.0f);
   EXPECT_FLOAT_EQ(q.q.max_abs(), 0.0f);
+}
+
+/// round_half_away(q) and std::round(q) as bit patterns.
+void expect_round_bitwise(double q) {
+  const double want = std::round(q), got = round_half_away(q);
+  std::uint64_t w = 0, g = 0;
+  std::memcpy(&w, &want, sizeof w);
+  std::memcpy(&g, &got, sizeof g);
+  EXPECT_EQ(g, w) << std::hexfloat << "q = " << q << ": " << got << " vs " << want;
+}
+
+TEST(Quant, RoundHalfAwayBitwiseEqualsStdRoundOnEdgeCases) {
+  const double two52 = std::ldexp(1.0, 52);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const double q :
+       {0.0, 0.5, 1.5, 2.5, 3.5, 0.49999999999999994, 1.0, 0.25, 0.75, 1e-300, denorm,
+        std::numeric_limits<double>::min() / 3, two52 - 0.5, two52 - 1.5, two52, two52 + 1,
+        std::ldexp(1.0, 53) - 1, std::ldexp(1.0, 60) + 4096, 1e308, inf,
+        std::numeric_limits<double>::max()}) {
+    expect_round_bitwise(q);
+    expect_round_bitwise(-q);
+  }
+  // NaN comes back as NaN of the same bits (std::round preserves a quiet
+  // NaN's payload and sign too).
+  expect_round_bitwise(std::numeric_limits<double>::quiet_NaN());
+  expect_round_bitwise(-std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(Quant, RoundHalfAwayBitwiseEqualsStdRoundOnRandomSweep) {
+  // Halves and near-halves at every magnitude the ADC fold meets (analog /
+  // lsb stays within ±n_codes), plus raw bit patterns of every exponent.
+  Rng rng(4242);
+  for (int i = 0; i < 200000; ++i) {
+    const double n = std::floor(rng.uniform(-300.0, 300.0));
+    expect_round_bitwise(n + 0.5);
+    expect_round_bitwise(std::nextafter(n + 0.5, 0.0));
+    expect_round_bitwise(std::nextafter(n + 0.5, 1e9));
+    expect_round_bitwise(rng.uniform(-300.0, 300.0));
+    const std::uint64_t bits = rng.next_u64();
+    double raw = 0.0;
+    std::memcpy(&raw, &bits, sizeof raw);
+    if (std::isnan(raw))  // a signaling NaN is returned as is, not quieted
+      EXPECT_TRUE(std::isnan(round_half_away(raw)));
+    else
+      expect_round_bitwise(raw);
+  }
 }
 
 TEST(CrossbarConfig, SliceCountForInt16Differential) {

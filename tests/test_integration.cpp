@@ -4,14 +4,83 @@
 // intentionally loose but directional.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+
 #include "nvcim/core/experiment.hpp"
 
 namespace nvcim::core {
 namespace {
 
-/// Shared slow fixture: pretrain once for the whole suite.
+// A backbone checkpoint: per parameter its name, then its value, Adam first
+// and second moments, each as rows, cols and row-major floats.
+void write_matrix(std::ofstream& out, const Matrix& m) {
+  const std::uint64_t shape[2] = {m.rows(), m.cols()};
+  out.write(reinterpret_cast<const char*>(shape), sizeof shape);
+  out.write(reinterpret_cast<const char*>(m.data()),
+            static_cast<std::streamsize>(m.size() * sizeof(float)));
+}
+
+Matrix read_matrix(std::ifstream& in) {
+  std::uint64_t shape[2] = {0, 0};
+  in.read(reinterpret_cast<char*>(shape), sizeof shape);
+  Matrix m(shape[0], shape[1]);
+  in.read(reinterpret_cast<char*>(m.data()),
+          static_cast<std::streamsize>(m.size() * sizeof(float)));
+  return m;
+}
+
+void save_backbone(llm::TinyLM& model, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const nn::ParamSet params = model.params();
+  for (const nn::Param* p : params.all()) {
+    const std::uint64_t len = p->name.size();
+    out.write(reinterpret_cast<const char*>(&len), sizeof len);
+    out.write(p->name.data(), static_cast<std::streamsize>(len));
+    write_matrix(out, p->value);
+    write_matrix(out, p->m);
+    write_matrix(out, p->v);
+  }
+  if (!out) throw std::runtime_error("cannot write backbone checkpoint " + path);
+}
+
+/// Throws unless `path` holds exactly `model`'s parameters, by name and shape.
+void load_backbone(llm::TinyLM& model, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read backbone checkpoint " + path);
+  const nn::ParamSet params = model.params();
+  for (nn::Param* p : params.all()) {
+    std::uint64_t len = 0;
+    in.read(reinterpret_cast<char*>(&len), sizeof len);
+    std::string name(in ? len : 0, '\0');
+    in.read(name.data(), static_cast<std::streamsize>(name.size()));
+    Matrix value = read_matrix(in);
+    Matrix m = read_matrix(in);
+    Matrix v = read_matrix(in);
+    if (!in || name != p->name || !value.same_shape(p->value))
+      throw std::runtime_error("backbone checkpoint " + path + " does not match " + p->name);
+    p->value = std::move(value);
+    p->m = std::move(m);
+    p->v = std::move(v);
+  }
+  if (in.peek() != std::ifstream::traits_type::eof())
+    throw std::runtime_error("backbone checkpoint " + path + " has trailing data");
+}
+
+/// Shared slow fixture: pretrain once for the whole suite. ctest runs each
+/// case in its own process; there the fixture entry
+/// IntegrationTest.BackboneCheckpointRoundTrips pretrains once and writes
+/// the backbone to $NVCIM_TEST_BACKBONE_OUT, and every other case loads it
+/// from $NVCIM_TEST_BACKBONE instead of pretraining again.
 class IntegrationTest : public ::testing::Test {
  protected:
+  static constexpr std::uint64_t kModelSeed = 11;
+
   static void SetUpTestSuite() {
     task_ = new data::LampTask(data::lamp1_config());
     llm::TinyLmConfig cfg;
@@ -22,7 +91,11 @@ class IntegrationTest : public ::testing::Test {
     cfg.ffn_hidden = 64;
     cfg.max_seq = 40;
     cfg.prompt_slots = 12;
-    model_ = new llm::TinyLM(cfg, 11);
+    model_ = new llm::TinyLM(cfg, kModelSeed);
+    if (const char* path = std::getenv("NVCIM_TEST_BACKBONE")) {
+      load_backbone(*model_, path);
+      return;
+    }
     llm::PretrainConfig pt;
     pt.steps = 800;
     pt.batch_size = 12;
@@ -53,6 +126,37 @@ class IntegrationTest : public ::testing::Test {
 
 data::LampTask* IntegrationTest::task_ = nullptr;
 llm::TinyLM* IntegrationTest::model_ = nullptr;
+
+TEST_F(IntegrationTest, BackboneCheckpointRoundTrips) {
+  // A fresh, differently seeded model loaded from the checkpoint must hold
+  // the pretrained backbone bit for bit and classify alike: the other cases
+  // run on that load under ctest.
+  const char* out = std::getenv("NVCIM_TEST_BACKBONE_OUT");
+  const std::string path = out != nullptr ? out : ::testing::TempDir() + "nvcim_backbone.bin";
+  save_backbone(*model_, path);
+  llm::TinyLM loaded(model_->config(), kModelSeed + 1);
+  load_backbone(loaded, path);
+  if (out == nullptr) std::remove(path.c_str());
+
+  const auto want = model_->params().all();
+  const auto got = loaded.params().all();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    for (const auto& [g, w] : {std::pair{&got[i]->value, &want[i]->value},
+                              std::pair{&got[i]->m, &want[i]->m},
+                              std::pair{&got[i]->v, &want[i]->v}}) {
+      ASSERT_TRUE(g->same_shape(*w)) << want[i]->name;
+      EXPECT_EQ(std::memcmp(g->data(), w->data(), w->size() * sizeof(float)), 0)
+          << want[i]->name;
+    }
+  }
+  Rng rng(6);
+  for (int i = 0; i < 20; ++i) {
+    const data::Sample q = task_->sample(rng.uniform_index(task_->config().n_domains), rng);
+    EXPECT_EQ(loaded.classify(q.input, task_->label_ids()),
+              model_->classify(q.input, task_->label_ids()));
+  }
+}
 
 TEST_F(IntegrationTest, BackboneLearnsDomainConditionalMapping) {
   // With explicit domain context the mapping must be close to solved; with

@@ -77,6 +77,39 @@ TEST(FusedKernel, BitIdenticalToReferenceNoiseless) {
   expect_fused_matches_scalar(cfg, 0.0, 30000, 23);
 }
 
+TEST(FusedKernel, BitIdenticalToReferenceAcrossBatchSizesAndColumnTails) {
+  // Unmasked, every row needs every block: batch sizes 1..33 run full 4-row
+  // tiles plus each 3/2/1-row remainder tile, and 40 or 100 columns leave a
+  // tail block narrower than the register width. One query row is all zero
+  // (full scale 0: its ADC step passes values through).
+  for (const std::size_t cols : {std::size_t{40}, std::size_t{100}}) {
+    for (const std::size_t adc : {std::size_t{8}, std::size_t{0}}) {
+      cim::CrossbarConfig cfg;
+      cfg.rows = 36;
+      cfg.cols = cols;
+      cfg.adc_bits = adc;
+      cim::Crossbar fused(cfg);
+      Rng wr(61 + cols + adc), pr(62 + cols + adc), qr(63 + cols + adc);
+      fused.program(random_int_matrix(cfg.rows, cols, -3000, 3000, wr), {nvm::fefet3(), 0.1},
+                    pr);
+      for (std::size_t B = 1; B <= 33; ++B) {
+        SCOPED_TRACE(::testing::Message() << "cols " << cols << " adc " << adc << " B " << B);
+        Matrix x = Matrix::randn(B, cfg.rows, qr);
+        for (std::size_t i = 0; i < cfg.rows; ++i) x(B / 2, i) = 0.0f;
+        cim::Crossbar scalar = fused;
+        const Matrix yf = fused.matvec_batch(x);
+        const Matrix ys = scalar.matvec(x);
+        ASSERT_TRUE(yf.same_shape(ys));
+        for (std::size_t i = 0; i < yf.size(); ++i)
+          ASSERT_EQ(yf.at_flat(i), ys.at_flat(i)) << "flat index " << i;
+        EXPECT_EQ(fused.counters().adc_conversions, scalar.counters().adc_conversions);
+        EXPECT_EQ(fused.counters().subarray_activations,
+                  scalar.counters().subarray_activations);
+      }
+    }
+  }
+}
+
 TEST(FusedKernel, ZeroSliceSkipFiresAndStaysExact) {
   // Noiseless programming of tiny values leaves every high slice exactly
   // zero — the kernel elides those planes without changing results or

@@ -3,7 +3,9 @@
 //
 //  - the masked fused kernel is bit-identical to the full pass on candidate
 //    columns (and exactly 0 elsewhere), at crossbar and accelerator level,
-//    with pruned ADC accounting
+//    with pruned ADC accounting; per row, a block is computed iff that row
+//    has a candidate in it, for every batch size 1..33 against the scalar
+//    oracle and under any row permutation
 //  - the store's router keeps candidates inside the user's slot, never
 //    empty, and covers the whole slot at nprobe = all
 //  - an engine with two-phase enabled at nprobe = all reproduces the exact
@@ -76,6 +78,14 @@ cim::CandidateSet random_mask(std::size_t B, std::size_t n_keys, double density,
   return cand;
 }
 
+/// True when row `b` of `cand` has a candidate in column `c`'s
+/// kBlockColumns-wide block (clipped to the set's width): the one condition
+/// under which the masked kernel computes that (row, column).
+bool row_needs_block(const cim::CandidateSet& cand, std::size_t b, std::size_t c) {
+  const std::size_t lo = c / cim::Crossbar::kBlockColumns * cim::Crossbar::kBlockColumns;
+  return cand.any_in_range(b, lo, std::min(cand.n_keys, lo + cim::Crossbar::kBlockColumns));
+}
+
 TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   cim::CrossbarConfig cfg;
   cfg.rows = 60;
@@ -105,15 +115,15 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
     for (std::size_t c = 0; c < cfg.cols; ++c) {
       if (cand.test(b, c)) {
         EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "candidate (" << b << "," << c << ")";
+      } else if (row_needs_block(cand, b, c)) {
+        // Per-row block masking: a candidate of this row shares the block,
+        // so the column is the exact full-pass value.
+        EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "shared block (" << b << "," << c << ")";
       } else {
-        // Block-granular masking: a non-candidate column is either exact 0
-        // (its whole accumulator block was pruned for this query) or the
-        // exact full-pass value (a candidate shares its block) — never
-        // anything in between.
-        const bool exact = y_masked(b, c) == y_full(b, c);
-        const bool zeroed = y_masked(b, c) == 0.0f;
-        EXPECT_TRUE(exact || zeroed) << "pruned (" << b << "," << c << ")";
-        any_zeroed = any_zeroed || (zeroed && y_full(b, c) != 0.0f);
+        // No candidate of this row in the block: exact 0, whatever the
+        // other rows of the batch need.
+        EXPECT_EQ(y_masked(b, c), 0.0f) << "pruned (" << b << "," << c << ")";
+        any_zeroed = any_zeroed || y_full(b, c) != 0.0f;
       }
     }
   }
@@ -121,6 +131,100 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   // Pruned ADC accounting: the masked pass converted fewer columns.
   EXPECT_LT(masked.counters().adc_conversions, full.counters().adc_conversions);
   EXPECT_EQ(masked.counters().subarray_activations, full.counters().subarray_activations);
+}
+
+TEST(MaskedKernel, GatheredPassMatchesScalarOracleAcrossBatchSizes) {
+  // Against the scalar per-query matvec() oracle: every batch size 1..33
+  // (full 4-row tiles plus each 3/2/1-row remainder), column counts with a
+  // tail block narrower than the register width, ADC on and off, random
+  // masks of mixed density (including empty rows) and an all-zero query
+  // row (full scale 0, so its ADC step passes values through). A computed
+  // (row, column) equals the oracle bit for bit; a column whose block holds
+  // no candidate of its row is exact 0; ADC conversions count exactly the
+  // computed pairs.
+  for (const std::size_t cols : {std::size_t{40}, std::size_t{100}}) {
+    for (const std::size_t adc : {std::size_t{8}, std::size_t{0}}) {
+      cim::CrossbarConfig cfg;
+      cfg.rows = 36;
+      cfg.cols = cols;
+      cfg.adc_bits = adc;
+      cim::Crossbar kernel(cfg);
+      Rng wr(1700 + cols + adc);
+      Rng pr(1800 + cols + adc);
+      kernel.program(random_ints(cfg.rows, cols, -3000, 3000, wr), {nvm::fefet3(), 0.1}, pr);
+      Rng qr(1900 + cols + adc);
+      for (std::size_t B = 1; B <= 33; ++B) {
+        SCOPED_TRACE(::testing::Message() << "cols " << cols << " adc " << adc << " B " << B);
+        Matrix x = Matrix::randn(B, cfg.rows, qr);
+        for (std::size_t i = 0; i < cfg.rows; ++i) x(B / 2, i) = 0.0f;
+        cim::CandidateSet cand;
+        cand.reset(B, cols);
+        for (std::size_t b = 0; b < B; ++b) {
+          const double density = b % 4 == 3 ? 0.0 : 0.02 * static_cast<double>(b % 5);
+          for (std::size_t k = 0; k < cols; ++k)
+            if (qr.uniform() < density) cand.set(b, k);
+        }
+        cim::Crossbar oracle = kernel;
+        oracle.reset_counters();
+        kernel.reset_counters();
+        const Matrix ys = oracle.matvec(x);
+        Matrix ym;
+        kernel.matvec_batch_into(x, ym, &cand, 0);
+        ASSERT_TRUE(ym.same_shape(ys));
+        std::size_t computed = 0;
+        for (std::size_t b = 0; b < B; ++b) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            if (row_needs_block(cand, b, c)) {
+              ++computed;
+              ASSERT_EQ(ym(b, c), ys(b, c)) << "(" << b << "," << c << ")";
+            } else {
+              ASSERT_EQ(ym(b, c), 0.0f) << "(" << b << "," << c << ")";
+            }
+          }
+        }
+        const std::size_t S = cfg.n_slices();
+        EXPECT_EQ(kernel.counters().adc_conversions, S * cim::Crossbar::kPitch * computed);
+        EXPECT_EQ(kernel.counters().subarray_activations,
+                  oracle.counters().subarray_activations);
+      }
+    }
+  }
+}
+
+TEST(MaskedKernel, RowPermutationPermutesOutputsBitIdentically) {
+  // The gathered kernel's work and results do not depend on row order:
+  // permuting the batch rows together with their mask rows permutes the
+  // outputs bit for bit and leaves every counter equal.
+  cim::CrossbarConfig cfg;
+  cfg.rows = 48;
+  cfg.cols = 100;
+  cfg.adc_bits = 8;
+  cim::Crossbar a(cfg);
+  Rng wr(2001), pr(2002);
+  a.program(random_ints(cfg.rows, cfg.cols, -3000, 3000, wr), {nvm::fefet3(), 0.15}, pr);
+  cim::Crossbar b = a;
+
+  constexpr std::size_t B = 23;
+  Rng qr(2003), mr(2004);
+  const Matrix x = Matrix::randn(B, cfg.rows, qr);
+  const cim::CandidateSet cand = random_mask(B, cfg.cols, 0.05, mr);
+  const std::vector<std::size_t> perm = mr.permutation(B);
+  Matrix xp(B, cfg.rows);
+  cim::CandidateSet candp;
+  candp.reset(B, cfg.cols);
+  for (std::size_t r = 0; r < B; ++r) {
+    for (std::size_t i = 0; i < cfg.rows; ++i) xp(r, i) = x(perm[r], i);
+    for (std::size_t k = 0; k < cfg.cols; ++k)
+      if (cand.test(perm[r], k)) candp.set(r, k);
+  }
+  Matrix y, yp;
+  a.matvec_batch_into(x, y, &cand, 0);
+  b.matvec_batch_into(xp, yp, &candp, 0);
+  for (std::size_t r = 0; r < B; ++r)
+    for (std::size_t c = 0; c < cfg.cols; ++c)
+      ASSERT_EQ(yp(r, c), y(perm[r], c)) << "(" << r << "," << c << ")";
+  EXPECT_EQ(a.counters().adc_conversions, b.counters().adc_conversions);
+  EXPECT_EQ(a.counters().subarray_activations, b.counters().subarray_activations);
 }
 
 TEST(MaskedAccelerator, TiledQueryBatchMatchesFullOnCandidates) {
