@@ -64,17 +64,20 @@ struct OpCounters {
 /// reads); the analog MVM then reads those noisy conductances, with
 /// per-slice ADC quantization.
 ///
-/// Storage is interleaved per slice: each row holds [G+ G−] pairs
-/// contiguously, so the fused MVM kernel streams one unit-stride array per
-/// slice and feeds both polarities' accumulators in a single pass. Per-slice
-/// shift factors (2^(s·kBitsPerCell)) and all-zero-slice flags are
-/// precomputed at program time.
+/// Storage is block-major: each slice plane is cut into column blocks of
+/// kBlockColumns keys, and each block is one contiguous stripe of
+/// `active_rows × kAccumulatorLanes` floats, a row's [G+ G−] pairs side by
+/// side. The fused MVM kernel sweeps a block down one unit-stride stripe and
+/// feeds both polarities' accumulators in a single pass. A plane's last block
+/// is padded to full width by cells that are never written and stay exactly
+/// 0. Per-slice shift factors (2^(s·kBitsPerCell)) and all-zero-slice flags
+/// are precomputed at program time.
 class Crossbar {
  public:
   static constexpr std::size_t kBitsPerCell = 2;  ///< per NVM cell, as in the paper
   static constexpr std::size_t kPitch = 2;  ///< floats per key column: [G+ G−]
   /// Width (in interleaved accumulator lanes) of the fused kernel's register
-  /// blocks.
+  /// blocks, and so of one row of a block stripe in the cell layout.
   static constexpr std::size_t kAccumulatorLanes = 32;
   /// Key columns per accumulator block, the granularity candidate masking
   /// prunes at. The one derivation of that width: the store aligns slots to
@@ -113,24 +116,26 @@ class Crossbar {
   /// cell is written.
   ///
   /// Draw order: one pulse per cell; column j draws only from rngs[j], rows
-  /// ascending, slices ascending, G+ before G−. The kernel walks rows →
-  /// slices → span columns, so each row of a slice plane is written
-  /// unit-stride while every stream keeps that order.
+  /// ascending, slices ascending, G+ before G−. The kernel walks the span one
+  /// column block at a time, then rows → slices → the block's span columns,
+  /// so each block stripe is written unit-stride while every stream keeps
+  /// that order.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
                        const nvm::VariationModel& var, Rng* rngs);
 
   /// y = x · W for x of shape m×r (r = programmed rows). Returns m×c in the
   /// stored-integer scale. Non-const: accumulates op counters. A plain
-  /// per-query, per-column double-precision loop over the interleaved
-  /// storage: the scalar oracle the fused kernel is tested against.
+  /// per-query, per-column double-precision loop over the cells: the scalar
+  /// oracle the fused kernel is tested against.
   Matrix matvec(const Matrix& x);
 
   /// Batched y = x · W with identical semantics (and bit-identical results:
   /// the per-accumulator addition order over rows is preserved) but a fused
-  /// cache-friendly kernel — per slice plane, each input row streams across
-  /// the interleaved [G+ G−] cells into adjacent per-column accumulators in
-  /// one unit-stride pass, so one sweep serves both polarities of all B
-  /// queries. Counters advance exactly as B calls to matvec would.
+  /// cache-friendly kernel — per slice plane and column block, input rows
+  /// stream down the block's contiguous [G+ G−] stripe into adjacent
+  /// per-column accumulators in one unit-stride pass, so one sweep serves
+  /// both polarities of up to four queries. Counters advance exactly as B
+  /// calls to matvec would.
   Matrix matvec_batch(const Matrix& x);
 
   /// matvec_batch() written into caller storage — allocation-free once `y`
@@ -161,10 +166,12 @@ class Crossbar {
   std::size_t active_rows() const { return active_rows_; }
   std::size_t active_cols() const { return active_cols_; }
 
-  /// Analog level of one programmed cell (slice s, row r, col c, polarity).
-  /// Diagnostic accessor used by bit-identity tests and benches.
+  /// Analog level of one programmed cell (slice s, row r, col c, polarity),
+  /// read through the block-major layout; the zero padding of a partial
+  /// last block is not addressable here. Diagnostic accessor used by
+  /// bit-identity tests and benches.
   float cell_level(std::size_t s, std::size_t r, std::size_t c, bool negative) const {
-    return cells_[s * slice_stride() + r * row_stride() + c * kPitch + (negative ? 1 : 0)];
+    return cells_[cell_index(s, r, c) + (negative ? 1 : 0)];
   }
 
   /// True when every cell of slice `s` (both polarities) is exactly zero, so
@@ -233,23 +240,32 @@ class Crossbar {
   /// Returns true when either stored cell is nonzero.
   bool write_cell(std::size_t idx, long v, std::size_t s, CellWriter& w, Rng& rng, bool verify);
 
-  std::size_t row_stride() const { return active_cols_ * kPitch; }
-  std::size_t slice_stride() const { return active_rows_ * row_stride(); }
+  std::size_t n_blocks() const { return (active_cols_ + kBlockColumns - 1) / kBlockColumns; }
+  std::size_t slice_stride() const { return n_blocks() * active_rows_ * kAccumulatorLanes; }
+  /// Flat index of cell pair (s, r, c)'s G+ cell, its G− cell next to it:
+  /// slice → column block → row → lane. The one layout formula.
+  std::size_t cell_index(std::size_t s, std::size_t r, std::size_t c) const {
+    return s * slice_stride() + (c / kBlockColumns * active_rows_ + r) * kAccumulatorLanes +
+           c % kBlockColumns * kPitch;
+  }
 
   void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                     std::size_t col_offset);
 
   CrossbarConfig cfg_;
-  /// Interleaved analog cell levels (0..levels-1 plus noise): slice-major,
-  /// then row-major, each row `active_cols_ × kPitch` floats.
+  /// Analog cell levels (0..levels-1 plus noise), block-major
+  /// ([slice][column block][row][kAccumulatorLanes], see cell_index): each
+  /// block's rows form one contiguous stripe, and the lanes past the last
+  /// real column of a partial block are padding that stays exactly 0.
   std::vector<float> cells_;
   std::vector<double> slice_shift_;        ///< 2^(s·kBitsPerCell)
   std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;
   OpCounters counters_;
-  /// Fault-free shadow of cells_ (same indexing): what each cell would hold
-  /// absent stuck faults and drift. The scrub probes' golden reference.
+  /// Fault-free shadow of cells_ (same block-major indexing and zero
+  /// padding): what each cell would hold absent stuck faults and drift. The
+  /// scrub probes' golden reference.
   std::vector<float> pristine_;
   /// Stuck cells: flat cells_ index → pinned analog level. Overrides every
   /// subsequent write of that cell.

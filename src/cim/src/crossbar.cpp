@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "nvcim/cim/quant.hpp"
 
@@ -110,7 +109,7 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
           opts.verify_tolerance > 0.0 &&
           (opts.verify_mask == nullptr || (*opts.verify_mask)(r, c) > 0.0f);
       for (std::size_t s = 0; s < S; ++s)
-        if (write_cell(s * slice_stride() + r * row_stride() + c * kPitch, v, s, w, rng, verify))
+        if (write_cell(cell_index(s, r, c), v, s, w, rng, verify))
           slice_zero_[s] = 0;
     }
   }
@@ -155,23 +154,31 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
   // span half-programmed.
   for (std::size_t i = 0; i < int_values.size(); ++i) check_value(int_values.at_flat(i));
 
-  // Rows → slices → span columns: unit-stride writes along each row, while
-  // every column still draws from its own stream in rows-ascending,
-  // slices-ascending, G+-before-G− order — so a column's cells are a pure
-  // function of (values, position, its own stream), whatever span it was
-  // written in.
+  // One column block's run of the span at a time, then rows → slices → the
+  // run's columns: unit-stride writes along each block stripe with only S
+  // stripes live, while every column still draws from its own stream in
+  // rows-ascending, slices-ascending, G+-before-G− order — so a column's
+  // cells are a pure function of (values, position, its own stream),
+  // whatever span it was written in.
   const std::size_t S = cfg_.n_slices();
   constexpr std::size_t P = kPitch;
-  std::vector<long> row(n);
-  for (std::size_t r = 0; r < active_rows_; ++r) {
-    for (std::size_t j = 0; j < n; ++j) row[j] = static_cast<long>(std::llround(int_values(j, r)));
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t base = s * slice_stride() + r * row_stride() + col_begin * P;
-      bool nonzero = false;
-      for (std::size_t j = 0; j < n; ++j)
-        nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j], false);
-      if (nonzero) slice_zero_[s] = 0;
+  const std::size_t col_end = col_begin + n;
+  long row[kBlockColumns];
+  for (std::size_t c0 = col_begin; c0 < col_end;) {
+    const std::size_t c1 = std::min(col_end, (c0 / kBlockColumns + 1) * kBlockColumns);
+    const std::size_t j0 = c0 - col_begin, nj = c1 - c0;
+    for (std::size_t r = 0; r < active_rows_; ++r) {
+      for (std::size_t j = 0; j < nj; ++j)
+        row[j] = static_cast<long>(std::llround(int_values(j0 + j, r)));
+      for (std::size_t s = 0; s < S; ++s) {
+        const std::size_t base = cell_index(s, r, c0);
+        bool nonzero = false;
+        for (std::size_t j = 0; j < nj; ++j)
+          nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j0 + j], false);
+        if (nonzero) slice_zero_[s] = 0;
+      }
     }
+    c0 = c1;
   }
   counters_.cells_programmed += n * active_rows_ * S * P;
   counters_.write_pulses += w.pulses;
@@ -199,7 +206,7 @@ std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
   constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t r = 0; r < active_rows_; ++r) {
-      const std::size_t base = s * slice_stride() + r * row_stride() + col * P;
+      const std::size_t base = cell_index(s, r, col);
       for (std::size_t p = 0; p < P; ++p) {
         const std::size_t idx = base + p;
         if (stuck_.find(idx) == stuck_.end() &&
@@ -219,7 +226,12 @@ std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
 void Crossbar::kill() {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar region not initialized");
   killed_ = true;
-  for (std::size_t idx = 0; idx < cells_.size(); ++idx) clamp_cell(idx, 0.0f);
+  // Real cells only: the zero padding of a partial block is not a cell.
+  const std::size_t S = cfg_.n_slices();
+  for (std::size_t s = 0; s < S; ++s)
+    for (std::size_t r = 0; r < active_rows_; ++r)
+      for (std::size_t c = 0; c < active_cols_; ++c)
+        for (std::size_t p = 0; p < kPitch; ++p) clamp_cell(cell_index(s, r, c) + p, 0.0f);
 }
 
 void Crossbar::advance_age(std::uint64_t ticks) {
@@ -227,20 +239,15 @@ void Crossbar::advance_age(std::uint64_t ticks) {
   age_ += ticks;
   const double f = nvm::drift_factor(drift_rate_, ticks);
   if (f == 1.0) return;
+  // Each cell decays on its own, so a plane is walked flat; its zero
+  // padding is skipped with every other zero cell.
   const std::size_t S = cfg_.n_slices();
-  constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     if (slice_zero_[s]) continue;  // all-zero plane: nothing to decay
-    for (std::size_t r = 0; r < active_rows_; ++r) {
-      for (std::size_t c = 0; c < active_cols_; ++c) {
-        const std::size_t base = s * slice_stride() + r * row_stride() + c * P;
-        for (std::size_t p = 0; p < P; ++p) {
-          const std::size_t idx = base + p;
-          if (cells_[idx] == 0.0f) continue;  // zero decays to zero
-          if (!stuck_.empty() && stuck_.find(idx) != stuck_.end()) continue;
-          cells_[idx] = static_cast<float>(static_cast<double>(cells_[idx]) * f);
-        }
-      }
+    for (std::size_t idx = s * slice_stride(); idx < (s + 1) * slice_stride(); ++idx) {
+      if (cells_[idx] == 0.0f) continue;  // zero decays to zero
+      if (!stuck_.empty() && stuck_.find(idx) != stuck_.end()) continue;
+      cells_[idx] = static_cast<float>(static_cast<double>(cells_[idx]) * f);
     }
   }
 }
@@ -253,7 +260,7 @@ ColumnProbe Crossbar::probe_column(std::size_t col) const {
   constexpr std::size_t P = kPitch;
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t r = 0; r < active_rows_; ++r) {
-      const std::size_t base = s * slice_stride() + r * row_stride() + col * P;
+      const std::size_t base = cell_index(s, r, col);
       for (std::size_t p = 0; p < P; ++p) {
         const double dev = std::fabs(static_cast<double>(cells_[base + p]) -
                                      static_cast<double>(pristine_[base + p]));
@@ -269,15 +276,14 @@ ColumnProbe Crossbar::probe_column(std::size_t col) const {
 Matrix Crossbar::read_values() const {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
   const std::size_t S = cfg_.n_slices();
-  constexpr std::size_t P = kPitch;
   Matrix out(active_rows_, active_cols_, 0.0f);
   for (std::size_t s = 0; s < S; ++s) {
     const double shift = slice_shift_[s];
     if (slice_zero_[s]) continue;
     for (std::size_t r = 0; r < active_rows_; ++r) {
-      const float* row = cells_.data() + s * slice_stride() + r * row_stride();
       for (std::size_t c = 0; c < active_cols_; ++c) {
-        const double v = static_cast<double>(row[c * P]) - row[c * P + 1];
+        const float* cell = cells_.data() + cell_index(s, r, c);
+        const double v = static_cast<double>(cell[0]) - cell[1];
         out(r, c) += static_cast<float>(shift * v);
       }
     }
@@ -313,11 +319,10 @@ Matrix Crossbar::matvec(const Matrix& x) {
       counters_.subarray_activations += P;
       counters_.adc_conversions += P * active_cols_;
       if (slice_zero_[s]) continue;  // contributes exactly zero
-      const float* plane = cells_.data() + s * slice_stride();
       for (std::size_t c = 0; c < active_cols_; ++c) {
         double acc_pos = 0.0, acc_neg = 0.0;
-        const float* cell = plane + c * P;
-        for (std::size_t r = 0; r < active_rows_; ++r, cell += row_stride()) {
+        for (std::size_t r = 0; r < active_rows_; ++r) {
+          const float* cell = cells_.data() + cell_index(s, r, c);
           acc_pos += static_cast<double>(x(m, r)) * cell[0];
           acc_neg += static_cast<double>(x(m, r)) * cell[1];
         }
@@ -335,56 +340,51 @@ namespace {
 constexpr std::size_t kBlk = Crossbar::kAccumulatorLanes;
 
 /// One register tile of the fused kernel: T gathered query rows (`idx` into
-/// `x`) swept down one kBlk-wide column stripe `col` of a slice plane, each
+/// `x`) swept down one block's contiguous `rows × kBlk` stripe, each
 /// accumulator summing rows 0..rows-1 in ascending order from zero, then
-/// `fold(m, acc, width)` per query. A full stripe runs a fixed-width body
-/// the compiler keeps in vector registers; a column remainder runs the same
-/// body at its runtime width.
+/// `fold(m, acc)` per query. The body has one fixed width the compiler keeps
+/// in vector registers: the lanes of a partial block past its last column
+/// are zero padding, so they only sum products with 0, and the fold never
+/// writes them.
 template <std::size_t T, class Fold>
-void sweep_tile(const Matrix& x, const std::size_t* idx, const float* col, std::size_t rows,
-                std::size_t lane, std::size_t kb, Fold&& fold) {
+void sweep_tile(const Matrix& x, const std::size_t* idx, const float* stripe, std::size_t rows,
+                Fold&& fold) {
   const float* xs[T];
   for (std::size_t t = 0; t < T; ++t) xs[t] = x.data() + idx[t] * x.cols();
-  const auto run = [&](auto width) {
-    double acc[T][kBlk] = {};
-    for (std::size_t r = 0; r < rows; ++r, col += lane) {
-      double v[T];
-      for (std::size_t t = 0; t < T; ++t) v[t] = xs[t][r];
-      for (std::size_t j = 0; j < width; ++j) {
-        const double p = col[j];
-        for (std::size_t t = 0; t < T; ++t) acc[t][j] += v[t] * p;
-      }
+  double acc[T][kBlk] = {};
+  for (std::size_t r = 0; r < rows; ++r, stripe += kBlk) {
+    double v[T];
+    for (std::size_t t = 0; t < T; ++t) v[t] = xs[t][r];
+    for (std::size_t j = 0; j < kBlk; ++j) {
+      const double p = stripe[j];
+      for (std::size_t t = 0; t < T; ++t) acc[t][j] += v[t] * p;
     }
-    for (std::size_t t = 0; t < T; ++t) fold(idx[t], acc[t], width);
-  };
-  if (kb == kBlk)
-    run(std::integral_constant<std::size_t, kBlk>{});
-  else
-    run(kb);
+  }
+  for (std::size_t t = 0; t < T; ++t) fold(idx[t], acc[t]);
 }
 
 }  // namespace
 
 /// Fused slice kernel, iterated slice → column block → gathered query rows:
-/// each block's stripe of a slice's interleaved [G+ G−] plane is swept once
-/// per tile of up to four rows that need the block (the scalar matvec()
-/// re-streams every plane per query), feeding resident kBlk-wide
-/// accumulators, then one ADC/shift pass with a hoisted per-query LSB folds
-/// each row's block into its output row. It is bit-identical to matvec()
-/// because (a) every accumulator element still sums rows r = 0..R-1 in
-/// ascending order starting from zero, and (b) each output element still
-/// receives its per-slice contributions in ascending slice order — only
-/// which independent (query, column) sums are formed together changed, so
-/// neither the batch's row order nor its grouping into tiles moves a bit.
-/// Slices are the outer loop so that every block of a plane is swept while
-/// that plane's pages are hot.
+/// each block's stripe of a slice plane is swept once per tile of up to four
+/// rows that need the block (the scalar matvec() re-streams every plane per
+/// query), feeding resident kBlk-wide accumulators, then one ADC/shift pass
+/// with a hoisted per-query LSB folds each row's block into its output row.
+/// It is bit-identical to matvec() because (a) every accumulator element
+/// still sums rows r = 0..R-1 in ascending order starting from zero, and (b)
+/// each output element still receives its per-slice contributions in
+/// ascending slice order — only which independent (query, column) sums are
+/// formed together changed, so neither the batch's row order nor its
+/// grouping into tiles moves a bit. The cells are stored block-major, so a
+/// tile reads one contiguous `rows × kBlk` stripe, and consecutive blocks of
+/// a slice are consecutive stripes: slices are the outer loop so that the
+/// sweep walks each plane front to back while its pages are hot.
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
                             std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
   const std::size_t B = x.rows();
   const double denorm = static_cast<double>(cfg_.levels() - 1);
   constexpr std::size_t P = kPitch;
-  const std::size_t lane = row_stride();
 
   // ADC full scale per query row: the worst-case column current given that
   // input vector (Σ|x_i| times the max cell level), per NeuroSim's
@@ -409,11 +409,11 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   // width, possible when a mutable store grew after the bitmap was routed,
   // are never candidates). A row enters only the tiles of blocks it needs,
   // whatever its neighbours need.
-  const std::size_t n_blocks = (lane + kBlk - 1) / kBlk;
+  const std::size_t n_blk = n_blocks();
   block_rows_.clear();
   block_start_.assign(1, 0);
   std::size_t computed_cols = 0;
-  for (std::size_t bk = 0; bk < n_blocks; ++bk) {
+  for (std::size_t bk = 0; bk < n_blk; ++bk) {
     const std::size_t c_lo = bk * kBlockColumns;
     const std::size_t c_hi = std::min(active_cols_, c_lo + kBlockColumns);
     const std::size_t k_lo = col_offset + c_lo;
@@ -436,35 +436,35 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   for (std::size_t s = 0; s < S; ++s) {
     if (slice_zero_[s]) continue;  // contributes exactly zero
     const double shift = slice_shift_[s];
-    const float* plane = cells_.data() + s * slice_stride();
-    for (std::size_t bk = 0; bk < n_blocks; ++bk) {
-      const std::size_t k0 = bk * kBlk;
-      const std::size_t kb = std::min(kBlk, lane - k0);
+    for (std::size_t bk = 0; bk < n_blk; ++bk) {
+      const std::size_t c_lo = bk * kBlockColumns;
+      const std::size_t nc = std::min(kBlockColumns, active_cols_ - c_lo);
       // ADC + shift fold of one query's accumulator block into its output
       // row: quantize the block into a contiguous array first (the
-      // vectorizable libm-free round), then take the G+ − G− differences.
-      // Like matvec(), it must subtract rounded products: an FMA that fused
-      // a product into the subtraction would move bits.
-      const auto fold = [&](std::size_t m, const double* acc, auto width) {
+      // vectorizable libm-free round), then take the G+ − G− differences of
+      // the block's nc real columns. Like matvec(), it must subtract rounded
+      // products: an FMA that fused a product into the subtraction would
+      // move bits.
+      const auto fold = [&](std::size_t m, const double* acc) {
         const double lsb = lsb_[m];
         double q[kBlk];
         if (lsb > 0.0) {
-          for (std::size_t j = 0; j < width; ++j) q[j] = round_half_away(acc[j] / lsb) * lsb;
+          for (std::size_t j = 0; j < kBlk; ++j) q[j] = round_half_away(acc[j] / lsb) * lsb;
         } else {
-          for (std::size_t j = 0; j < width; ++j) q[j] = acc[j];
+          for (std::size_t j = 0; j < kBlk; ++j) q[j] = acc[j];
         }
-        float* yrow = y.data() + m * active_cols_ + k0 / P;
-        for (std::size_t j = 0; j < width / P; ++j)
+        float* yrow = y.data() + m * active_cols_ + c_lo;
+        for (std::size_t j = 0; j < nc; ++j)
           yrow[j] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
       };
-      const float* col = plane + k0;
+      const float* stripe = cells_.data() + cell_index(s, 0, c_lo);
       const std::size_t* idx = block_rows_.data() + block_start_[bk];
       const std::size_t* end = block_rows_.data() + block_start_[bk + 1];
-      for (; end - idx >= 4; idx += 4) sweep_tile<4>(x, idx, col, active_rows_, lane, kb, fold);
+      for (; end - idx >= 4; idx += 4) sweep_tile<4>(x, idx, stripe, active_rows_, fold);
       switch (end - idx) {
-        case 3: sweep_tile<3>(x, idx, col, active_rows_, lane, kb, fold); break;
-        case 2: sweep_tile<2>(x, idx, col, active_rows_, lane, kb, fold); break;
-        case 1: sweep_tile<1>(x, idx, col, active_rows_, lane, kb, fold); break;
+        case 3: sweep_tile<3>(x, idx, stripe, active_rows_, fold); break;
+        case 2: sweep_tile<2>(x, idx, stripe, active_rows_, fold); break;
+        case 1: sweep_tile<1>(x, idx, stripe, active_rows_, fold); break;
         default: break;
       }
     }

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,12 @@ long random_value(const cim::CrossbarConfig& cfg, Rng& rng) {
   if (rng.uniform_index(8) == 0) return 0;
   const long mag = static_cast<long>(rng.uniform_index(static_cast<std::size_t>(vmax) + 1));
   return rng.uniform_index(2) == 0 ? -mag : mag;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
 }
 
 void expect_cells_match(const cim::Crossbar& xb, Oracle& oracle) {
@@ -265,6 +273,104 @@ TEST(ProgramKernel, OutOfRangeValueInSpanWritesNothing) {
               << "slice " << s << " cell (" << r << ", " << c << ") neg=" << neg;
   EXPECT_EQ(xb.counters().cells_programmed, before.counters().cells_programmed);
   EXPECT_EQ(xb.counters().write_pulses, before.counters().write_pulses);
+}
+
+/// One span [13, 37) of a 40-column region crosses three 16-column blocks
+/// (a partial head, one whole block, a partial tail). Written in one
+/// program_columns call it must equal the same columns written one call
+/// each, cell for cell and score for score; columns outside it stay 0.
+TEST(ProgramKernel, SpanAcrossBlockBoundariesMatchesColumnAtATime) {
+  cim::CrossbarConfig cfg;
+  cfg.rows = 24;
+  cfg.cols = 40;
+  const std::size_t col0 = 13, n = 24;
+  const Rng base(4242);
+  Rng vr(6);
+  Matrix vals(n, cfg.rows);
+  for (std::size_t i = 0; i < vals.size(); ++i)
+    vals.at_flat(i) = static_cast<float>(random_value(cfg, vr));
+
+  cim::Crossbar span(cfg), single(cfg);
+  span.init_blank(cfg.rows, cfg.cols);
+  single.init_blank(cfg.rows, cfg.cols);
+  std::vector<Rng> streams;
+  for (std::size_t j = 0; j < n; ++j) streams.push_back(base.split(col0 + j));
+  span.program_columns(vals, col0, kVar, streams.data());
+  for (std::size_t j = 0; j < n; ++j) {
+    Matrix one(1, cfg.rows);
+    for (std::size_t r = 0; r < cfg.rows; ++r) one(0, r) = vals(j, r);
+    Rng stream = base.split(col0 + j);
+    single.program_columns(one, col0 + j, kVar, &stream);
+  }
+
+  for (std::size_t s = 0; s < cfg.n_slices(); ++s)
+    for (std::size_t r = 0; r < cfg.rows; ++r)
+      for (std::size_t c = 0; c < cfg.cols; ++c)
+        for (const bool neg : {false, true}) {
+          const float got = span.cell_level(s, r, c, neg);
+          ASSERT_EQ(got, single.cell_level(s, r, c, neg))
+              << "slice " << s << " cell (" << r << ", " << c << ") neg=" << neg;
+          if (c < col0 || c >= col0 + n) {
+            ASSERT_EQ(got, 0.0f) << "slice " << s << " cell (" << r << ", " << c << ")";
+          }
+        }
+  EXPECT_EQ(span.counters().cells_programmed, single.counters().cells_programmed);
+  EXPECT_EQ(span.counters().write_pulses, single.counters().write_pulses);
+
+  Rng qr(7);
+  const Matrix x = Matrix::randn(5, cfg.rows, qr);
+  const Matrix ys = span.matvec_batch(x), y1 = single.matvec_batch(x);
+  ASSERT_EQ(ys.size(), y1.size());
+  for (std::size_t i = 0; i < ys.size(); ++i)
+    ASSERT_EQ(bits_of(ys.at_flat(i)), bits_of(y1.at_flat(i))) << "score " << i;
+}
+
+/// The cells are stored in whole 16-column blocks, so a region whose width
+/// is not a multiple of 16 carries padding. None of it may show: not in the
+/// stuck-cell count, the golden probes, the readback or the kernel.
+TEST(CrossbarLayout, PartialBlockPaddingIsInvisible) {
+  for (const std::size_t cols : {1, 15, 16, 17, 37, 128}) {
+    for (const std::size_t rows : {1, 24, 96}) {
+      SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+      cim::CrossbarConfig cfg;
+      cfg.rows = rows;
+      cfg.cols = cols;
+      const std::size_t S = cfg.n_slices();
+      Rng vr(rows * 1000 + cols);
+      Matrix vals(rows, cols);
+      for (std::size_t i = 0; i < vals.size(); ++i)
+        vals.at_flat(i) = static_cast<float>(random_value(cfg, vr));
+
+      cim::Crossbar exact(cfg);
+      Rng er(1);
+      exact.program(vals, {nvm::fefet3(), 0.0}, er);
+      EXPECT_TRUE(allclose(exact.read_values(), vals, 1e-3f, 0.0f));
+
+      cim::Crossbar noisy(cfg);
+      Rng nr(2);
+      noisy.program(vals, kVar, nr);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const cim::ColumnProbe probe = noisy.probe_column(c);
+        EXPECT_EQ(probe.cells, S * rows * 2) << "column " << c;
+        EXPECT_EQ(probe.deviant, 0u) << "column " << c;
+      }
+
+      Rng qr(3);
+      const Matrix x = Matrix::randn(5, rows, qr);
+      cim::Crossbar scalar = noisy;
+      noisy.reset_counters();
+      scalar.reset_counters();
+      const Matrix yb = noisy.matvec_batch(x), ys = scalar.matvec(x);
+      ASSERT_EQ(yb.size(), ys.size());
+      for (std::size_t i = 0; i < yb.size(); ++i)
+        ASSERT_EQ(bits_of(yb.at_flat(i)), bits_of(ys.at_flat(i))) << "score " << i;
+      EXPECT_EQ(noisy.counters().subarray_activations, scalar.counters().subarray_activations);
+      EXPECT_EQ(noisy.counters().adc_conversions, scalar.counters().adc_conversions);
+
+      noisy.kill();
+      EXPECT_EQ(noisy.n_stuck_cells(), S * rows * cols * 2);
+    }
+  }
 }
 
 }  // namespace
