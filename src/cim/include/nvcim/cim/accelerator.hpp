@@ -57,28 +57,26 @@ class Accelerator {
   Matrix query_batch(const Matrix& x);
 
   /// Reusable buffers for query_batch_into(): the column slice of the query
-  /// block fed to one row tile, one tile's partial result, and the masked
-  /// path's per-column-tile candidate flags. Warm scratch makes the batched
-  /// query path allocation-free.
+  /// block fed to one row tile and one tile's partial result. Warm scratch
+  /// makes the batched query path allocation-free.
   struct BatchScratch {
     Matrix xs;
     Matrix part;
-    std::vector<std::uint8_t> col_tile_needed;
   };
 
   /// query_batch() written into caller storage with caller scratch —
   /// bit-identical results, zero steady-state allocations. `y` is resized to
   /// B×n_keys.
   ///
-  /// With `candidates` (per-query bitmaps over the n_keys columns), only
-  /// candidate columns are scored: a column tile none of the batch's queries
-  /// needs is skipped outright, and inside a tile the crossbar kernel
-  /// computes each accumulator block only for the queries that need it (see
-  /// Crossbar::matvec_batch_into). Candidate entries are bit-identical to
-  /// the unmasked pass; non-candidate entries are exact 0 or the exact
-  /// full-pass value (block-granular masking) — argmax over candidates only.
+  /// With `spans` (each row's key span, inside n_keys), `y` is the pass's
+  /// compact B × spans->width() block, row b's column j holding key
+  /// begin(b) + j: a column tile runs only when some row's span reaches it,
+  /// the kernel computes there only each row's own blocks (see
+  /// Crossbar::matvec_batch_into), and only the compact block is
+  /// accumulated and scaled. Computed entries are bit-identical to the
+  /// unmasked pass.
   void query_batch_into(const Matrix& x, Matrix& y, BatchScratch& scratch,
-                        const CandidateSet* candidates = nullptr);
+                        const PassSpans* spans = nullptr);
 
   /// Noise-free reference result for diagnostics.
   Matrix query_ideal(const Matrix& x) const;
@@ -121,9 +119,9 @@ class Accelerator {
 
  private:
   /// Dequantize the integer-scale score block into `y`: one global scale in
-  /// immutable mode, per-column scales (0 for unprogrammed columns) in
-  /// mutable mode.
-  void apply_scales(Matrix& y) const;
+  /// immutable mode, per-key scales (0 for unprogrammed columns) of each
+  /// row's own keys in mutable mode.
+  void apply_scales(Matrix& y, const PassSpans* spans) const;
 
   CrossbarConfig cfg_;
   nvm::VariationModel var_;

@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "nvcim/cim/candidates.hpp"
 #include "nvcim/cim/faults.hpp"
+#include "nvcim/cim/pass_spans.hpp"
 #include "nvcim/nvm/device.hpp"
 #include "nvcim/nvm/faults.hpp"
 #include "nvcim/tensor/matrix.hpp"
@@ -141,21 +141,19 @@ class Crossbar {
   /// matvec_batch() written into caller storage — allocation-free once `y`
   /// is warm. Bit-identical to matvec_batch().
   ///
-  /// With `candidates`, each kBlockColumns-wide column block is computed only
-  /// for the queries with a candidate in it: the kernel gathers those rows
-  /// per block, so neither the batch's row order nor the other rows' masks
-  /// change what a row computes. `col_offset` maps this subarray's columns
-  /// into the candidate set's key index space (column c here is key
-  /// `col_offset + c`). Computed entries are bit-identical to the unmasked
-  /// kernel — skipping a block never reorders another block's accumulation.
-  /// Masking is block-granular per query: a non-candidate column is exact 0
-  /// iff its block holds no candidate of that query, and the exact full-pass
-  /// value otherwise — callers must argmax over candidates only.
-  /// ADC-conversion counters advance only for computed (query, column)
-  /// pairs, so pruning is visible in the cost model; subarray activations
-  /// still follow the input-side schedule.
-  void matvec_batch_into(const Matrix& x, Matrix& y,
-                         const CandidateSet* candidates = nullptr,
+  /// With `spans`, `y` is the pass's compact rows × spans->width() block and
+  /// column c here is key `col_offset + c`: each row computes only the
+  /// kBlockColumns-wide blocks of its own span's columns in this subarray
+  /// (on a routed pass, those holding one of its candidates) and writes its
+  /// span columns to y(r, col_offset + c − begin(r)); everything else stays
+  /// exact 0. The kernel gathers each block's rows itself, so neither the
+  /// batch's row order nor the other rows' spans change what a row computes,
+  /// and computed entries are bit-identical to the unmasked kernel —
+  /// skipping a block never reorders another block's accumulation.
+  /// Counters follow each row's own work: subarray activations for each row
+  /// that reads a block here, ADC conversions for each computed (row,
+  /// column) pair, so a row's cost never depends on its batch-mates.
+  void matvec_batch_into(const Matrix& x, Matrix& y, const PassSpans* spans = nullptr,
                          std::size_t col_offset = 0);
 
   /// Cell-wise readback of the stored values: reconstructs each integer from
@@ -249,8 +247,7 @@ class Crossbar {
            c % kBlockColumns * kPitch;
   }
 
-  void fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
-                    std::size_t col_offset);
+  void fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans, std::size_t col_offset);
 
   CrossbarConfig cfg_;
   /// Analog cell levels (0..levels-1 plus noise), block-major

@@ -135,14 +135,16 @@ void Accelerator::program_keys(const Matrix& keys, std::size_t col_begin) {
   }
 }
 
-void Accelerator::apply_scales(Matrix& y) const {
+void Accelerator::apply_scales(Matrix& y, const PassSpans* spans) const {
   if (!mutable_mode_) {
     y *= scale_;
     return;
   }
   for (std::size_t b = 0; b < y.rows(); ++b) {
     float* row = y.data() + b * y.cols();
-    for (std::size_t c = 0; c < y.cols(); ++c) row[c] *= col_scale_[c];
+    const float* scale = col_scale_.data() + (spans != nullptr ? spans->begin(b) : 0);
+    const std::size_t n = spans != nullptr ? spans->end(b) - spans->begin(b) : y.cols();
+    for (std::size_t c = 0; c < n; ++c) row[c] *= scale[c];
   }
 }
 
@@ -161,7 +163,7 @@ Matrix Accelerator::query(const Matrix& x) {
       for (std::size_t c = 0; c < part.cols(); ++c) y(0, c0 + c) += part(0, c);
     }
   }
-  apply_scales(y);
+  apply_scales(y, nullptr);
   return y;
 }
 
@@ -173,57 +175,47 @@ Matrix Accelerator::query_batch(const Matrix& x) {
 }
 
 void Accelerator::query_batch_into(const Matrix& x, Matrix& y, BatchScratch& scratch,
-                                   const CandidateSet* candidates) {
+                                   const PassSpans* spans) {
   NVCIM_CHECK_MSG(!tiles_.empty(), "no keys stored");
   NVCIM_CHECK_MSG(x.rows() >= 1 && x.cols() == key_len_,
                   "queries must be Bx" << key_len_);
-  if (candidates != nullptr) {
-    // Only a mutable store may be QUERIED wider than the bitmap (capacity
-    // grown after a batch routed against an earlier epoch — the extra
-    // columns are never candidates); an immutable store with a mismatched
-    // bitmap is a caller bug and keeps the hard equality check.
-    NVCIM_CHECK_MSG(candidates->n_queries == x.rows() &&
-                        (candidates->n_keys == n_keys_ ||
-                         (mutable_mode_ && candidates->n_keys <= n_keys_)),
-                    "candidate set is " << candidates->n_queries << "x" << candidates->n_keys
-                                        << ", expected " << x.rows() << "x" << n_keys_);
+  const std::size_t B = x.rows();
+  if (spans != nullptr) {
+    NVCIM_CHECK_MSG(spans->rows() == B, "pass spans cover " << spans->rows()
+                                                            << " rows, batch has " << B);
+    for (std::size_t b = 0; b < B; ++b)
+      NVCIM_CHECK_MSG(spans->end(b) <= n_keys_, "span [" << spans->begin(b) << ", "
+                                                        << spans->end(b) << ") of row " << b
+                                                        << " exceeds " << n_keys_ << " keys");
   }
-  y.resize(x.rows(), n_keys_);
+  y.resize(B, spans != nullptr ? spans->width() : n_keys_);
   y.fill(0.0f);
-  // Column tiles no query needs are skipped outright; the scan is
-  // independent of the row tile, so hoist it out of the grid walk.
-  if (candidates != nullptr) {
-    scratch.col_tile_needed.assign(col_tiles_, 0);
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      const std::size_t c0 = ct * cfg_.cols;
-      const std::size_t c1 = std::min({c0 + cfg_.cols, n_keys_, candidates->n_keys});
-      if (c0 >= c1) continue;  // tile fully beyond the bitmap: never needed
-      for (std::size_t b = 0; b < x.rows() && scratch.col_tile_needed[ct] == 0; ++b)
-        scratch.col_tile_needed[ct] = candidates->any_in_range(b, c0, c1) ? 1 : 0;
-    }
-  }
   for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
     const std::size_t r0 = rt * cfg_.rows;
     const std::size_t r1 = std::min(r0 + cfg_.rows, key_len_);
     // Single row tile: feed the query block straight through, no column copy.
     const Matrix* xs = &x;
     if (row_tiles_ > 1) {
-      scratch.xs.resize(x.rows(), r1 - r0);
-      for (std::size_t b = 0; b < x.rows(); ++b)
+      scratch.xs.resize(B, r1 - r0);
+      for (std::size_t b = 0; b < B; ++b)
         std::copy(x.data() + b * key_len_ + r0, x.data() + b * key_len_ + r1,
                   scratch.xs.data() + b * (r1 - r0));
       xs = &scratch.xs;
     }
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      if (candidates != nullptr && scratch.col_tile_needed[ct] == 0) continue;
       const std::size_t c0 = ct * cfg_.cols;
-      tiles_[rt * col_tiles_ + ct].matvec_batch_into(*xs, scratch.part, candidates, c0);
+      if (spans != nullptr && !spans->reaches(c0, c0 + cfg_.cols)) continue;
+      tiles_[rt * col_tiles_ + ct].matvec_batch_into(*xs, scratch.part, spans, c0);
       const Matrix& part = scratch.part;
-      for (std::size_t b = 0; b < part.rows(); ++b)
-        for (std::size_t c = 0; c < part.cols(); ++c) y(b, c0 + c) += part(b, c);
+      if (spans != nullptr) {
+        y += part;  // compact like y; the columns of other tiles add exact 0
+      } else {
+        for (std::size_t b = 0; b < B; ++b)
+          for (std::size_t c = 0; c < part.cols(); ++c) y(b, c0 + c) += part(b, c);
+      }
     }
   }
-  apply_scales(y);
+  apply_scales(y, spans);
 }
 
 Matrix Accelerator::query_ideal(const Matrix& x) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "nvcim/cim/quant.hpp"
 
@@ -379,7 +380,7 @@ void sweep_tile(const Matrix& x, const std::size_t* idx, const float* stripe, st
 /// tile reads one contiguous `rows × kBlk` stripe, and consecutive blocks of
 /// a slice are consecutive stripes: slices are the outer loop so that the
 /// sweep walks each plane front to back while its pages are hot.
-void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* candidates,
+void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
                             std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
   const std::size_t B = x.rows();
@@ -402,35 +403,47 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
     lsb_[m] = adc_on && fullscale_[m] > 0.0 ? fullscale_[m] / n_codes : 0.0;
   }
 
-  // Row gather, once per call: block bk's rows are
-  // block_rows_[block_start_[bk], block_start_[bk + 1]) — every row
-  // unmasked; with candidates, the rows with a candidate key among the
-  // block's kBlockColumns output columns (columns beyond the candidate set's
-  // width, possible when a mutable store grew after the bitmap was routed,
-  // are never candidates). A row enters only the tiles of blocks it needs,
-  // whatever its neighbours need.
+  // Row walk: each row lists only the blocks of its own keys here (its span,
+  // or unmasked this subarray's columns), skipping on a routed pass the
+  // blocks that hold none of its candidates. Entries are bk * B + m, so one
+  // sort buckets them block-major with rows ascending: a row enters only the
+  // tiles of the blocks it reads, whatever its batch-mates read. Key k of
+  // row m lands in output column k − (its first key).
+  const auto keys = [&](std::size_t m) {
+    return spans != nullptr ? std::pair{spans->begin(m), spans->end(m)}
+                            : std::pair{col_offset, col_offset + active_cols_};
+  };
   const std::size_t n_blk = n_blocks();
   block_rows_.clear();
-  block_start_.assign(1, 0);
-  std::size_t computed_cols = 0;
-  for (std::size_t bk = 0; bk < n_blk; ++bk) {
-    const std::size_t c_lo = bk * kBlockColumns;
-    const std::size_t c_hi = std::min(active_cols_, c_lo + kBlockColumns);
-    const std::size_t k_lo = col_offset + c_lo;
-    const std::size_t k_hi =
-        candidates ? std::min(col_offset + c_hi, candidates->n_keys) : col_offset + c_hi;
-    for (std::size_t m = 0; m < B; ++m)
-      if (!candidates || (k_lo < k_hi && candidates->any_in_range(m, k_lo, k_hi)))
-        block_rows_.push_back(m);
-    computed_cols += (block_rows_.size() - block_start_.back()) * (c_hi - c_lo);
-    block_start_.push_back(block_rows_.size());
+  std::size_t computed_cols = 0, reading_rows = 0;
+  for (std::size_t m = 0; m < B; ++m) {
+    const auto [kb, ke] = keys(m);
+    const std::size_t hi = std::min(ke, col_offset + active_cols_);
+    const std::size_t before = block_rows_.size();
+    for (std::size_t k = std::max(kb, col_offset); k < hi;) {
+      const std::size_t bk = (k - col_offset) / kBlockColumns;
+      const std::size_t k1 = std::min(hi, col_offset + (bk + 1) * kBlockColumns);
+      if (spans == nullptr || spans->any_candidate(m, k - kb, k1 - kb)) {
+        block_rows_.push_back(bk * B + m);
+        computed_cols += std::min(active_cols_, (bk + 1) * kBlockColumns) - bk * kBlockColumns;
+      }
+      k = k1;
+    }
+    reading_rows += block_rows_.size() > before ? 1 : 0;
   }
+  std::sort(block_rows_.begin(), block_rows_.end());
+  block_start_.assign(n_blk + 1, 0);
+  for (std::size_t& e : block_rows_) {
+    ++block_start_[e / B + 1];
+    e %= B;
+  }
+  std::partial_sum(block_start_.begin(), block_start_.end(), block_start_.begin());
 
-  // Subarray activations follow the input-side schedule (a plane activation
-  // is shared by every column of the wave); ADC conversions advance only for
-  // computed (query, column) pairs, so candidate pruning shows up in the
+  // A plane activation is shared by every column of the wave, so each row
+  // that reads a block here pays one per slice and polarity; ADC conversions
+  // advance for each computed (row, column) pair, so pruning shows up in the
   // cost model exactly where the hardware saves — column reads.
-  counters_.subarray_activations += B * S * P;
+  counters_.subarray_activations += reading_rows * S * P;
   counters_.adc_conversions += S * P * computed_cols;
 
   for (std::size_t s = 0; s < S; ++s) {
@@ -442,9 +455,9 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
       // ADC + shift fold of one query's accumulator block into its output
       // row: quantize the block into a contiguous array first (the
       // vectorizable libm-free round), then take the G+ − G− differences of
-      // the block's nc real columns. Like matvec(), it must subtract rounded
-      // products: an FMA that fused a product into the subtraction would
-      // move bits.
+      // the row's columns in the block. Like matvec(), it must subtract
+      // rounded products: an FMA that fused a product into the subtraction
+      // would move bits.
       const auto fold = [&](std::size_t m, const double* acc) {
         const double lsb = lsb_[m];
         double q[kBlk];
@@ -453,9 +466,13 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
         } else {
           for (std::size_t j = 0; j < kBlk; ++j) q[j] = acc[j];
         }
-        float* yrow = y.data() + m * active_cols_ + c_lo;
-        for (std::size_t j = 0; j < nc; ++j)
-          yrow[j] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
+        const auto [kb, ke] = keys(m);
+        const std::size_t k_lo = col_offset + c_lo;
+        float* yrow = y.data() + m * y.cols();
+        for (std::size_t k = std::max(k_lo, kb); k < std::min(k_lo + nc, ke); ++k) {
+          const std::size_t j = k - k_lo;
+          yrow[k - kb] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
+        }
       };
       const float* stripe = cells_.data() + cell_index(s, 0, c_lo);
       const std::size_t* idx = block_rows_.data() + block_start_[bk];
@@ -471,23 +488,16 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const CandidateSet* cand
   }
 }
 
-void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const CandidateSet* candidates,
+void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const PassSpans* spans,
                                  std::size_t col_offset) {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
   NVCIM_CHECK_MSG(x.cols() == active_rows_, "input width " << x.cols() << " != programmed rows "
                                                            << active_rows_);
-  if (candidates != nullptr) {
-    NVCIM_CHECK_MSG(candidates->n_queries == x.rows(),
-                    "candidate set covers " << candidates->n_queries << " queries, batch has "
-                                            << x.rows());
-    // The candidate set may be NARROWER than this subarray's column span: a
-    // mutable store can grow capacity after a batch routed its bitmaps
-    // against an earlier epoch. Columns beyond n_keys are simply never
-    // candidates (they belong to users admitted after the batch pinned).
-  }
-  y.resize(x.rows(), active_cols_);
+  NVCIM_CHECK_MSG(spans == nullptr || spans->rows() == x.rows(),
+                  "pass spans cover " << spans->rows() << " rows, batch has " << x.rows());
+  y.resize(x.rows(), spans != nullptr ? spans->width() : active_cols_);
   y.fill(0.0f);
-  fused_matvec(x, y, candidates, col_offset);
+  fused_matvec(x, y, spans, col_offset);
 }
 
 Matrix Crossbar::matvec_batch(const Matrix& x) {

@@ -86,15 +86,14 @@ class CimRetriever {
   /// scores_batch() written into caller storage with caller scratch —
   /// bit-identical results, no per-batch allocations once the scratch is
   /// warm. `out` is resized to B×n_keys.
-  void scores_batch_into(const Matrix& queries, Matrix& out, Scratch& scratch);
-
-  /// With `candidates` (per-query bitmaps over the n_keys key columns), each
-  /// scale bank scores only candidate columns — the IVF-style phase-2 exact
-  /// rerank. Candidate entries of `out` are bit-identical to the unmasked
-  /// pass; non-candidate entries are exact 0 or the exact full-pass value
-  /// (block-granular masking), so callers must argmax over candidates only.
+  ///
+  /// With `spans` (each row's key span; on routed passes, the phase-1
+  /// shortlist as its mask), every scale bank scores only those spans — the
+  /// IVF-style phase-2 exact rerank — and `out` is the compact
+  /// B × spans->width() block (see cim::PassSpans). Computed entries are
+  /// bit-identical to the unmasked pass; callers argmax over candidates only.
   void scores_batch_into(const Matrix& queries, Matrix& out, Scratch& scratch,
-                         const cim::CandidateSet* candidates);
+                         const cim::PassSpans* spans = nullptr);
   /// Batched retrieve over pre-flattened query rows.
   std::vector<std::size_t> retrieve_batch(const Matrix& queries);
   /// Flatten a query list into the B×key_size layout scores_batch expects.

@@ -145,16 +145,12 @@ Matrix CimRetriever::scores_batch(const Matrix& queries) {
   return total;
 }
 
-void CimRetriever::scores_batch_into(const Matrix& queries, Matrix& out, Scratch& scratch) {
-  scores_batch_into(queries, out, scratch, nullptr);
-}
-
 void CimRetriever::scores_batch_into(const Matrix& queries, Matrix& out, Scratch& scratch,
-                                     const cim::CandidateSet* candidates) {
+                                     const cim::PassSpans* spans) {
   NVCIM_CHECK_MSG(!banks_.empty(), "no keys stored");
   NVCIM_CHECK_MSG(queries.cols() == key_size_, "query width " << queries.cols()
                                                               << " != key size " << key_size_);
-  out.resize(queries.rows(), n_keys_);
+  out.resize(queries.rows(), spans != nullptr ? spans->width() : n_keys_);
   out.fill(0.0f);
   float weight_sum = 0.0f;
   for (std::size_t b = 0; b < banks_.size(); ++b) {
@@ -164,7 +160,7 @@ void CimRetriever::scores_batch_into(const Matrix& queries, Matrix& out, Scratch
       average_pool_rows_into(queries, bank_scales_[b], scratch.pooled);
       pooled = &scratch.pooled;
     }
-    banks_[b]->query_batch_into(*pooled, scratch.bank_scores, scratch.acc, candidates);
+    banks_[b]->query_batch_into(*pooled, scratch.bank_scores, scratch.acc, spans);
     out.add_scaled(scratch.bank_scores, bank_weights_[b]);
     weight_sum += bank_weights_[b];
   }

@@ -394,11 +394,10 @@ class ServingEngine {
     Matrix shard_queries;
     Matrix shard_scores;
     retrieval::CimRetriever::Scratch retrieve;
-    // Per-row candidate bitmaps of a shard pass (slot spans, or routed
-    // shortlists); two-phase retrieval adds per-row users and the router's
-    // scratch.
-    cim::CandidateSet candidates;
+    // A shard pass's rows: their users and slot spans (with the routed
+    // shortlists as the spans' mask), plus the router's scratch.
     std::vector<std::size_t> row_users;
+    cim::PassSpans spans;
     ShardedOvtStore::RouteScratch route;
     // Batched decode: the stacked missed payload codes and the one-GEMM
     // decode output.

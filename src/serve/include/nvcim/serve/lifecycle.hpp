@@ -72,8 +72,8 @@ struct TenantSnapshot {
   std::unordered_map<std::size_t, UserSlot> slots;
   std::unordered_map<std::size_t, std::shared_ptr<const UserRouter>> routers;
   /// Score-row width of each shard at this epoch (crossbar capacity
-  /// columns). Candidate bitmaps are sized against this, never against the
-  /// live width, which may have grown since.
+  /// columns): the width two-phase pruning is reported against. Every slot
+  /// of this epoch lies inside it, and the live width only ever grows.
   std::vector<std::size_t> shard_capacity;
   /// Users staged by a write-behind admission whose columns are still being
   /// programmed: the slot is allocated and published (so placement and

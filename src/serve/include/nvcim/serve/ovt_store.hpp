@@ -18,7 +18,7 @@ namespace nvcim::serve {
 /// Two-phase (IVF-style) retrieval knobs: phase 1 clusters each user's OVT
 /// keys with the paper's Eq. 1/2 k-means machinery at store-build time and,
 /// per query, ranks the cluster centroids through a low-bit sketch GEMM to
-/// emit a candidate bitmap; phase 2 runs the exact crossbar scoring only on
+/// emit a candidate mask over its slot; phase 2 runs the exact crossbar scoring only on
 /// the candidates (masked fused kernel). Key order in the crossbars is
 /// untouched, so `nprobe = 0` (= examine every cluster) reproduces the
 /// exact path bit-identically on every candidate column. Every 16th routed
@@ -102,7 +102,7 @@ struct OvtStoreConfig {
 /// With TwoPhaseConfig::enabled, build() additionally clusters every user's
 /// keys (k-means, k per Eq. 2) and quantizes a centroid sketch plane;
 /// route_candidates() then ranks centroids per query through the sketch
-/// and emits candidate bitmaps the masked scoring path consumes.
+/// and emits candidate masks the slot-span scoring path consumes.
 ///
 /// With LifecycleConfig::enabled, build() provisions ⌈1.5 × tail⌉ columns
 /// per shard and the store stays mutable after it:
@@ -260,13 +260,18 @@ class ShardedOvtStore {
   /// Cluster count of one user's router (tests / diagnostics).
   std::size_t router_k(std::size_t user_id) const;
 
-  /// Phase 1: candidate bitmaps over `shard`'s key columns for B queries
-  /// (row b belongs to row_users[b]), resolved against the pinned snapshot
-  /// `snap` — slots, routers and the score-row width are all read from that
-  /// epoch, so a concurrent admit/evict cannot tear the routing. Ranks each
-  /// user's cluster centroids against the sketched query and expands the
-  /// top-nprobe clusters to member keys. Every row gets at least one
-  /// candidate, all inside the user's slot.
+  /// Exact pass description for B queries on `shard` (row b belongs to
+  /// row_users[b]): each row spans its user's whole slot, read from the
+  /// pinned snapshot `snap`, so the spans always lie inside the live shard.
+  static void slot_spans(const TenantSnapshot& snap, std::size_t shard,
+                         const std::vector<std::size_t>& row_users, cim::PassSpans& out);
+
+  /// Phase 1: slot_spans() plus, per row, the router's shortlist as the
+  /// spans' candidate mask, resolved against the pinned snapshot `snap` —
+  /// slots and routers are read from that epoch, so a concurrent
+  /// admit/evict cannot tear the routing. Ranks each user's cluster
+  /// centroids against the sketched query and expands the top-nprobe
+  /// clusters to member keys. Every row gets at least one candidate.
   ///
   /// Returns the key columns the masked exact pass will actually compute:
   /// the fused kernel prunes at accumulator-block granularity
@@ -276,12 +281,7 @@ class ShardedOvtStore {
   std::size_t route_candidates(const TenantSnapshot& snap, std::size_t shard,
                                const Matrix& queries,
                                const std::vector<std::size_t>& row_users,
-                               cim::CandidateSet& out, RouteScratch& scratch) const;
-
-  /// Convenience overload against the current epoch.
-  std::size_t route_candidates(std::size_t shard, const Matrix& queries,
-                               const std::vector<std::size_t>& row_users,
-                               cim::CandidateSet& out, RouteScratch& scratch) const;
+                               cim::PassSpans& out, RouteScratch& scratch) const;
 
   /// Batched scores of B flattened queries against every key of `shard`
   /// (B×key_size → B×shard_keys). All queries of the batch must target this
@@ -292,13 +292,12 @@ class ShardedOvtStore {
   /// bit-identical, allocation-free once warm. Different shards may be
   /// queried concurrently (per-shard locking); callers running shards in
   /// parallel must pass distinct `out`/`scratch` per concurrent call.
-  /// With `candidates` (phase 2), only candidate columns are scored — those
-  /// entries are bit-identical to the unmasked pass; the rest are exact 0
-  /// or exact full-pass values (block-granular masking), so winners must be
-  /// picked with best_in_slot_candidates().
+  /// With `spans` (slot_spans() or route_candidates()), each row scores only
+  /// its own slot into the compact B × spans->width() block, whose column j
+  /// of row b is the user-local key j — pick winners with best_candidate().
   void shard_scores_into(std::size_t shard, const Matrix& queries, Matrix& out,
                          retrieval::CimRetriever::Scratch& scratch,
-                         const cim::CandidateSet* candidates = nullptr);
+                         const cim::PassSpans* spans = nullptr);
 
   /// Serial reference path: best user-local OVT index for one query,
   /// through the single-query retrieval pipeline. Stays an unmasked
@@ -309,11 +308,10 @@ class ShardedOvtStore {
   /// User-local argmax of one scores row restricted to the user's key range.
   static std::size_t best_in_slot(const Matrix& scores, std::size_t row, const UserSlot& slot);
 
-  /// best_in_slot() restricted to the row's candidate columns (the masked
-  /// scoring path zeroes non-candidates, so they must not win the argmax).
-  static std::size_t best_in_slot_candidates(const Matrix& scores, std::size_t row,
-                                             const UserSlot& slot,
-                                             const cim::CandidateSet& candidates);
+  /// User-local argmax of one compact score row over the row's candidates
+  /// (a pruned block reads 0, so non-candidates must not win the argmax).
+  static std::size_t best_candidate(const Matrix& scores, std::size_t row,
+                                    const cim::PassSpans& spans);
 
   /// Total crossbar op counters across all shards.
   cim::OpCounters counters() const;

@@ -929,12 +929,12 @@ void ServingEngine::encode_stage(Batch& b, WorkerState& ws) {
 }
 
 void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
-  // One batched, masked MVM pass per shard: each row scores only its
-  // tenant's slot columns (exact mode) or the router's shortlist inside that
-  // slot (two-phase), so the crossbar work and the modelled ADC cost cover
-  // just the columns the request reads. Rows keep batch order: the kernel
-  // gathers each column block's rows itself, so neither its work nor any
-  // score depends on row order. The per-shard passes are independent
+  // One batched slot-span pass per shard: each row scores only its tenant's
+  // slot (exact mode) or the router's shortlist inside that slot (two-phase)
+  // into a compact score block, so the crossbar work and the modelled cost
+  // cover just the columns the request reads. Rows keep batch order: the
+  // kernel gathers each column block's rows itself, so neither its work nor
+  // any score depends on row order. The per-shard passes are independent
   // (distinct crossbar banks, disjoint request rows), so fanning them out
   // across the pool gives results identical to the serial loop.
   const PinnedDirectory& pinned = b.pinned;
@@ -944,8 +944,8 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
     if (!b.failed[i]) by_shard[pinned.slot(b.reqs[i].user_id).shard].push_back(i);
 
   // One shard's retrieval, on the *executing* thread's scratch: pack that
-  // shard's representation rows, build their candidate bitmaps (slot spans,
-  // or routed shortlists), score them in one masked pass against the shard's
+  // shard's representation rows, describe the pass from the pinned epoch
+  // (slot spans, plus the routed shortlists), score it against the shard's
   // banks and take each row's winner among its candidates. Computed entries
   // are bit-identical to the unmasked pass, so every answer equals
   // retrieve_serial()'s full-width one. A failure poisons only the shard's
@@ -958,47 +958,35 @@ void ServingEngine::retrieve_stage(Batch& b, WorkerState& ws) {
     try {
       Matrix& queries = tws.shard_queries;
       queries.resize(members.size(), rep_size_);
-      for (std::size_t r = 0; r < members.size(); ++r)
+      tws.row_users.clear();
+      for (std::size_t r = 0; r < members.size(); ++r) {
         std::memcpy(queries.data() + r * rep_size_, reps.data() + members[r] * rep_size_,
                     rep_size_ * sizeof(float));
-      // Bitmaps are sized to the pinned epoch's score width; columns an
-      // admit added since are never candidates.
-      const auto slot_mask = [&] {
-        tws.candidates.reset(members.size(), pinned.snap->shard_capacity[shard]);
-        for (std::size_t r = 0; r < members.size(); ++r) {
-          const UserSlot& us = pinned.slot(b.reqs[members[r]].user_id);
-          tws.candidates.set_range(r, us.begin, us.end);
-        }
-      };
+        tws.row_users.push_back(b.reqs[members[r]].user_id);
+      }
       const auto winner = [&](std::size_t r) {
-        return ShardedOvtStore::best_in_slot_candidates(
-            tws.shard_scores, r, pinned.slot(b.reqs[members[r]].user_id), tws.candidates);
+        return ShardedOvtStore::best_candidate(tws.shard_scores, r, tws.spans);
       };
       std::size_t examined = 0;
       if (routed) {
-        tws.row_users.clear();
-        tws.row_users.reserve(members.size());
-        for (const std::size_t i : members) tws.row_users.push_back(b.reqs[i].user_id);
         examined = store_.route_candidates(*pinned.snap, shard, queries, tws.row_users,
-                                           tws.candidates, tws.route);
+                                           tws.spans, tws.route);
       } else {
-        slot_mask();
+        ShardedOvtStore::slot_spans(*pinned.snap, shard, tws.row_users, tws.spans);
       }
-      store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve, &tws.candidates);
+      store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve, &tws.spans);
       for (std::size_t r = 0; r < members.size(); ++r) b.ovt_index[members[r]] = winner(r);
       if (routed) {
         for (std::size_t r = 0; r < members.size(); ++r)
-          stats_.record_tenant_candidates(b.reqs[members[r]].user_id,
-                                          tws.candidates.count_row(r));
+          stats_.record_tenant_candidates(tws.row_users[r], tws.spans.count_row(r));
         stats_.record_two_phase(examined,
                                 members.size() * pinned.snap->shard_capacity[shard]);
         // Sampled recall-vs-exact: every Nth routed pass also scores each
         // row's whole slot (reusing the pass's buffers — its winners are
         // already taken) and counts rows whose winner matches.
         if (routed_passes_++ % kRecallSampleEvery == 0) {
-          slot_mask();
-          store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve,
-                                   &tws.candidates);
+          ShardedOvtStore::slot_spans(*pinned.snap, shard, tws.row_users, tws.spans);
+          store_.shard_scores_into(shard, queries, tws.shard_scores, tws.retrieve, &tws.spans);
           std::size_t matches = 0;
           for (std::size_t r = 0; r < members.size(); ++r)
             if (winner(r) == b.ovt_index[members[r]]) ++matches;

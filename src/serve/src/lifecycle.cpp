@@ -79,7 +79,7 @@ std::size_t SlotAllocator::allocate(std::size_t n, std::uint64_t safe_epoch, std
     return begin;
   }
   const std::size_t begin = round_up(tail_, align);
-  if (begin > tail_) free_.push_back({tail_, begin, 0});  // alignment gap, reusable at once
+  if (begin > tail_) insert_free(tail_, begin, 0);  // alignment gap, reusable at once
   tail_ = begin + n;
   occupied_ += n;
   return begin;

@@ -533,34 +533,35 @@ std::size_t ShardedOvtStore::router_k(std::size_t user_id) const {
 // Query path
 // ---------------------------------------------------------------------------
 
-std::size_t ShardedOvtStore::route_candidates(std::size_t shard, const Matrix& queries,
-                                              const std::vector<std::size_t>& row_users,
-                                              cim::CandidateSet& out, RouteScratch& rs) const {
-  return route_candidates(*directory_.acquire(), shard, queries, row_users, out, rs);
+void ShardedOvtStore::slot_spans(const TenantSnapshot& snap, std::size_t shard,
+                                 const std::vector<std::size_t>& row_users,
+                                 cim::PassSpans& out) {
+  out.clear();
+  for (std::size_t b = 0; b < row_users.size(); ++b) {
+    const UserSlot& us = snap.slot(row_users[b]);
+    NVCIM_CHECK_MSG(us.shard == shard, "query row " << b << " targets shard " << us.shard
+                                                    << ", not " << shard);
+    out.add_row(us.begin, us.end);
+  }
 }
 
 std::size_t ShardedOvtStore::route_candidates(const TenantSnapshot& snap, std::size_t shard,
                                               const Matrix& queries,
                                               const std::vector<std::size_t>& row_users,
-                                              cim::CandidateSet& out, RouteScratch& rs) const {
+                                              cim::PassSpans& out, RouteScratch& rs) const {
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(routed(), "two-phase retrieval not enabled at build time");
   NVCIM_CHECK_MSG(queries.rows() == row_users.size(), "one user per query row required");
   NVCIM_CHECK_MSG(shard < snap.shard_capacity.size(), "shard " << shard << " out of range");
   const std::size_t B = queries.rows();
   const std::size_t key_size = queries.cols();
-  // Bitmaps are sized against the snapshot's score width — the live shard
-  // may be wider already (an admit grew it); the masked kernel treats
-  // columns beyond the bitmap as never-candidates.
-  out.reset(B, snap.shard_capacity[shard]);
+  slot_spans(snap, shard, row_users, out);
+  out.clear_candidates();
 
   const float qmax = static_cast<float>(cim::qmax_for_bits(kSketchBits));
   rs.qsketch.resize(key_size);
 
   for (std::size_t b = 0; b < B; ++b) {
-    const UserSlot& us = snap.slot(row_users[b]);
-    NVCIM_CHECK_MSG(us.shard == shard, "query row " << b << " targets shard " << us.shard
-                                                    << ", not " << shard);
     const UserRouter& router = *snap.routers.at(row_users[b]);
     const std::size_t k = router.member_begin.size() - 1;
 
@@ -590,30 +591,34 @@ std::size_t ShardedOvtStore::route_candidates(const TenantSnapshot& snap, std::s
                         return rs.centroid_scores[a] > rs.centroid_scores[c];
                       });
 
-    // Expand the probed clusters to member keys.
+    // Expand the probed clusters to member keys (user-local indices, which
+    // are the span's columns).
     for (std::size_t p = 0; p < np; ++p) {
       const std::uint32_t c = rs.order[p];
       for (std::uint32_t m = router.member_begin[c]; m < router.member_begin[c + 1]; ++m)
-        out.set(b, us.begin + router.members[m]);
+        out.set_candidate(b, router.members[m]);
     }
-    NVCIM_CHECK_MSG(out.any_in_range(b, us.begin, us.end),
+    NVCIM_CHECK_MSG(out.any_candidate(b, 0, out.width()),
                     "router produced an empty candidate set");
   }
 
   // Block-granular examined count, mirroring the kernel: columns tile into
   // crossbar subarrays of cfg_.crossbar.cols, and within a tile candidate
   // work rounds up to accumulator blocks of Crossbar::kBlockColumns output
-  // columns. Sum per query over blocks containing any candidate.
+  // columns. Each row walks the blocks of its own slot and counts those
+  // holding one of its candidates.
   const std::size_t tile_cols = cfg_.crossbar.cols;
+  const std::size_t width = snap.shard_capacity[shard];
   constexpr std::size_t block_cols = cim::Crossbar::kBlockColumns;
   std::size_t examined = 0;
   for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t t0 = 0; t0 < out.n_keys; t0 += tile_cols) {
-      const std::size_t t1 = std::min(out.n_keys, t0 + tile_cols);
-      for (std::size_t c0 = t0; c0 < t1; c0 += block_cols) {
-        const std::size_t c1 = std::min(t1, c0 + block_cols);
-        if (out.any_in_range(b, c0, c1)) examined += c1 - c0;
-      }
+    const std::size_t k0 = out.begin(b);
+    for (std::size_t c = k0; c < out.end(b);) {
+      const std::size_t t0 = c / tile_cols * tile_cols;
+      const std::size_t c0 = t0 + (c - t0) / block_cols * block_cols;
+      const std::size_t c1 = std::min({c0 + block_cols, t0 + tile_cols, width});
+      if (out.any_candidate(b, c - k0, c1 - k0)) examined += c1 - c0;
+      c = c1;
     }
   }
   return examined;
@@ -628,7 +633,7 @@ Matrix ShardedOvtStore::shard_scores(std::size_t shard, const Matrix& queries) {
 
 void ShardedOvtStore::shard_scores_into(std::size_t shard, const Matrix& queries, Matrix& out,
                                         retrieval::CimRetriever::Scratch& scratch,
-                                        const cim::CandidateSet* candidates) {
+                                        const cim::PassSpans* spans) {
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   Shard& s = *shards_[shard];
@@ -636,7 +641,7 @@ void ShardedOvtStore::shard_scores_into(std::size_t shard, const Matrix& queries
   // may create it (empty shard) or grow it concurrently.
   std::lock_guard<std::mutex> lock(s.mu);
   NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " holds no keys");
-  s.retriever->scores_batch_into(queries, out, scratch, candidates);
+  s.retriever->scores_batch_into(queries, out, scratch, spans);
 }
 
 std::size_t ShardedOvtStore::retrieve_user(std::size_t user_id, const Matrix& query) {
@@ -663,18 +668,17 @@ std::size_t ShardedOvtStore::best_in_slot(const Matrix& scores, std::size_t row,
   return best - slot.begin;
 }
 
-std::size_t ShardedOvtStore::best_in_slot_candidates(const Matrix& scores, std::size_t row,
-                                                     const UserSlot& slot,
-                                                     const cim::CandidateSet& candidates) {
-  NVCIM_CHECK_MSG(slot.end <= scores.cols(), "slot exceeds score row");
-  NVCIM_CHECK_MSG(slot.n_keys() > 0, "empty slot");
-  std::size_t best = slot.end;  // sentinel: no candidate seen yet
-  for (std::size_t i = slot.begin; i < slot.end; ++i) {
-    if (!candidates.test(row, i)) continue;
-    if (best == slot.end || scores(row, i) > scores(row, best)) best = i;
+std::size_t ShardedOvtStore::best_candidate(const Matrix& scores, std::size_t row,
+                                            const cim::PassSpans& spans) {
+  NVCIM_CHECK_MSG(spans.width() <= scores.cols(), "spans exceed score row");
+  const std::size_t n = spans.end(row) - spans.begin(row);
+  std::size_t best = n;  // sentinel: no candidate seen yet
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!spans.candidate(row, j)) continue;
+    if (best == n || scores(row, j) > scores(row, best)) best = j;
   }
-  NVCIM_CHECK_MSG(best != slot.end, "no candidate inside the user's slot");
-  return best - slot.begin;
+  NVCIM_CHECK_MSG(best != n, "no candidate inside the user's slot");
+  return best;
 }
 
 cim::OpCounters ShardedOvtStore::counters() const {

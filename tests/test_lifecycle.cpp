@@ -1,7 +1,8 @@
 // Online tenant lifecycle (PR 5): live admission/eviction, epoch-versioned
 // directory, shard rebalancing and incremental router refresh.
 //
-//  - slot allocator: alignment, coalescing, epoch-deferred reuse
+//  - slot allocator: alignment, coalescing (alignment gaps included),
+//    epoch-deferred reuse
 //  - rebalance planning moves users from overloaded to underloaded shards
 //  - incremental program_keys() is bit-identical to a from-scratch program
 //    of the same keys at the same columns, and never perturbs other columns
@@ -77,6 +78,20 @@ TEST(LifecycleAllocator, EpochDefersReuse) {
   EXPECT_EQ(a.allocate(4, /*safe_epoch=*/3, 1), 8u);
   // Once every pin >= 5, the freed range is handed out again.
   EXPECT_EQ(a.allocate(4, /*safe_epoch=*/5, 1), 0u);
+}
+
+TEST(SlotAllocator, AlignmentGapCoalescesWithFreedTail) {
+  serve::SlotAllocator a;
+  EXPECT_EQ(a.allocate(5, 0, 16), 0u);
+  a.release(0, 5, 1);
+  // Not reclaimable at safe epoch 0: bump the tail past the gap [5, 16),
+  // which merges with the freed [0, 5) into one range tagged epoch 1.
+  EXPECT_EQ(a.allocate(16, 0, 16), 16u);
+  EXPECT_EQ(a.free_ranges(), 1u);
+  // Once epoch 1 drains, the merged [0, 16) takes a whole aligned slot.
+  EXPECT_EQ(a.allocate(16, 1, 16), 0u);
+  EXPECT_EQ(a.tail(), 32u);
+  EXPECT_EQ(a.free_ranges(), 0u);
 }
 
 TEST(LifecyclePlan, MovesUsersFromOverloadedToUnderloaded) {
@@ -464,13 +479,13 @@ TEST(LifecycleRouter, AdmittedUserRecallAtLeast095AndNprobeAllExact) {
     const auto slot = store.slot(u);
     for (int t = 0; t < 24; ++t) {
       const Matrix q = Matrix::randn(1, 32, qr);
-      cim::CandidateSet cand;
-      store.route_candidates(slot.shard, q, {u}, cand, rs);
+      cim::PassSpans cand;
+      store.route_candidates(*store.pin().snap, slot.shard, q, {u}, cand, rs);
       Matrix masked, exact;
       store.shard_scores_into(slot.shard, q, masked, sc1, &cand);
       store.shard_scores_into(slot.shard, q, exact, sc2);
       const std::size_t routed =
-          serve::ShardedOvtStore::best_in_slot_candidates(masked, 0, slot, cand);
+          serve::ShardedOvtStore::best_candidate(masked, 0, cand);
       const std::size_t truth = serve::ShardedOvtStore::best_in_slot(exact, 0, slot);
       matches += routed == truth ? 1 : 0;
       ++total;
@@ -492,13 +507,13 @@ TEST(LifecycleRouter, AdmittedUserRecallAtLeast095AndNprobeAllExact) {
   const auto slot = all_store.slot(10);
   for (int t = 0; t < 8; ++t) {
     const Matrix q = Matrix::randn(1, 32, qr);
-    cim::CandidateSet cand;
-    all_store.route_candidates(slot.shard, q, {10ul}, cand, rs);
+    cim::PassSpans cand;
+    all_store.route_candidates(*all_store.pin().snap, slot.shard, q, {10ul}, cand, rs);
     EXPECT_EQ(cand.count_row(0), slot.n_keys());
     Matrix masked, exact;
     all_store.shard_scores_into(slot.shard, q, masked, sc1, &cand);
     all_store.shard_scores_into(slot.shard, q, exact, sc2);
-    EXPECT_EQ(serve::ShardedOvtStore::best_in_slot_candidates(masked, 0, slot, cand),
+    EXPECT_EQ(serve::ShardedOvtStore::best_candidate(masked, 0, cand),
               serve::ShardedOvtStore::best_in_slot(exact, 0, slot));
   }
 }

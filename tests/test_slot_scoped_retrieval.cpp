@@ -1,21 +1,28 @@
-// Slot-scoped exact retrieval: every exact-mode shard pass is a masked pass
-// whose candidate bits are each row's tenant slot, so the crossbar computes
-// (and the cost model charges) only the columns the request reads.
+// Slot-scoped exact retrieval: every shard pass is a slot-span pass in which
+// each row scores only its tenant's slot into a compact score block, so the
+// crossbar computes (and the cost model charges) only the columns the
+// request reads.
 //
-//  - CandidateSet::set_range fills one row's span and rejects spans outside
-//    the set
+//  - the compact pass equals the unmasked full-width pass bit for bit on
+//    every computed entry and is exact 0 elsewhere, for every batch size
+//    1..33, spans straddling block and subarray boundaries, two row tiles,
+//    ADC on and off, and routed masks with empty blocks; malformed spans are
+//    rejected
 //  - engine answers equal the full-width retrieve_serial oracle with the
 //    lifecycle store off and on, on 48-key slots straddling the 128-column
 //    subarray boundary, after an admit grew the shard past the batch's
-//    pinned bitmap width, and with stuck-fault columns inside and outside
-//    the queried slot
+//    pinned width, and with stuck-fault columns inside and outside the
+//    queried slot
 //  - one request's OpCounters delta is its slot's block-granular ADC count
-//    and activations of the subarrays its slot overlaps, nothing more.
+//    and activations of the subarrays its slot overlaps, nothing more, and
+//    scoring a row beside batch-mates neither changes its scores nor its
+//    costs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <thread>
@@ -27,58 +34,147 @@ namespace nvcim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Slot-mask helper.
+// Compact slot-span pass against the unmasked full-width pass.
 // ---------------------------------------------------------------------------
 
-TEST(MaskedKernel, SetRangeFillsExactlyTheSpan) {
-  cim::CandidateSet cand;
-  cand.reset(3, 200);
-  cand.set_range(0, 96, 144);  // straddles a 128-column subarray boundary
-  cand.set_range(1, 50, 50);   // empty span: no-op
-  cand.set_range(2, 0, 200);   // full width
-  EXPECT_EQ(cand.count_row(0), 48u);
-  EXPECT_EQ(cand.count_row(1), 0u);
-  EXPECT_EQ(cand.count_row(2), 200u);
-  for (std::size_t k = 0; k < 200; ++k) EXPECT_EQ(cand.test(0, k), k >= 96 && k < 144) << k;
+std::uint32_t bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
 }
 
-TEST(MaskedKernel, SetRangeRejectsSpansOutsideTheSet) {
-  cim::CandidateSet cand;
-  cand.reset(2, 64);
-  EXPECT_THROW(cand.set_range(0, 60, 65), Error);  // end past n_keys
-  EXPECT_THROW(cand.set_range(0, 65, 65), Error);  // empty, but out of range
-  EXPECT_THROW(cand.set_range(0, 10, 5), Error);   // reversed
-  EXPECT_THROW(cand.set_range(2, 0, 1), Error);    // row past n_queries
-  EXPECT_EQ(cand.count(), 0u);                     // failed calls wrote nothing
+/// The kernel's accumulator block holding key k: blocks of kBlockColumns
+/// restart at every `cols`-wide subarray and stop at the bank's last key.
+std::pair<std::size_t, std::size_t> kernel_block(std::size_t k, std::size_t cols,
+                                                 std::size_t n_keys) {
+  constexpr std::size_t block = cim::Crossbar::kBlockColumns;
+  const std::size_t t0 = k / cols * cols;
+  const std::size_t b0 = t0 + (k - t0) / block * block;
+  return {b0, std::min({b0 + block, t0 + cols, n_keys})};
 }
 
-TEST(MaskedKernel, SetRangeMaskScoresStraddlingSpanBitIdentically) {
-  cim::CrossbarConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 128;
-  cfg.adc_bits = 8;
-  cim::Accelerator acc(cfg, {nvm::fefet3(), 0.1});
-  Rng rng(1401);
-  acc.store(Matrix::randn(200, 100, rng), rng);  // 200 keys × len 100: 2×2 tiles
+TEST(SlotScopedPass, CompactBlockMatchesFullWidthPassBitForBit) {
+  // Banks of 100 keys of length 70 over 40 × 48 subarrays: two row tiles,
+  // three column tiles (the last 4 keys wide), three 16-key blocks per
+  // subarray. Per batch size 1..33, each row gets a random span — 6 keys
+  // (not block-aligned), one block, a 48-key slot, any length, or empty —
+  // so spans straddle block and subarray boundaries; routed passes mask
+  // each span and leave whole blocks of it empty. Every computed entry
+  // equals the full-width score of key begin + j bit for bit, everything
+  // else is exact 0, and the counters charge each row for its own blocks
+  // and tiles only.
+  constexpr std::size_t kKeys = 100, kLen = 70;
+  for (const bool mutable_bank : {false, true}) {
+    for (const std::size_t adc : {std::size_t{8}, std::size_t{0}}) {
+      cim::CrossbarConfig cfg;
+      cfg.rows = 40;
+      cfg.cols = 48;
+      cfg.adc_bits = adc;
+      cim::Accelerator acc(cfg, {nvm::fefet3(), 0.1});
+      Rng rng(1600 + adc + (mutable_bank ? 1 : 0));
+      const Matrix keys = Matrix::randn(kKeys, kLen, rng);
+      if (mutable_bank) {
+        acc.init_mutable(kLen, kKeys, rng.split(7));
+        acc.program_keys(keys, 0);
+      } else {
+        acc.store(keys, rng);
+      }
+      const std::size_t n_keys = acc.n_keys();
+      const std::size_t col_tiles = (n_keys + cfg.cols - 1) / cfg.cols;
+      for (std::size_t B = 1; B <= 33; ++B) {
+        for (const bool routed : {false, true}) {
+          SCOPED_TRACE(::testing::Message() << "mutable " << mutable_bank << " adc " << adc
+                                            << " B " << B << " routed " << routed);
+          const Matrix x = Matrix::randn(B, kLen, rng);
+          cim::PassSpans spans;
+          for (std::size_t r = 0; r < B; ++r) {
+            const std::size_t lens[] = {6, 16, 48, 1 + rng.uniform_index(n_keys), 0};
+            const std::size_t len = lens[rng.uniform_index(5)];
+            const std::size_t begin = rng.uniform_index(n_keys - len + 1);
+            spans.add_row(begin, begin + len);
+          }
+          if (routed) {
+            spans.clear_candidates();
+            for (std::size_t r = 0; r < B; ++r) {
+              for (std::size_t k = spans.begin(r); k < spans.end(r);) {
+                const std::size_t k1 =
+                    std::min(spans.end(r), kernel_block(k, cfg.cols, n_keys).second);
+                if (rng.uniform() < 0.6)  // else the block keeps no candidate
+                  for (; k < k1; ++k)
+                    if (rng.uniform() < 0.5) spans.set_candidate(r, k - spans.begin(r));
+                k = k1;
+              }
+            }
+          }
 
-  Rng qr(1402);
-  const Matrix queries = Matrix::randn(3, 100, qr);
-  cim::CandidateSet cand;
-  cand.reset(3, 200);
-  cand.set_range(0, 96, 144);
-  cand.set_range(2, 0, 200);
+          cim::Accelerator full_acc = acc, span_acc = acc;
+          full_acc.reset_counters();
+          span_acc.reset_counters();
+          cim::Accelerator::BatchScratch s1, s2;
+          Matrix full, compact;
+          full_acc.query_batch_into(x, full, s1);
+          span_acc.query_batch_into(x, compact, s2, &spans);
+          ASSERT_EQ(compact.rows(), B);
+          ASSERT_EQ(compact.cols(), spans.width());
 
-  cim::Accelerator::BatchScratch s1, s2;
-  Matrix y_full, y_masked;
-  acc.query_batch_into(queries, y_full, s1);
-  acc.query_batch_into(queries, y_masked, s2, &cand);
-  for (std::size_t k = 0; k < 200; ++k) {
-    if (cand.test(0, k)) {
-      EXPECT_EQ(y_masked(0, k), y_full(0, k)) << k;
+          std::size_t computed_cols = 0, tiles_read = 0;
+          for (std::size_t r = 0; r < B; ++r) {
+            std::vector<bool> reads_tile(col_tiles, false);
+            for (std::size_t j = 0; j < spans.width(); ++j) {
+              const std::size_t k = spans.begin(r) + j;
+              bool computed = false;
+              if (j < spans.end(r) - spans.begin(r)) {
+                const auto [b0, b1] = kernel_block(k, cfg.cols, n_keys);
+                const std::size_t lo = std::max(b0, spans.begin(r)) - spans.begin(r);
+                computed = spans.any_candidate(r, lo, b1 - spans.begin(r));
+                if (computed && (k == spans.begin(r) || k == b0)) {
+                  computed_cols += b1 - b0;
+                  reads_tile[k / cfg.cols] = true;
+                }
+              }
+              if (computed) {
+                ASSERT_EQ(bits(compact(r, j)), bits(full(r, k))) << "(" << r << ", " << j << ")";
+              } else {
+                ASSERT_EQ(bits(compact(r, j)), 0u) << "(" << r << ", " << j << ")";
+              }
+            }
+            for (const bool t : reads_tile) tiles_read += t ? 1 : 0;
+          }
+          // Per-row units of the full pass: ADC conversions per key column,
+          // activations per column tile.
+          const cim::OpCounters f = full_acc.counters(), c = span_acc.counters();
+          EXPECT_EQ(c.adc_conversions * B * n_keys, f.adc_conversions * computed_cols);
+          EXPECT_EQ(c.subarray_activations * B * col_tiles, f.subarray_activations * tiles_read);
+        }
+      }
     }
-    EXPECT_EQ(y_masked(1, k), 0.0f) << k;  // empty row: nothing computed
-    EXPECT_EQ(y_masked(2, k), y_full(2, k)) << k;
   }
+}
+
+TEST(SlotScopedPass, RejectsMalformedSpans) {
+  cim::CrossbarConfig cfg;
+  cfg.rows = 40;
+  cfg.cols = 48;
+  cim::Accelerator acc(cfg, {nvm::fefet3(), 0.1});
+  Rng rng(1650);
+  acc.store(Matrix::randn(100, 70, rng), rng);
+  const Matrix x = Matrix::randn(2, 70, rng);
+  cim::Accelerator::BatchScratch scratch;
+  Matrix y;
+
+  cim::PassSpans spans;
+  EXPECT_THROW(spans.add_row(10, 5), Error);  // reversed
+  spans.add_row(96, 101);                     // past the bank's 100 keys
+  spans.add_row(0, 4);
+  EXPECT_THROW(acc.query_batch_into(x, y, scratch, &spans), Error);
+  spans.clear();
+  spans.add_row(0, 4);
+  EXPECT_THROW(acc.query_batch_into(x, y, scratch, &spans), Error);  // 1 span, 2 rows
+  spans.add_row(50, 56);
+  spans.clear_candidates();
+  EXPECT_THROW(spans.set_candidate(0, 4), Error);  // past row 0's 4-key span
+  EXPECT_THROW(spans.add_row(0, 1), Error);        // rows after the mask
+  EXPECT_EQ(spans.count_row(0) + spans.count_row(1), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,10 +331,10 @@ TEST(SlotScopedRetrieval, StuckFaultsInsideAndOutsideSlotMatchSerial) {
   engine.stop();
 }
 
-// The engine sizes each pass's slot mask to its pinned epoch's shard width;
-// an admit landing after the pin may already have grown the live shard.
-// Deterministic store-level replay of that interleaving: pin, grow, then
-// score with the narrower bitmap exactly as the retrieve stage does.
+// The engine describes each pass from its pinned epoch; an admit landing
+// after the pin may already have grown the live shard. Deterministic
+// store-level replay of that interleaving: pin, grow, then score the pinned
+// slot spans exactly as the retrieve stage does.
 TEST(SlotScopedRetrieval, BitmapNarrowerThanGrownShardMatchesSerial) {
   SlotScopedFixture f;
   serve::OvtStoreConfig cfg;
@@ -262,25 +358,21 @@ TEST(SlotScopedRetrieval, BitmapNarrowerThanGrownShardMatchesSerial) {
 
   Rng qr(1542);
   const std::size_t n = 12;
-  const Matrix queries = Matrix::randn(n, SlotScopedFixture::kTokens * SlotScopedFixture::kCodeDim, qr);
+  const Matrix queries =
+      Matrix::randn(n, SlotScopedFixture::kTokens * SlotScopedFixture::kCodeDim, qr);
   std::vector<std::size_t> row_user(n);
-  cim::CandidateSet cand;
-  cand.reset(n, pinned_width);
-  for (std::size_t r = 0; r < n; ++r) {
-    row_user[r] = r % 5;
-    const auto& slot = pinned.slot(row_user[r]);
-    cand.set_range(r, slot.begin, slot.end);
-  }
+  for (std::size_t r = 0; r < n; ++r) row_user[r] = r % 5;
+  cim::PassSpans spans;
+  serve::ShardedOvtStore::slot_spans(*pinned.snap, 0, row_user, spans);
   Matrix scores;
   retrieval::CimRetriever::Scratch scratch;
-  store.shard_scores_into(0, queries, scores, scratch, &cand);
-  EXPECT_GT(scores.cols(), pinned_width);
+  store.shard_scores_into(0, queries, scores, scratch, &spans);
+  EXPECT_EQ(scores.cols(), kSlotKeys);  // the compact block, not the shard width
   for (std::size_t r = 0; r < n; ++r) {
     Matrix q(SlotScopedFixture::kTokens, SlotScopedFixture::kCodeDim);
     std::copy(queries.data() + r * queries.cols(), queries.data() + (r + 1) * queries.cols(),
               q.data());
-    EXPECT_EQ(serve::ShardedOvtStore::best_in_slot_candidates(scores, r,
-                                                              pinned.slot(row_user[r]), cand),
+    EXPECT_EQ(serve::ShardedOvtStore::best_candidate(scores, r, spans),
               store.retrieve_user(row_user[r], q))
         << "row " << r;
   }
@@ -381,6 +473,51 @@ TEST(SlotScopedCounters, OneRequestPaysOnlyItsSlotColumns) {
     }
     EXPECT_TRUE(saw_straddle);
     engine.stop();
+  }
+}
+
+TEST(SlotScopedCounters, BatchMatesDoNotChangeARowsCosts) {
+  // Users 0 and 3 hold 48-key slots in different 128-column subarrays of one
+  // shard. Scored together in one pass, each row keeps its scores and pays
+  // exactly what it pays scored alone: no activations of the other row's
+  // subarray, no ADC conversions of its blocks.
+  SlotScopedFixture f;
+  serve::OvtStoreConfig cfg;
+  cfg.n_shards = 1;
+  cfg.crossbar.rows = 64;
+  cfg.crossbar.cols = 128;
+  cfg.variation = {nvm::fefet3(), 0.1};
+  serve::ShardedOvtStore store(cfg);
+  for (std::size_t u = 0; u < 4; ++u) store.add_user(u, f.make_deployment(u).keys);
+  Rng br(1571);
+  store.build(br);
+  const serve::PinnedDirectory pinned = store.pin();
+  ASSERT_EQ(pinned.slot(0).end, kSlotKeys);
+  ASSERT_GE(pinned.slot(3).begin, store.cols_per_subarray());
+
+  Rng qr(1572);
+  const std::size_t key_size = SlotScopedFixture::kTokens * SlotScopedFixture::kCodeDim;
+  const Matrix pair = Matrix::randn(2, key_size, qr);
+  const auto score = [&](const Matrix& queries, const std::vector<std::size_t>& users,
+                         Matrix& out) {
+    cim::PassSpans spans;
+    serve::ShardedOvtStore::slot_spans(*pinned.snap, 0, users, spans);
+    retrieval::CimRetriever::Scratch scratch;
+    const cim::OpCounters before = store.counters();
+    store.shard_scores_into(0, queries, out, scratch, &spans);
+    return delta(store.counters(), before);
+  };
+  Matrix both, alone0, alone3;
+  const cim::OpCounters d_both = score(pair, {0, 3}, both);
+  const cim::OpCounters d0 = score(pair.row(0), {0}, alone0);
+  const cim::OpCounters d3 = score(pair.row(1), {3}, alone3);
+  EXPECT_EQ(d_both.subarray_activations, d0.subarray_activations + d3.subarray_activations);
+  EXPECT_EQ(d_both.adc_conversions, d0.adc_conversions + d3.adc_conversions);
+  EXPECT_EQ(d0.subarray_activations, d3.subarray_activations);  // one subarray each
+  EXPECT_GT(d0.subarray_activations, 0u);
+  for (std::size_t j = 0; j < kSlotKeys; ++j) {
+    EXPECT_EQ(bits(both(0, j)), bits(alone0(0, j))) << j;
+    EXPECT_EQ(bits(both(1, j)), bits(alone3(0, j))) << j;
   }
 }
 

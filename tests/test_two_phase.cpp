@@ -2,10 +2,11 @@
 // prefilter ahead of candidate-masked exact crossbar scoring.
 //
 //  - the masked fused kernel is bit-identical to the full pass on candidate
-//    columns (and exactly 0 elsewhere), at crossbar and accelerator level,
-//    with pruned ADC accounting; per row, a block is computed iff that row
-//    has a candidate in it, for every batch size 1..33 against the scalar
-//    oracle and under any row permutation
+//    columns (and exactly 0 elsewhere), with pruned ADC accounting; per row,
+//    a block is computed iff that row has a candidate in it, for every batch
+//    size 1..33 against the scalar oracle and under any row permutation
+//    (the compact slot-span pass is property-tested in
+//    test_slot_scoped_retrieval.cpp)
 //  - the store's router keeps candidates inside the user's slot, never
 //    empty, and covers the whole slot at nprobe = all
 //  - an engine with two-phase enabled at nprobe = all reproduces the exact
@@ -65,25 +66,26 @@ Matrix random_ints(std::size_t rows, std::size_t cols, int lo, int hi, Rng& rng)
   return m;
 }
 
-/// Random mask over B×n_keys with roughly `density` candidate probability,
-/// at least one candidate per row.
-cim::CandidateSet random_mask(std::size_t B, std::size_t n_keys, double density, Rng& rng) {
-  cim::CandidateSet cand;
-  cand.reset(B, n_keys);
+/// B rows spanning all n_keys columns, masked with roughly `density`
+/// candidate probability and at least one candidate per row.
+cim::PassSpans random_mask(std::size_t B, std::size_t n_keys, double density, Rng& rng) {
+  cim::PassSpans cand;
+  for (std::size_t b = 0; b < B; ++b) cand.add_row(0, n_keys);
+  cand.clear_candidates();
   for (std::size_t b = 0; b < B; ++b) {
     for (std::size_t k = 0; k < n_keys; ++k)
-      if (rng.uniform() < density) cand.set(b, k);
-    if (cand.count_row(b) == 0) cand.set(b, rng.uniform_index(n_keys));
+      if (rng.uniform() < density) cand.set_candidate(b, k);
+    if (cand.count_row(b) == 0) cand.set_candidate(b, rng.uniform_index(n_keys));
   }
   return cand;
 }
 
-/// True when row `b` of `cand` has a candidate in column `c`'s
-/// kBlockColumns-wide block (clipped to the set's width): the one condition
+/// True when row `b` of `cand` (spanning every column from 0) has a
+/// candidate in column `c`'s kBlockColumns-wide block: the one condition
 /// under which the masked kernel computes that (row, column).
-bool row_needs_block(const cim::CandidateSet& cand, std::size_t b, std::size_t c) {
+bool row_needs_block(const cim::PassSpans& cand, std::size_t b, std::size_t c) {
   const std::size_t lo = c / cim::Crossbar::kBlockColumns * cim::Crossbar::kBlockColumns;
-  return cand.any_in_range(b, lo, std::min(cand.n_keys, lo + cim::Crossbar::kBlockColumns));
+  return cand.any_candidate(b, lo, lo + cim::Crossbar::kBlockColumns);
 }
 
 TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
@@ -105,7 +107,7 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   // Sparse mask: with ~4% density a 16-column accumulator block is often
   // candidate-free for a query, so whole-block pruning actually fires.
   Rng mr(214);
-  const cim::CandidateSet cand = random_mask(7, cfg.cols, 0.04, mr);
+  const cim::PassSpans cand = random_mask(7, cfg.cols, 0.04, mr);
   Matrix y_masked;
   masked.matvec_batch_into(x, y_masked, &cand, 0);
 
@@ -113,7 +115,7 @@ TEST(MaskedKernel, CandidateColumnsBitIdenticalAndRestExactZero) {
   bool any_zeroed = false;
   for (std::size_t b = 0; b < 7; ++b) {
     for (std::size_t c = 0; c < cfg.cols; ++c) {
-      if (cand.test(b, c)) {
+      if (cand.candidate(b, c)) {
         EXPECT_EQ(y_full(b, c), y_masked(b, c)) << "candidate (" << b << "," << c << ")";
       } else if (row_needs_block(cand, b, c)) {
         // Per-row block masking: a candidate of this row shares the block,
@@ -157,12 +159,13 @@ TEST(MaskedKernel, GatheredPassMatchesScalarOracleAcrossBatchSizes) {
         SCOPED_TRACE(::testing::Message() << "cols " << cols << " adc " << adc << " B " << B);
         Matrix x = Matrix::randn(B, cfg.rows, qr);
         for (std::size_t i = 0; i < cfg.rows; ++i) x(B / 2, i) = 0.0f;
-        cim::CandidateSet cand;
-        cand.reset(B, cols);
+        cim::PassSpans cand;
+        for (std::size_t b = 0; b < B; ++b) cand.add_row(0, cols);
+        cand.clear_candidates();
         for (std::size_t b = 0; b < B; ++b) {
           const double density = b % 4 == 3 ? 0.0 : 0.02 * static_cast<double>(b % 5);
           for (std::size_t k = 0; k < cols; ++k)
-            if (qr.uniform() < density) cand.set(b, k);
+            if (qr.uniform() < density) cand.set_candidate(b, k);
         }
         cim::Crossbar oracle = kernel;
         oracle.reset_counters();
@@ -171,8 +174,9 @@ TEST(MaskedKernel, GatheredPassMatchesScalarOracleAcrossBatchSizes) {
         Matrix ym;
         kernel.matvec_batch_into(x, ym, &cand, 0);
         ASSERT_TRUE(ym.same_shape(ys));
-        std::size_t computed = 0;
+        std::size_t computed = 0, reading = 0;
         for (std::size_t b = 0; b < B; ++b) {
+          reading += cand.count_row(b) > 0 ? 1 : 0;
           for (std::size_t c = 0; c < cols; ++c) {
             if (row_needs_block(cand, b, c)) {
               ++computed;
@@ -182,10 +186,12 @@ TEST(MaskedKernel, GatheredPassMatchesScalarOracleAcrossBatchSizes) {
             }
           }
         }
+        // Each row reading a block pays the oracle's per-query activations;
+        // a row without candidates pays nothing.
         const std::size_t S = cfg.n_slices();
         EXPECT_EQ(kernel.counters().adc_conversions, S * cim::Crossbar::kPitch * computed);
-        EXPECT_EQ(kernel.counters().subarray_activations,
-                  oracle.counters().subarray_activations);
+        EXPECT_EQ(kernel.counters().subarray_activations * B,
+                  oracle.counters().subarray_activations * reading);
       }
     }
   }
@@ -207,15 +213,16 @@ TEST(MaskedKernel, RowPermutationPermutesOutputsBitIdentically) {
   constexpr std::size_t B = 23;
   Rng qr(2003), mr(2004);
   const Matrix x = Matrix::randn(B, cfg.rows, qr);
-  const cim::CandidateSet cand = random_mask(B, cfg.cols, 0.05, mr);
+  const cim::PassSpans cand = random_mask(B, cfg.cols, 0.05, mr);
   const std::vector<std::size_t> perm = mr.permutation(B);
   Matrix xp(B, cfg.rows);
-  cim::CandidateSet candp;
-  candp.reset(B, cfg.cols);
+  cim::PassSpans candp;
+  for (std::size_t r = 0; r < B; ++r) candp.add_row(0, cfg.cols);
+  candp.clear_candidates();
   for (std::size_t r = 0; r < B; ++r) {
     for (std::size_t i = 0; i < cfg.rows; ++i) xp(r, i) = x(perm[r], i);
     for (std::size_t k = 0; k < cfg.cols; ++k)
-      if (cand.test(perm[r], k)) candp.set(r, k);
+      if (cand.candidate(perm[r], k)) candp.set_candidate(r, k);
   }
   Matrix y, yp;
   a.matvec_batch_into(x, y, &cand, 0);
@@ -225,34 +232,6 @@ TEST(MaskedKernel, RowPermutationPermutesOutputsBitIdentically) {
       ASSERT_EQ(yp(r, c), y(perm[r], c)) << "(" << r << "," << c << ")";
   EXPECT_EQ(a.counters().adc_conversions, b.counters().adc_conversions);
   EXPECT_EQ(a.counters().subarray_activations, b.counters().subarray_activations);
-}
-
-TEST(MaskedAccelerator, TiledQueryBatchMatchesFullOnCandidates) {
-  cim::CrossbarConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 16;  // forces tiling in both grid dimensions below
-  cfg.adc_bits = 8;
-  cim::Accelerator acc(cfg, {nvm::rram1(), 0.2});
-  Rng rng(231);
-  acc.store(Matrix::randn(40, 100, rng), rng);  // 40 keys × len 100
-
-  Rng qr(232), mr(233);
-  const Matrix queries = Matrix::randn(6, 100, qr);
-  const cim::CandidateSet cand = random_mask(6, 40, 0.2, mr);
-
-  cim::Accelerator::BatchScratch s1, s2;
-  Matrix y_full, y_masked;
-  acc.query_batch_into(queries, y_full, s1);
-  acc.query_batch_into(queries, y_masked, s2, &cand);
-  ASSERT_TRUE(y_full.same_shape(y_masked));
-  for (std::size_t b = 0; b < 6; ++b)
-    for (std::size_t k = 0; k < 40; ++k) {
-      if (cand.test(b, k))
-        EXPECT_EQ(y_full(b, k), y_masked(b, k)) << "(" << b << "," << k << ")";
-      else
-        EXPECT_TRUE(y_masked(b, k) == y_full(b, k) || y_masked(b, k) == 0.0f)
-            << "(" << b << "," << k << ")";
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -371,19 +350,17 @@ TEST(TwoPhaseRouter, CandidatesStayInSlotAndNonEmpty) {
 
     Matrix queries = Matrix::randn(3, f.kTokens * f.kCodeDim, qr);
     serve::ShardedOvtStore::RouteScratch rs;
-    cim::CandidateSet cand;
+    cim::PassSpans cand;
     const std::vector<std::size_t> users(3, u);
-    store.route_candidates(slot.shard, queries, users, cand, rs);
+    store.route_candidates(*store.pin().snap, slot.shard, queries, users, cand, rs);
+    ASSERT_EQ(cand.rows(), 3u);
     for (std::size_t b = 0; b < 3; ++b) {
+      // Candidates live in the row's span, which is exactly the user's slot.
+      EXPECT_EQ(cand.begin(b), slot.begin) << "user " << u;
+      EXPECT_EQ(cand.end(b), slot.end) << "user " << u;
       const std::size_t n_cand = cand.count_row(b);
       EXPECT_GE(n_cand, 1u);
       EXPECT_LE(n_cand, slot.n_keys());
-      for (std::size_t k = 0; k < cand.n_keys; ++k) {
-        if (cand.test(b, k)) {
-          EXPECT_TRUE(k >= slot.begin && k < slot.end)
-              << "candidate " << k << " escapes slot of user " << u;
-        }
-      }
     }
   }
   engine.stop();
@@ -400,8 +377,9 @@ TEST(TwoPhaseRouter, NprobeAllCoversWholeSlot) {
     const auto& slot = store.slot(u);
     Matrix queries = Matrix::randn(2, f.kTokens * f.kCodeDim, qr);
     serve::ShardedOvtStore::RouteScratch rs;
-    cim::CandidateSet cand;
-    store.route_candidates(slot.shard, queries, std::vector<std::size_t>(2, u), cand, rs);
+    cim::PassSpans cand;
+    store.route_candidates(*store.pin().snap, slot.shard, queries,
+                           std::vector<std::size_t>(2, u), cand, rs);
     for (std::size_t b = 0; b < 2; ++b)
       EXPECT_EQ(cand.count_row(b), slot.n_keys()) << "user " << u << " row " << b;
   }
