@@ -7,7 +7,8 @@
 //    every computed entry and is exact 0 elsewhere, for every batch size
 //    1..33, spans straddling block and subarray boundaries, two row tiles,
 //    ADC on and off, and routed masks with empty blocks; malformed spans are
-//    rejected
+//    rejected; a row's span covers exactly its keys, and a span straddling
+//    the 128-column subarray boundary scores bit-identically
 //  - engine answers equal the full-width retrieve_serial oracle with the
 //    lifecycle store off and on, on 48-key slots straddling the 128-column
 //    subarray boundary, after an admit grew the shard past the batch's
@@ -51,6 +52,64 @@ std::pair<std::size_t, std::size_t> kernel_block(std::size_t k, std::size_t cols
   const std::size_t t0 = k / cols * cols;
   const std::size_t b0 = t0 + (k - t0) / block * block;
   return {b0, std::min({b0 + block, t0 + cols, n_keys})};
+}
+
+TEST(MaskedKernel, SetRangeFillsExactlyTheSpan) {
+  cim::PassSpans spans;
+  spans.add_row(96, 144);  // straddles a 128-column subarray boundary
+  spans.add_row(50, 50);   // empty span: scores nothing
+  spans.add_row(0, 200);   // full width
+  ASSERT_EQ(spans.rows(), 3u);
+  EXPECT_EQ(spans.width(), 200u);
+  EXPECT_EQ(spans.count_row(0), 48u);
+  EXPECT_EQ(spans.count_row(1), 0u);
+  EXPECT_EQ(spans.count_row(2), 200u);
+  EXPECT_EQ(spans.begin(0), 96u);
+  EXPECT_EQ(spans.end(0), 144u);
+  for (std::size_t j = 0; j < 200; ++j) EXPECT_EQ(spans.candidate(0, j), j < 48) << j;
+  EXPECT_TRUE(spans.reaches(199, 200));  // row 2 alone
+
+  cim::PassSpans narrow;  // rows 0 and 1 only: nothing reaches past key 144
+  narrow.add_row(96, 144);
+  narrow.add_row(50, 50);
+  EXPECT_EQ(narrow.width(), 48u);
+  EXPECT_TRUE(narrow.reaches(143, 144));
+  EXPECT_FALSE(narrow.reaches(144, 200));
+  EXPECT_FALSE(narrow.reaches(0, 96));
+}
+
+TEST(MaskedKernel, SetRangeMaskScoresStraddlingSpanBitIdentically) {
+  cim::CrossbarConfig cfg;
+  cfg.rows = 64;
+  cfg.cols = 128;
+  cfg.adc_bits = 8;
+  cim::Accelerator acc(cfg, {nvm::fefet3(), 0.1});
+  Rng rng(1401);
+  acc.store(Matrix::randn(200, 100, rng), rng);  // 200 keys × len 100: 2×2 tiles
+
+  Rng qr(1402);
+  const Matrix queries = Matrix::randn(3, 100, qr);
+  cim::PassSpans spans;
+  spans.add_row(96, 144);
+  spans.add_row(50, 50);
+  spans.add_row(0, 200);
+
+  cim::Accelerator::BatchScratch s1, s2;
+  Matrix y_full, y_masked;
+  acc.query_batch_into(queries, y_full, s1);
+  acc.query_batch_into(queries, y_masked, s2, &spans);
+  ASSERT_EQ(y_masked.rows(), 3u);
+  ASSERT_EQ(y_masked.cols(), 200u);
+  for (std::size_t j = 0; j < 200; ++j) {
+    // Row 0's compact column j is key 96 + j; past its 48-key span, exact 0.
+    if (j < 48) {
+      EXPECT_EQ(y_masked(0, j), y_full(0, 96 + j)) << j;
+    } else {
+      EXPECT_EQ(y_masked(0, j), 0.0f) << j;
+    }
+    EXPECT_EQ(y_masked(1, j), 0.0f) << j;  // empty row: nothing computed
+    EXPECT_EQ(y_masked(2, j), y_full(2, j)) << j;
+  }
 }
 
 TEST(SlotScopedPass, CompactBlockMatchesFullWidthPassBitForBit) {

@@ -2,7 +2,8 @@
 // prefilter ahead of candidate-masked exact crossbar scoring.
 //
 //  - the masked fused kernel is bit-identical to the full pass on candidate
-//    columns (and exactly 0 elsewhere), with pruned ADC accounting; per row,
+//    columns (and exactly 0 elsewhere), at crossbar and accelerator level,
+//    with pruned ADC accounting; per row,
 //    a block is computed iff that row has a candidate in it, for every batch
 //    size 1..33 against the scalar oracle and under any row permutation
 //    (the compact slot-span pass is property-tested in
@@ -232,6 +233,35 @@ TEST(MaskedKernel, RowPermutationPermutesOutputsBitIdentically) {
       ASSERT_EQ(yp(r, c), y(perm[r], c)) << "(" << r << "," << c << ")";
   EXPECT_EQ(a.counters().adc_conversions, b.counters().adc_conversions);
   EXPECT_EQ(a.counters().subarray_activations, b.counters().subarray_activations);
+}
+
+TEST(MaskedAccelerator, TiledQueryBatchMatchesFullOnCandidates) {
+  cim::CrossbarConfig cfg;
+  cfg.rows = 64;
+  cfg.cols = 16;  // forces tiling in both grid dimensions below
+  cfg.adc_bits = 8;
+  cim::Accelerator acc(cfg, {nvm::rram1(), 0.2});
+  Rng rng(231);
+  acc.store(Matrix::randn(40, 100, rng), rng);  // 40 keys × len 100
+
+  Rng qr(232), mr(233);
+  const Matrix queries = Matrix::randn(6, 100, qr);
+  // Every row spans all 40 keys, so the compact block's column k is key k.
+  const cim::PassSpans cand = random_mask(6, 40, 0.2, mr);
+
+  cim::Accelerator::BatchScratch s1, s2;
+  Matrix y_full, y_masked;
+  acc.query_batch_into(queries, y_full, s1);
+  acc.query_batch_into(queries, y_masked, s2, &cand);
+  ASSERT_TRUE(y_full.same_shape(y_masked));
+  for (std::size_t b = 0; b < 6; ++b)
+    for (std::size_t k = 0; k < 40; ++k) {
+      if (cand.candidate(b, k))
+        EXPECT_EQ(y_full(b, k), y_masked(b, k)) << "(" << b << "," << k << ")";
+      else
+        EXPECT_TRUE(y_masked(b, k) == y_full(b, k) || y_masked(b, k) == 0.0f)
+            << "(" << b << "," << k << ")";
+    }
 }
 
 // ---------------------------------------------------------------------------
