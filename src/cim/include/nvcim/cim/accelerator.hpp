@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "nvcim/cim/crossbar.hpp"
@@ -21,8 +22,9 @@ class Accelerator {
   /// restore with different contents.
   void store(const Matrix& keys, Rng& rng);
 
-  /// Mutable storage (serving shards): allocate `capacity_cols` blank key columns
-  /// (rounded up to whole subarrays) for keys of length `key_len`. Columns
+  /// Mutable storage (serving shards): reset the bank and grow it through
+  /// ensure_capacity() to `capacity_cols` blank key columns (rounded up to
+  /// whole subarrays) for keys of length `key_len`. Columns
   /// are then programmed individually with program_keys(): each key gets its
   /// OWN symmetric quantization scale and a noise stream derived from `base`
   /// and its (subarray, column) position — so a column's stored cells are a
@@ -44,7 +46,8 @@ class Accelerator {
   void program_keys(const Matrix& keys, std::size_t col_begin);
 
   /// Grow capacity to at least `n_cols` key columns by appending blank
-  /// column subarrays. Existing columns (cells, scales) are untouched.
+  /// column subarrays (init_mutable() starts from an empty bank and grows
+  /// it here too). Existing columns (cells, scales) are untouched.
   void ensure_capacity(std::size_t n_cols);
 
   /// Inner products of the 1×len query against every stored key (1×n_keys),
@@ -123,6 +126,14 @@ class Accelerator {
   /// row's own keys in mutable mode.
   void apply_scales(Matrix& y, const PassSpans* spans) const;
 
+  /// The subarray of row band `rt` in column tile `ct`.
+  const Crossbar& tile(std::size_t rt, std::size_t ct) const {
+    return tiles_[ct * row_tiles_ + rt];
+  }
+  Crossbar& tile(std::size_t rt, std::size_t ct) {
+    return const_cast<Crossbar&>(std::as_const(*this).tile(rt, ct));
+  }
+
   CrossbarConfig cfg_;
   nvm::VariationModel var_;
   Matrix keys_ref_;  ///< dequantized reference of what was stored
@@ -131,11 +142,15 @@ class Accelerator {
   std::size_t key_len_ = 0;
   std::size_t row_tiles_ = 0;
   std::size_t col_tiles_ = 0;
-  std::vector<Crossbar> tiles_;  ///< row-major [row_tile][col_tile]
+  /// Column-tile-major [col_tile][row_tile]: a column tile's row bands are
+  /// adjacent, so growing the bank appends tiles and moves none. Read
+  /// through tile().
+  std::vector<Crossbar> tiles_;
   // Mutable (lifecycle) mode: per-key-column quantization scales and the
   // base noise stream that per-(subarray, column) programming streams are
-  // split from. In this mode every tile spans the full subarray width and
-  // n_keys_ is the capacity (score-row width), not the occupied count.
+  // split from. In this mode every tile spans the full subarray width,
+  // n_keys_ is the capacity (score-row width), not the occupied count, and
+  // keys_ref_ and col_scale_ grow by appending zeroed columns.
   bool mutable_mode_ = false;
   Rng base_rng_;
   std::vector<float> col_scale_;  ///< per column; 0 until first programmed

@@ -270,11 +270,10 @@ class Crossbar {
   double drift_rate_ = 0.0;
   std::uint64_t age_ = 0;
   bool killed_ = false;
-  // Reusable kernel scratch (per-query ADC full scale and LSB, plus the
-  // per-column-block gathered query rows of a pass); members so steady-state
-  // batches allocate nothing. The crossbar is externally synchronized
-  // (per-shard locks in the serving store).
-  std::vector<double> fullscale_;
+  // Reusable kernel scratch (per-query ADC LSB, plus the per-column-block
+  // gathered query rows of a pass); members so steady-state batches
+  // allocate nothing. The crossbar is externally synchronized (per-shard
+  // locks in the serving store).
   std::vector<double> lsb_;
   std::vector<std::size_t> block_rows_;   ///< rows needing each block, block-major
   std::vector<std::size_t> block_start_;  ///< block bk's rows: [start[bk], start[bk+1])

@@ -18,19 +18,15 @@ void Accelerator::store(const Matrix& keys, Rng& rng) {
   const Matrix kt = q.q.transposed();  // len × n_keys
   row_tiles_ = (key_len_ + cfg_.rows - 1) / cfg_.rows;
   col_tiles_ = (n_keys_ + cfg_.cols - 1) / cfg_.cols;
-  tiles_.clear();
-  tiles_.reserve(row_tiles_ * col_tiles_);
-
+  tiles_.assign(row_tiles_ * col_tiles_, Crossbar(cfg_));
   for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
     const std::size_t r0 = rt * cfg_.rows;
     const std::size_t r1 = std::min(r0 + cfg_.rows, key_len_);
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * cfg_.cols;
       const std::size_t c1 = std::min(c0 + cfg_.cols, n_keys_);
-      Crossbar xb(cfg_);
       Rng tile_rng = rng.split(rt * 7919 + ct);
-      xb.program(kt.row_slice(r0, r1).col_slice(c0, c1), var_, tile_rng);
-      tiles_.push_back(std::move(xb));
+      tile(rt, ct).program(kt.row_slice(r0, r1).col_slice(c0, c1), var_, tile_rng);
     }
   }
 }
@@ -41,51 +37,32 @@ void Accelerator::init_mutable(std::size_t key_len, std::size_t capacity_cols, c
   base_rng_ = base;
   key_len_ = key_len;
   row_tiles_ = (key_len_ + cfg_.rows - 1) / cfg_.rows;
-  // Capacity rounds up to whole subarrays and every tile spans the full
-  // column width: appending capacity later only ever APPENDS tiles, so the
-  // cell layout (and hence the MVM arithmetic) of existing columns is
-  // invariant under growth.
-  col_tiles_ = (capacity_cols + cfg_.cols - 1) / cfg_.cols;
-  n_keys_ = col_tiles_ * cfg_.cols;
-  col_scale_.assign(n_keys_, 0.0f);
-  keys_ref_ = Matrix(n_keys_, key_len_, 0.0f);
+  col_tiles_ = 0;
+  n_keys_ = 0;
   tiles_.clear();
-  tiles_.reserve(row_tiles_ * col_tiles_);
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    const std::size_t r0 = rt * cfg_.rows;
-    const std::size_t r1 = std::min(r0 + cfg_.rows, key_len_);
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      Crossbar xb(cfg_);
-      xb.init_blank(r1 - r0, cfg_.cols);
-      tiles_.push_back(std::move(xb));
-    }
-  }
+  col_scale_.clear();
+  keys_ref_.resize(0, key_len_);
+  ensure_capacity(capacity_cols);
 }
 
 void Accelerator::ensure_capacity(std::size_t n_cols) {
   NVCIM_CHECK_MSG(mutable_mode_, "ensure_capacity requires init_mutable");
   if (n_cols <= n_keys_) return;
+  // Capacity rounds up to whole subarrays and every tile spans the full
+  // column width. Tiles are stored column-tile-major, so growth only appends
+  // each new column tile's row bands: the cell layout (and hence the MVM
+  // arithmetic) of existing columns is invariant under growth.
   const std::size_t new_ct = (n_cols + cfg_.cols - 1) / cfg_.cols;
-  std::vector<Crossbar> grown;
-  grown.reserve(row_tiles_ * new_ct);
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    const std::size_t r0 = rt * cfg_.rows;
-    const std::size_t r1 = std::min(r0 + cfg_.rows, key_len_);
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct)
-      grown.push_back(std::move(tiles_[rt * col_tiles_ + ct]));
-    for (std::size_t ct = col_tiles_; ct < new_ct; ++ct) {
-      Crossbar xb(cfg_);
-      xb.init_blank(r1 - r0, cfg_.cols);
-      grown.push_back(std::move(xb));
+  tiles_.reserve(row_tiles_ * new_ct);
+  for (; col_tiles_ < new_ct; ++col_tiles_) {
+    for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
+      tiles_.emplace_back(cfg_);
+      tiles_.back().init_blank(std::min(cfg_.rows, key_len_ - rt * cfg_.rows), cfg_.cols);
     }
   }
-  tiles_ = std::move(grown);
-  col_tiles_ = new_ct;
   n_keys_ = col_tiles_ * cfg_.cols;
   col_scale_.resize(n_keys_, 0.0f);
-  Matrix ref(n_keys_, key_len_, 0.0f);
-  std::copy(keys_ref_.data(), keys_ref_.data() + keys_ref_.size(), ref.data());
-  keys_ref_ = std::move(ref);
+  keys_ref_.resize(n_keys_, key_len_);  // appended rows are zero
 }
 
 void Accelerator::program_keys(const Matrix& keys, std::size_t col_begin) {
@@ -130,7 +107,7 @@ void Accelerator::program_keys(const Matrix& keys, std::size_t col_begin) {
         // was programmed — the bit-identity anchor of the lifecycle path.
         rngs.push_back(base_rng_.split(rt * 0x100000001B3ull + c));
       }
-      tiles_[rt * col_tiles_ + ct].program_columns(seg, c0 % cfg_.cols, var_, rngs.data());
+      tile(rt, ct).program_columns(seg, c0 % cfg_.cols, var_, rngs.data());
     }
   }
 }
@@ -159,7 +136,7 @@ Matrix Accelerator::query(const Matrix& x) {
     const Matrix xs = x.col_slice(r0, r1);
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * cfg_.cols;
-      Matrix part = tiles_[rt * col_tiles_ + ct].matvec(xs);
+      Matrix part = tile(rt, ct).matvec(xs);
       for (std::size_t c = 0; c < part.cols(); ++c) y(0, c0 + c) += part(0, c);
     }
   }
@@ -205,7 +182,7 @@ void Accelerator::query_batch_into(const Matrix& x, Matrix& y, BatchScratch& scr
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * cfg_.cols;
       if (spans != nullptr && !spans->reaches(c0, c0 + cfg_.cols)) continue;
-      tiles_[rt * col_tiles_ + ct].matvec_batch_into(*xs, scratch.part, spans, c0);
+      tile(rt, ct).matvec_batch_into(*xs, scratch.part, spans, c0);
       const Matrix& part = scratch.part;
       if (spans != nullptr) {
         y += part;  // compact like y; the columns of other tiles add exact 0
@@ -231,7 +208,7 @@ std::size_t Accelerator::inject_column_fault(std::size_t col, nvm::FaultKind kin
   const std::size_t ct = col / cfg_.cols;
   std::size_t clamped = 0;
   for (std::size_t rt = 0; rt < row_tiles_; ++rt)
-    clamped += tiles_[rt * col_tiles_ + ct].inject_column_fault(
+    clamped += tile(rt, ct).inject_column_fault(
         col % cfg_.cols, kind, cells_per_segment, seed ^ (rt * 0x9E3779B97F4A7C15ull));
   return clamped;
 }
@@ -239,12 +216,12 @@ std::size_t Accelerator::inject_column_fault(std::size_t col, nvm::FaultKind kin
 void Accelerator::kill_subarray(std::size_t subarray) {
   NVCIM_CHECK_MSG(subarray < col_tiles_, "subarray " << subarray << " out of range");
   for (std::size_t rt = 0; rt < row_tiles_; ++rt)
-    tiles_[rt * col_tiles_ + subarray].kill();
+    tile(rt, subarray).kill();
 }
 
 bool Accelerator::subarray_killed(std::size_t subarray) const {
   NVCIM_CHECK_MSG(subarray < col_tiles_, "subarray " << subarray << " out of range");
-  return tiles_[subarray].killed();
+  return tile(0, subarray).killed();
 }
 
 void Accelerator::set_drift_rate(double rate_per_tick) {
@@ -261,7 +238,7 @@ ColumnProbe Accelerator::probe_column(std::size_t col) const {
   const std::size_t ct = col / cfg_.cols;
   ColumnProbe pr;
   for (std::size_t rt = 0; rt < row_tiles_; ++rt)
-    pr += tiles_[rt * col_tiles_ + ct].probe_column(col % cfg_.cols);
+    pr += tile(rt, ct).probe_column(col % cfg_.cols);
   return pr;
 }
 

@@ -387,33 +387,26 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
   const double denorm = static_cast<double>(cfg_.levels() - 1);
   constexpr std::size_t P = kPitch;
 
-  // ADC full scale per query row: the worst-case column current given that
-  // input vector (Σ|x_i| times the max cell level), per NeuroSim's
-  // input-referred model. The LSB (full_scale / n_codes) is hoisted here —
-  // identical operands to the per-element adc_quantize() computation.
-  fullscale_.resize(B);
-  lsb_.resize(B);
-  const bool adc_on = cfg_.adc_bits != 0;
-  const double n_codes = static_cast<double>((1ull << cfg_.adc_bits) - 1);
-  for (std::size_t m = 0; m < B; ++m) {
-    const float* xrow = x.data() + m * x.cols();
-    double abs_in = 0.0;
-    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(xrow[i]);
-    fullscale_[m] = abs_in * denorm;
-    lsb_[m] = adc_on && fullscale_[m] > 0.0 ? fullscale_[m] / n_codes : 0.0;
-  }
-
   // Row walk: each row lists only the blocks of its own keys here (its span,
   // or unmasked this subarray's columns), skipping on a routed pass the
   // blocks that hold none of its candidates. Entries are bk * B + m, so one
   // sort buckets them block-major with rows ascending: a row enters only the
   // tiles of the blocks it reads, whatever its batch-mates read. Key k of
   // row m lands in output column k − (its first key).
+  //
+  // A row that reads a block also gets its ADC full scale: the worst-case
+  // column current given that input vector (Σ|x_i| times the max cell
+  // level), per NeuroSim's input-referred model, with the LSB (full_scale /
+  // n_codes) hoisted — identical operands to the per-element adc_quantize()
+  // computation. fold() reads only the LSBs of rows that read here.
   const auto keys = [&](std::size_t m) {
     return spans != nullptr ? std::pair{spans->begin(m), spans->end(m)}
                             : std::pair{col_offset, col_offset + active_cols_};
   };
+  const bool adc_on = cfg_.adc_bits != 0;
+  const double n_codes = static_cast<double>((1ull << cfg_.adc_bits) - 1);
   const std::size_t n_blk = n_blocks();
+  lsb_.resize(B);
   block_rows_.clear();
   std::size_t computed_cols = 0, reading_rows = 0;
   for (std::size_t m = 0; m < B; ++m) {
@@ -429,7 +422,13 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
       }
       k = k1;
     }
-    reading_rows += block_rows_.size() > before ? 1 : 0;
+    if (block_rows_.size() == before) continue;
+    ++reading_rows;
+    const float* xrow = x.data() + m * x.cols();
+    double abs_in = 0.0;
+    for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(xrow[i]);
+    const double fullscale = abs_in * denorm;
+    lsb_[m] = adc_on && fullscale > 0.0 ? fullscale / n_codes : 0.0;
   }
   std::sort(block_rows_.begin(), block_rows_.end());
   block_start_.assign(n_blk + 1, 0);

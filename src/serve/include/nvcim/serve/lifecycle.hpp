@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -90,6 +91,13 @@ struct TenantSnapshot {
     auto it = slots.find(user_id);
     NVCIM_CHECK_MSG(it != slots.end(), "unknown user " << user_id);
     return it->second;
+  }
+  /// The user whose slot on `shard` holds column `col`, if any. Slots are
+  /// few, and maintenance calls this, so a linear scan is fine.
+  std::optional<std::size_t> owner(std::size_t shard, std::size_t col) const {
+    for (const auto& [user, s] : slots)
+      if (s.shard == shard && col >= s.begin && col < s.end) return user;
+    return std::nullopt;
   }
 };
 

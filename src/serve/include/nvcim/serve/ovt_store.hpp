@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -123,10 +124,13 @@ struct OvtStoreConfig {
 ///
 /// Thread-safety: per-shard mutexes — queries against different shards
 /// proceed concurrently; queries against one shard serialize (the crossbar
-/// op counters make bank reads non-const), and lifecycle programming of a
-/// shard excludes its queries for the duration of the column writes only.
-/// Lifecycle mutations serialize on one store-level mutex. Routing reads an
-/// immutable snapshot and needs no lock.
+/// op counters make bank reads non-const). Every column write — build,
+/// admission span, migration, scrub repair — goes through one writer that
+/// programs spans of at most 32 columns, never crossing a subarray, and
+/// holds the shard mutex for one span at a time, so a write excludes that
+/// shard's queries for one span, never a whole slot or pass. Lifecycle
+/// mutations serialize on one store-level mutex. Routing reads an immutable
+/// snapshot and needs no lock.
 class ShardedOvtStore {
  public:
   using UserSlot = serve::UserSlot;
@@ -172,17 +176,17 @@ class ShardedOvtStore {
   // The three-step protocol behind asynchronous admission: stage_admit()
   // does every placement decision (shard choice, slot allocation, capacity
   // provisioning, router build) under the lifecycle lock and publishes the
-  // slot as PENDING; program_span() programs one per-subarray column batch
+  // slot as PENDING; program_span() programs one span of the column writer
   // under that shard's lock only (callable from any worker, in any order —
   // each column draws from its own position-derived stream); commit_admit()
   // flips the tenant live once every span is programmed. The programmed
   // cells are bit-identical to a synchronous admit_user() and to a
   // from-scratch build with the same placement.
 
-  /// One staged admission: the placement plus the per-subarray programming
-  /// batches still to run. `keys` is a stable copy shared with the
-  /// programming tasks; `spans` are [first, last) shard-column ranges, one
-  /// per touched subarray.
+  /// One staged admission: the placement plus the programming spans still
+  /// to run. `keys` is a stable copy shared with the programming tasks;
+  /// `spans` are the column writer's [first, last) shard-column ranges: at
+  /// most 32 columns each, never crossing a subarray.
   struct StagedAdmission {
     std::size_t user_id = 0;
     std::size_t shard = 0;
@@ -196,9 +200,10 @@ class ShardedOvtStore {
   /// queryable until commit_admit().
   StagedAdmission stage_admit(std::size_t user_id, const std::vector<Matrix>& keys);
 
-  /// Program one staged span (spans[idx]) into the target shard. Takes only
-  /// that shard's lock — serving on other shards is untouched, and this
-  /// shard is blocked for one subarray batch, not the whole slot.
+  /// Program one staged span (spans[idx]) into the target shard through the
+  /// column writer. Takes only that shard's lock — serving on other shards
+  /// is untouched, and this shard is blocked for one span, not the whole
+  /// slot.
   void program_span(const StagedAdmission& staged, std::size_t idx);
 
   /// Flip a staged tenant live (all spans programmed). Publishes the epoch
@@ -219,9 +224,11 @@ class ShardedOvtStore {
   void evict_user(std::size_t user_id);
 
   /// Move one user's slot to `to_shard`: program its keys there, republish
-  /// the directory, free the old range (epoch-deferred). The router is
-  /// untouched — cluster membership is slot-local. The user's post-move
-  /// results are bit-identical to a from-scratch build with that placement.
+  /// the directory, free the old range (epoch-deferred). The keys go
+  /// through the column writer, so the target shard's queries wait for one
+  /// span at a time, not the whole slot. The router is untouched — cluster
+  /// membership is slot-local. The user's post-move results are
+  /// bit-identical to a from-scratch build with that placement.
   void migrate_user(std::size_t user_id, std::size_t to_shard);
 
   /// Deterministic migration plan moving users from overloaded to
@@ -350,9 +357,11 @@ class ShardedOvtStore {
   /// probes only — serving on other shards is untouched.
   ScrubReport scrub_subarray(std::size_t shard, std::size_t sub);
 
-  /// Re-program `cols` in place from their owning tenants' retained keys.
-  /// Returns the columns still deviant after the rewrite (stuck hardware
-  /// or unowned — nothing to rewrite them from).
+  /// Re-program `cols` in place from their owning tenants' retained keys:
+  /// one column-writer call per run of adjacent columns of one tenant, so
+  /// the shard lock is held for one span at a time. Returns the columns
+  /// still deviant after the rewrite (stuck hardware or unowned — nothing
+  /// to rewrite them from).
   std::vector<std::size_t> repair_columns(std::size_t shard,
                                           const std::vector<std::size_t>& cols);
 
@@ -392,19 +401,27 @@ class ShardedOvtStore {
   void build_shard(std::size_t s, const TenantSnapshot& snap,
                    const std::vector<std::size_t>& users, RouterList& routers);
 
-  /// Least-loaded target shard for a new user's keys.
-  std::size_t choose_shard_locked() const;
+  /// Least-loaded shard, other than `exclude` when given (migration off
+  /// stuck columns); ties go to the lowest index, so placement is
+  /// deterministic. Caller holds lifecycle_mu_.
+  std::size_t choose_shard_locked(std::optional<std::size_t> exclude = std::nullopt) const;
   /// Slot alignment for placement: the fused kernel's
   /// accumulator-block width when two-phase pruning benefits, else 1.
   std::size_t slot_align() const;
-  /// Program one user's keys into shard columns [begin, begin + n), growing
-  /// the shard's retriever capacity if needed. Caller holds lifecycle_mu_.
-  void program_slot_locked(std::size_t shard, std::size_t begin,
-                           const std::vector<Matrix>& keys);
-  /// Create or grow the shard's retriever to at least `need` key columns
-  /// (takes the shard lock). Caller holds lifecycle_mu_ — staged spans can
-  /// then program under the shard lock alone, never racing a tile-grid grow.
+  /// The only place a shard's retriever is created or grown: to at least
+  /// `need` key columns (takes the shard lock). Caller holds lifecycle_mu_,
+  /// or is build_shard(), which no other thread can race — writes then
+  /// program under the shard lock alone, never racing a tile-grid grow.
   void ensure_shard_capacity_locked(std::size_t shard, std::size_t need);
+  /// Cut shard columns [begin, end) into programming spans: at most 32
+  /// columns each and never crossing a subarray.
+  std::vector<std::pair<std::size_t, std::size_t>> write_spans(std::size_t begin,
+                                                               std::size_t end) const;
+  /// The column writer: program keys[0, n) into shard columns
+  /// [begin, begin + n) one write_spans() span at a time, holding the shard
+  /// lock for one span only. Build, admission spans, migration and scrub
+  /// repair all write through it. Capacity must already cover the range.
+  void write_keys(std::size_t shard, std::size_t begin, const Matrix* keys, std::size_t n);
 
   OvtStoreConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -420,10 +437,6 @@ class ShardedOvtStore {
   std::size_t router_refreshes_ = 0;  ///< guarded by lifecycle_mu_
   bool built_ = false;
   bool routed_ = false;
-
-  /// Least-loaded shard other than `from_shard` (migration off stuck
-  /// columns). Caller holds lifecycle_mu_.
-  std::size_t choose_migration_target_locked(std::size_t from_shard) const;
 
   /// Scrubber-published health state, sized n_shards. Guarded by health_mu_,
   /// a leaf lock: taken with lifecycle_mu_ and/or a shard mutex held, never

@@ -26,10 +26,11 @@ constexpr double kRebalanceTolerance = 0.25;
 /// Migrations per rebalance() cycle; each reprograms one user's columns, so
 /// this bounds the serving interference of one cycle.
 constexpr std::size_t kMaxMigrationsPerCycle = 4;
-/// Widest admission programming span. Spans never cross a subarray; the cap
-/// also splits a wide slot inside one subarray, so one admission fans out
-/// across several workers instead of serializing on one. Per-column noise
-/// streams are position-derived, so any split programs identical cells.
+/// Widest programming span of the column writer. Spans never cross a
+/// subarray; the cap also splits a wide slot inside one subarray, so one
+/// admission fans out across several workers instead of serializing on one,
+/// and no write holds a shard lock for more than 32 columns. Per-column
+/// noise streams are position-derived, so any split programs identical cells.
 constexpr std::size_t kProgramSpanCols = 32;
 
 retrieval::CimRetriever::Config retriever_config(const OvtStoreConfig& cfg) {
@@ -94,25 +95,15 @@ std::size_t ShardedOvtStore::slot_align() const {
   return cfg_.crossbar.cols % block == 0 ? block : 1;
 }
 
-std::size_t ShardedOvtStore::choose_shard_locked() const {
+std::size_t ShardedOvtStore::choose_shard_locked(std::optional<std::size_t> exclude) const {
   // Quarantined columns count toward load: a shard with retired hardware
   // looks fuller, steering new placements toward healthy shards.
   const auto load = [this](std::size_t s) {
     return shards_[s]->allocator.occupied() + shards_[s]->allocator.quarantined();
   };
-  std::size_t target = 0;
-  for (std::size_t s = 1; s < shards_.size(); ++s)
-    if (load(s) < load(target)) target = s;
-  return target;
-}
-
-std::size_t ShardedOvtStore::choose_migration_target_locked(std::size_t from_shard) const {
-  const auto load = [this](std::size_t s) {
-    return shards_[s]->allocator.occupied() + shards_[s]->allocator.quarantined();
-  };
-  std::size_t target = from_shard == 0 ? 1 : 0;
+  std::size_t target = shards_.size();
   for (std::size_t s = 0; s < shards_.size(); ++s)
-    if (s != from_shard && load(s) < load(target)) target = s;
+    if (s != exclude && (target == shards_.size() || load(s) < load(target))) target = s;
   return target;
 }
 
@@ -209,14 +200,32 @@ void ShardedOvtStore::ensure_shard_capacity_locked(std::size_t shard, std::size_
   s.capacity.store(s.retriever->n_keys(), std::memory_order_release);
 }
 
-void ShardedOvtStore::program_slot_locked(std::size_t shard, std::size_t begin,
-                                          const std::vector<Matrix>& keys) {
-  ensure_shard_capacity_locked(shard, begin + keys.size());
+std::vector<std::pair<std::size_t, std::size_t>> ShardedOvtStore::write_spans(
+    std::size_t begin, std::size_t end) const {
+  // Each span visits a single row-tile column range (what
+  // Accelerator::program_keys hoists per-visit work out of).
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t c0 = begin; c0 < end;) {
+    const std::size_t c1 = std::min(
+        {end, (c0 / cfg_.crossbar.cols + 1) * cfg_.crossbar.cols, c0 + kProgramSpanCols});
+    spans.emplace_back(c0, c1);
+    c0 = c1;
+  }
+  return spans;
+}
+
+void ShardedOvtStore::write_keys(std::size_t shard, std::size_t begin, const Matrix* keys,
+                                 std::size_t n) {
   Shard& s = *shards_[shard];
-  // Programming excludes this shard's MVM passes for the duration of the
-  // column writes only — other shards keep serving.
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.retriever->program_keys(begin, keys);
+  for (const auto& [c0, c1] : write_spans(begin, begin + n)) {
+    const std::vector<Matrix> span(keys + (c0 - begin), keys + (c1 - begin));
+    // One span's column writes exclude this shard's MVM passes; other
+    // shards keep serving, and readers of this one wait for 32 columns at
+    // most.
+    std::lock_guard<std::mutex> lock(s.mu);
+    NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
+    s.retriever->program_keys(c0, span);
+  }
 }
 
 void ShardedOvtStore::build(Rng& rng) {
@@ -255,8 +264,7 @@ void ShardedOvtStore::build(Rng& rng) {
 
 void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
                                   const std::vector<std::size_t>& users, RouterList& routers) {
-  Shard& shard = *shards_[s];
-  const std::size_t tail = shard.allocator.tail();
+  const std::size_t tail = shards_[s]->allocator.tail();
   if (tail == 0) return;  // more shards than users (so far)
   // Only a lifecycle store admits after build, so only it gets headroom.
   const std::size_t capacity =
@@ -264,26 +272,14 @@ void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
           ? std::max(tail, static_cast<std::size_t>(
                                std::ceil(static_cast<double>(tail) * kCapacityFactor)))
           : tail;
-  shard.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
-  shard.retriever->store_mutable(key_size_, capacity, shard_base_rng_[s]);
-  shard.capacity.store(shard.retriever->n_keys(), std::memory_order_release);
-  // One program_keys call per run of adjacent slots: per-key scales and
-  // per-column noise streams make the cells independent of how columns are
-  // grouped, and a wide call pays the per-subarray programming setup once.
-  // The capacity covers the allocator tail, so every slot fits.
-  std::vector<Matrix> run;
-  std::size_t run_begin = 0;
+  ensure_shard_capacity_locked(s, capacity);
+  // The capacity covers the allocator tail, so every slot fits. Per-key
+  // scales and per-column noise streams make the cells independent of how
+  // the writer groups columns.
   for (const std::size_t user : users) {
-    const UserSlot& slot = snap.slot(user);
-    if (!run.empty() && slot.begin != run_begin + run.size()) {
-      shard.retriever->program_keys(run_begin, run);
-      run.clear();
-    }
-    if (run.empty()) run_begin = slot.begin;
     const std::vector<Matrix>& keys = user_keys_.at(user);
-    run.insert(run.end(), keys.begin(), keys.end());
+    write_keys(s, snap.slot(user).begin, keys.data(), keys.size());
   }
-  shard.retriever->program_keys(run_begin, run);
   if (routed_)
     for (const std::size_t user : users)
       routers.emplace_back(user, build_router(user, user_keys_.at(user)));
@@ -349,31 +345,15 @@ ShardedOvtStore::StagedAdmission ShardedOvtStore::stage_admit(std::size_t user_i
   staged.shard = shard;
   staged.begin = begin;
   staged.keys = std::make_shared<const std::vector<Matrix>>(keys);
-  // Spans never cross a subarray boundary (each programming batch visits a
-  // single row-tile column range — what Accelerator::program_keys hoists
-  // per-visit work out of) and are at most kProgramSpanCols wide.
-  const std::size_t end = begin + keys.size();
-  for (std::size_t c0 = begin; c0 < end;) {
-    const std::size_t c1 = std::min(
-        {end, (c0 / cfg_.crossbar.cols + 1) * cfg_.crossbar.cols, c0 + kProgramSpanCols});
-    staged.spans.emplace_back(c0, c1);
-    c0 = c1;
-  }
+  // The writer's own spans, so each staged span is one write_keys() span.
+  staged.spans = write_spans(begin, begin + keys.size());
   return staged;
 }
 
 void ShardedOvtStore::program_span(const StagedAdmission& staged, std::size_t idx) {
   NVCIM_CHECK_MSG(idx < staged.spans.size(), "span " << idx << " out of range");
-  const std::size_t c0 = staged.spans[idx].first;
-  const std::size_t c1 = staged.spans[idx].second;
-  // This span's slice of the staged keys; program_keys pools them per bank
-  // exactly as the full-slot call would.
-  const std::vector<Matrix> span_keys(staged.keys->begin() + (c0 - staged.begin),
-                                      staged.keys->begin() + (c1 - staged.begin));
-  Shard& s = *shards_[staged.shard];
-  std::lock_guard<std::mutex> lock(s.mu);
-  NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << staged.shard << " not provisioned");
-  s.retriever->program_keys(c0, span_keys);
+  const auto [c0, c1] = staged.spans[idx];
+  write_keys(staged.shard, c0, staged.keys->data() + (c0 - staged.begin), c1 - c0);
 }
 
 void ShardedOvtStore::commit_admit(std::size_t user_id) {
@@ -439,7 +419,8 @@ void ShardedOvtStore::migrate_user(std::size_t user_id, std::size_t to_shard) {
   const std::uint64_t safe = epochs_.min_active(directory_.epoch());
   const std::size_t begin =
       shards_[to_shard]->allocator.allocate(keys.size(), safe, slot_align());
-  program_slot_locked(to_shard, begin, keys);
+  ensure_shard_capacity_locked(to_shard, begin + keys.size());
+  write_keys(to_shard, begin, keys.data(), keys.size());
   const std::uint64_t freed_epoch = directory_.update([&](TenantSnapshot& t) {
     t.slots[user_id] = UserSlot{to_shard, begin, begin + keys.size()};
     // The router is slot-local (member indices are user-local), so migration
@@ -787,28 +768,32 @@ std::vector<std::size_t> ShardedOvtStore::repair_columns(std::size_t shard,
   std::vector<std::size_t> stuck;
   if (cols.empty()) return stuck;
   // The lifecycle lock stabilizes the directory and the retained keys for
-  // the whole pass; each column write takes the shard lock alone, so serving
-  // on this shard is excluded per column, not per pass.
+  // the whole pass; the writer takes the shard lock per span, so serving on
+  // this shard is excluded per span, not per pass.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   const auto snap = directory_.acquire();
+  // One write per run of adjacent columns of one tenant. Per-column noise
+  // streams and per-key quantization scales make the rewrite bit-identical
+  // to the original programming — drifted or disturbed cells land back on
+  // their pristine levels exactly. An unowned deviant column has nothing to
+  // rewrite it from.
+  for (std::size_t i = 0; i < cols.size();) {
+    const std::optional<std::size_t> user = snap->owner(shard, cols[i]);
+    if (!user) {
+      ++i;
+      continue;
+    }
+    const UserSlot& slot = snap->slot(*user);
+    std::size_t j = i + 1;
+    while (j < cols.size() && cols[j] == cols[j - 1] + 1 && cols[j] < slot.end) ++j;
+    write_keys(shard, cols[i], &user_keys_.at(*user)[cols[i] - slot.begin], j - i);
+    i = j;
+  }
+  // A stuck cell survives the rewrite either way — the re-probe decides.
   Shard& s = *shards_[shard];
   for (const std::size_t col : cols) {
-    // Find the owning tenant (slots are few; a linear scan is fine at
-    // maintenance cadence).
-    const Matrix* key = nullptr;
-    for (const auto& [user, slot] : snap->slots) {
-      if (slot.shard != shard || col < slot.begin || col >= slot.end) continue;
-      key = &user_keys_.at(user)[col - slot.begin];
-      break;
-    }
     std::lock_guard<std::mutex> slock(s.mu);
     NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
-    // Per-column noise streams and per-key quantization scales make the
-    // rewrite bit-identical to the original programming — drifted or
-    // disturbed cells land back on their pristine levels exactly.
-    if (key != nullptr) s.retriever->program_keys(col, {*key});
-    // An unowned deviant column has nothing to rewrite it from; a stuck cell
-    // survives the rewrite either way — the re-probe decides.
     if (s.retriever->probe_column(col).deviant > 0) stuck.push_back(col);
   }
   {
@@ -850,13 +835,10 @@ ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t su
     std::unordered_set<std::size_t> owners;
     for (const std::size_t col : stuck) {
       shards_[shard]->allocator.quarantine(col, col + 1);
-      for (const auto& [user, slot] : snap->slots) {
-        if (slot.shard != shard || col < slot.begin || col >= slot.end) continue;
-        if (shards_.size() > 1 && snap->pending.count(user) == 0 &&
-            owners.insert(user).second)
-          moves.emplace_back(user, choose_migration_target_locked(shard));
-        break;
-      }
+      const std::optional<std::size_t> user = snap->owner(shard, col);
+      if (user && shards_.size() > 1 && snap->pending.count(*user) == 0 &&
+          owners.insert(*user).second)
+        moves.emplace_back(*user, choose_shard_locked(shard));
     }
     std::lock_guard<std::mutex> h(health_mu_);
     stuck_total = (subarray_stuck_[shard][sub] += stuck.size());
@@ -877,17 +859,8 @@ ScrubOutcome ShardedOvtStore::scrub_and_repair(std::size_t shard, std::size_t su
     const auto snap = directory_.acquire();
     std::lock_guard<std::mutex> h(health_mu_);
     auto& dset = degraded_cols_[shard];
-    for (const std::size_t col : stuck) {
-      bool occupied = false;
-      for (const auto& [user, slot] : snap->slots) {
-        (void)user;
-        if (slot.shard == shard && col >= slot.begin && col < slot.end) {
-          occupied = true;
-          break;
-        }
-      }
-      if (!occupied) dset.erase(col);
-    }
+    for (const std::size_t col : stuck)
+      if (!snap->owner(shard, col)) dset.erase(col);
     subarray_health_[shard][sub] = SubarrayHealth::Degraded;
   }
   out.health = SubarrayHealth::Degraded;

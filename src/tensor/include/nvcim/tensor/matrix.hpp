@@ -74,9 +74,11 @@ class Matrix {
   Matrix reshaped(std::size_t rows, std::size_t cols) const;
   /// Reinterpret the existing storage as rows×cols (element count preserved).
   Matrix& reshape_inplace(std::size_t rows, std::size_t cols);
-  /// Resize storage to rows×cols. Contents are unspecified afterwards; meant
-  /// for reusable output/scratch buffers (no reallocation when the element
-  /// count shrinks or stays put).
+  /// Resize storage to rows×cols; meant for reusable output/scratch buffers
+  /// (no reallocation when the element count shrinks or stays put). The
+  /// flat row-major storage keeps its prefix and zero-fills any growth, so
+  /// with `cols` unchanged existing rows are kept and appended rows are 0;
+  /// any other reshape leaves the contents unspecified.
   void resize(std::size_t rows, std::size_t cols);
   /// Rows [begin, end) as a new matrix.
   Matrix row_slice(std::size_t begin, std::size_t end) const;

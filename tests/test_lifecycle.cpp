@@ -435,6 +435,51 @@ TEST(LifecycleStore, RebalanceMovesLoadBetweenShards) {
   for (const auto& m : plan) (void)store.retrieve_user(m.user_id, Matrix::randn(4, 8, kr));
 }
 
+TEST(LifecycleStore, MigratedUserMatchesStandaloneShardAtItsNewPlacement) {
+  // A 40-key tenant lands on shard 1; migrating it to shard 0 places it at
+  // [8, 48), across two 16-column subarray boundaries and past shard 0's
+  // capacity, so the move grows the shard and writes several spans.
+  Rng kr(361);
+  const std::vector<std::vector<Matrix>> keys = {random_keys(3, 4, 8, kr),
+                                                 random_keys(40, 4, 8, kr),
+                                                 random_keys(5, 4, 8, kr)};
+  const serve::OvtStoreConfig cfg = lifecycle_store_config(2);
+  serve::ShardedOvtStore store(cfg);
+  for (std::size_t u = 0; u < keys.size(); ++u) store.add_user(u, keys[u]);
+  Rng br(19);
+  store.build(br);
+  ASSERT_EQ(store.slot(1).shard, 1u);
+  const std::size_t to = 0;
+  store.migrate_user(1, to);
+
+  const serve::UserSlot moved = store.slot(1);
+  ASSERT_EQ(moved.shard, to);
+  ASSERT_GT(moved.n_keys(), 32u);
+  ASSERT_LT(moved.begin / cfg.crossbar.cols, (moved.end - 1) / cfg.crossbar.cols)
+      << "slot [" << moved.begin << ", " << moved.end << ") stays inside one subarray";
+
+  // Oracle: the shard's stream, every current slot of the shard programmed
+  // into a standalone retriever of the same width.
+  retrieval::CimRetriever::Config rcfg;
+  rcfg.algorithm = cfg.algorithm;
+  rcfg.ssa = cfg.ssa;
+  rcfg.crossbar = cfg.crossbar;
+  rcfg.variation = cfg.variation;
+  retrieval::CimRetriever oracle(rcfg);
+  oracle.store_mutable(32, store.shard_keys(to), Rng(19).split(0x5A4D0ull + to));
+  for (std::size_t u = 0; u < keys.size(); ++u)
+    if (store.slot(u).shard == to) oracle.program_keys(store.slot(u).begin, keys[u]);
+
+  Rng qr(362);
+  const Matrix queries = Matrix::randn(3, 32, qr);
+  const Matrix want = oracle.scores_batch(queries);
+  const Matrix got = store.shard_scores(to, queries);
+  ASSERT_TRUE(want.same_shape(got));
+  for (std::size_t q = 0; q < queries.rows(); ++q)
+    for (std::size_t c = moved.begin; c < moved.end; ++c)
+      ASSERT_EQ(got(q, c), want(q, c)) << "query " << q << " column " << c;
+}
+
 // ---------------------------------------------------------------------------
 // Two-phase router refresh on admission.
 // ---------------------------------------------------------------------------
