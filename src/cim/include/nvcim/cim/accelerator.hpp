@@ -42,7 +42,10 @@ class Accelerator {
   /// touched (row band, column tile) subarray programs its whole column span
   /// in one Crossbar::program_columns call. Each column draws from its own
   /// (subarray, column)-derived stream, so a span programs bit-identically
-  /// to the same keys programmed one call at a time, in any order.
+  /// to the same keys programmed one call at a time, in any order. Besides
+  /// the cells it writes only the span's scales and reference rows, so
+  /// calls over disjoint columns may run at once, and beside passes that
+  /// read none of their column blocks.
   void program_keys(const Matrix& keys, std::size_t col_begin);
 
   /// Grow capacity to at least `n_cols` key columns by appending blank
@@ -60,11 +63,14 @@ class Accelerator {
   Matrix query_batch(const Matrix& x);
 
   /// Reusable buffers for query_batch_into(): the column slice of the query
-  /// block fed to one row tile and one tile's partial result. Warm scratch
-  /// makes the batched query path allocation-free.
+  /// block fed to one row tile, one tile's partial result and the kernel's
+  /// per-pass buffers. Warm scratch makes the batched query path
+  /// allocation-free, and since every pass keeps its buffers here, passes
+  /// with distinct scratch can run on one bank at once.
   struct BatchScratch {
     Matrix xs;
     Matrix part;
+    Crossbar::Scratch kernel;
   };
 
   /// query_batch() written into caller storage with caller scratch —

@@ -42,6 +42,9 @@ struct ProgramOptions {
 /// exactly zero are elided by the simulator (their contribution is exactly
 /// zero), but the counters still advance as if the plane had been activated,
 /// so cost accounting is independent of which simulation shortcuts fire.
+/// A Crossbar advances its counters with relaxed atomic adds, so passes and
+/// span writes running at once on one subarray each add their whole share:
+/// once they are joined, every field is the exact sum of the serial runs.
 struct OpCounters {
   std::size_t subarray_activations = 0;  ///< one slice-plane MVM each
   std::size_t adc_conversions = 0;
@@ -72,6 +75,12 @@ struct OpCounters {
 /// is padded to full width by cells that are never written and stay exactly
 /// 0. Per-slice shift factors (2^(s·kBitsPerCell)) and all-zero-slice flags
 /// are precomputed at program time.
+///
+/// Concurrency: passes keep their buffers in caller scratch and advance the
+/// counters atomically, so readers never exclude each other; span writes
+/// may run beside them where no pass reads the written blocks. Everything
+/// else (init, program, faults, drift, probes, counter resets) needs the
+/// subarray to itself.
 class Crossbar {
  public:
   static constexpr std::size_t kBitsPerCell = 2;  ///< per NVM cell, as in the paper
@@ -85,6 +94,15 @@ class Crossbar {
   static constexpr std::size_t kBlockColumns = kAccumulatorLanes / kPitch;
 
   explicit Crossbar(CrossbarConfig cfg = {}) : cfg_(cfg) {}
+
+  /// Per-pass kernel buffers, owned by the caller so that passes over one
+  /// subarray can run at once: the per-query ADC LSB and the gathered query
+  /// rows of each column block. Warm scratch makes a pass allocation-free.
+  struct Scratch {
+    std::vector<double> lsb;
+    std::vector<std::size_t> block_rows;   ///< rows needing each block, block-major
+    std::vector<std::size_t> block_start;  ///< block bk's rows: [start[bk], start[bk+1])
+  };
 
   const CrossbarConfig& config() const { return cfg_; }
 
@@ -120,6 +138,12 @@ class Crossbar {
   /// column block at a time, then rows → slices → the block's span columns,
   /// so each block stripe is written unit-stride while every stream keeps
   /// that order.
+  ///
+  /// Writes touch only the span's cells, their pristine shadow, the atomic
+  /// slice flags and counters, and read the stuck-cell map: spans of
+  /// disjoint columns may be written at once, and beside passes that read
+  /// none of their blocks (see matvec_batch_into), but not beside fault
+  /// injection, kill, drift or probes.
   void program_columns(const Matrix& int_values, std::size_t col_begin,
                        const nvm::VariationModel& var, Rng* rngs);
 
@@ -153,8 +177,20 @@ class Crossbar {
   /// Counters follow each row's own work: subarray activations for each row
   /// that reads a block here, ADC conversions for each computed (row,
   /// column) pair, so a row's cost never depends on its batch-mates.
+  ///
+  /// A pass reads the cells, slice flags and shift factors and writes only
+  /// `y`, `scratch` and the atomic counters, so passes with distinct `y` and
+  /// `scratch` may run at once. They may also run beside program_columns()
+  /// of columns in blocks no row of the pass reads: the kernel loads whole
+  /// kBlockColumns blocks, neighbours' lanes included.
+  void matvec_batch_into(const Matrix& x, Matrix& y, Scratch& scratch,
+                         const PassSpans* spans = nullptr, std::size_t col_offset = 0);
+  /// The same with one-off scratch.
   void matvec_batch_into(const Matrix& x, Matrix& y, const PassSpans* spans = nullptr,
-                         std::size_t col_offset = 0);
+                         std::size_t col_offset = 0) {
+    Scratch scratch;
+    matvec_batch_into(x, y, scratch, spans, col_offset);
+  }
 
   /// Cell-wise readback of the stored values: reconstructs each integer from
   /// its (noisy) analog slice levels. This models reading a payload matrix
@@ -174,9 +210,10 @@ class Crossbar {
 
   /// True when every cell of slice `s` (both polarities) is exactly zero, so
   /// the MVM elides the plane. Only fires for noise-free programming.
-  bool slice_is_zero(std::size_t s) const { return slice_zero_[s] != 0; }
+  bool slice_is_zero(std::size_t s) const { return relaxed_load(slice_zero_[s]) != 0; }
 
-  const OpCounters& counters() const { return counters_; }
+  /// Snapshot of the op counters (each field read atomically).
+  OpCounters counters() const;
   void reset_counters() { counters_ = {}; }
 
   // -- Device-fault model ---------------------------------------------------
@@ -224,6 +261,28 @@ class Crossbar {
 
   double adc_quantize(double analog, double full_scale) const;
 
+  // Relaxed atomic access to the plain fields that concurrent passes and
+  // span writes share — the slice flags and the counters (std::atomic_ref
+  // before C++20): each access is indivisible and every add lands, with no
+  // ordering implied.
+  template <class T>
+  static T relaxed_load(const T& v) {
+    return __atomic_load_n(&v, __ATOMIC_RELAXED);
+  }
+  template <class T>
+  static void relaxed_add(T& v, T x) {
+    __atomic_fetch_add(&v, x, __ATOMIC_RELAXED);
+  }
+  /// Advance the counters by `d`, field by field.
+  void count(const OpCounters& d);
+  /// A nonzero level landed in slice `s`: clear its all-zero flag. A flag
+  /// only ever goes 1 → 0 after init, and a pass that still reads 1 skips a
+  /// plane whose cells in its own columns are exactly zero, so its result
+  /// is the same either way.
+  void mark_nonzero(std::size_t s) {
+    if (relaxed_load(slice_zero_[s])) __atomic_store_n(&slice_zero_[s], 0, __ATOMIC_RELAXED);
+  }
+
   /// Per-call write tables and pulse count (defined in crossbar.cpp).
   struct CellWriter;
 
@@ -247,7 +306,8 @@ class Crossbar {
            c % kBlockColumns * kPitch;
   }
 
-  void fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans, std::size_t col_offset);
+  void fused_matvec(const Matrix& x, Matrix& y, Scratch& scratch, const PassSpans* spans,
+                    std::size_t col_offset);
 
   CrossbarConfig cfg_;
   /// Analog cell levels (0..levels-1 plus noise), block-major
@@ -256,10 +316,12 @@ class Crossbar {
   /// real column of a partial block are padding that stays exactly 0.
   std::vector<float> cells_;
   std::vector<double> slice_shift_;        ///< 2^(s·kBitsPerCell)
-  std::vector<std::uint8_t> slice_zero_;   ///< slice plane is exactly all-zero
+  /// Slice plane is exactly all-zero. Read and cleared with relaxed atomics
+  /// (see mark_nonzero).
+  std::vector<std::uint8_t> slice_zero_;
   std::size_t active_rows_ = 0;
   std::size_t active_cols_ = 0;
-  OpCounters counters_;
+  OpCounters counters_;  ///< advanced by count(), read by counters()
   /// Fault-free shadow of cells_ (same block-major indexing and zero
   /// padding): what each cell would hold absent stuck faults and drift. The
   /// scrub probes' golden reference.
@@ -270,13 +332,6 @@ class Crossbar {
   double drift_rate_ = 0.0;
   std::uint64_t age_ = 0;
   bool killed_ = false;
-  // Reusable kernel scratch (per-query ADC LSB, plus the per-column-block
-  // gathered query rows of a pass); members so steady-state batches
-  // allocate nothing. The crossbar is externally synchronized (per-shard
-  // locks in the serving store).
-  std::vector<double> lsb_;
-  std::vector<std::size_t> block_rows_;   ///< rows needing each block, block-major
-  std::vector<std::size_t> block_start_;  ///< block bk's rows: [start[bk], start[bk+1])
 };
 
 inline std::size_t CrossbarConfig::levels() const {

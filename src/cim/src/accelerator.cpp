@@ -182,7 +182,7 @@ void Accelerator::query_batch_into(const Matrix& x, Matrix& y, BatchScratch& scr
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * cfg_.cols;
       if (spans != nullptr && !spans->reaches(c0, c0 + cfg_.cols)) continue;
-      tile(rt, ct).matvec_batch_into(*xs, scratch.part, spans, c0);
+      tile(rt, ct).matvec_batch_into(*xs, scratch.part, scratch.kernel, spans, c0);
       const Matrix& part = scratch.part;
       if (spans != nullptr) {
         y += part;  // compact like y; the columns of other tiles add exact 0

@@ -110,12 +110,13 @@ void Crossbar::program(const Matrix& int_values, const nvm::VariationModel& var,
           opts.verify_tolerance > 0.0 &&
           (opts.verify_mask == nullptr || (*opts.verify_mask)(r, c) > 0.0f);
       for (std::size_t s = 0; s < S; ++s)
-        if (write_cell(cell_index(s, r, c), v, s, w, rng, verify))
-          slice_zero_[s] = 0;
+        if (write_cell(cell_index(s, r, c), v, s, w, rng, verify)) mark_nonzero(s);
     }
   }
-  counters_.cells_programmed += active_rows_ * active_cols_ * S * kPitch;
-  counters_.write_pulses += w.pulses;
+  OpCounters d;
+  d.cells_programmed = active_rows_ * active_cols_ * S * kPitch;
+  d.write_pulses = w.pulses;
+  count(d);
 }
 
 void Crossbar::init_blank(std::size_t active_rows, std::size_t active_cols) {
@@ -176,13 +177,31 @@ void Crossbar::program_columns(const Matrix& int_values, std::size_t col_begin,
         bool nonzero = false;
         for (std::size_t j = 0; j < nj; ++j)
           nonzero |= write_cell(base + j * P, row[j], s, w, rngs[j0 + j], false);
-        if (nonzero) slice_zero_[s] = 0;
+        if (nonzero) mark_nonzero(s);
       }
     }
     c0 = c1;
   }
-  counters_.cells_programmed += n * active_rows_ * S * P;
-  counters_.write_pulses += w.pulses;
+  OpCounters d;
+  d.cells_programmed = n * active_rows_ * S * P;
+  d.write_pulses = w.pulses;
+  count(d);
+}
+
+void Crossbar::count(const OpCounters& d) {
+  relaxed_add(counters_.subarray_activations, d.subarray_activations);
+  relaxed_add(counters_.adc_conversions, d.adc_conversions);
+  relaxed_add(counters_.cells_programmed, d.cells_programmed);
+  relaxed_add(counters_.write_pulses, d.write_pulses);
+}
+
+OpCounters Crossbar::counters() const {
+  OpCounters c;
+  c.subarray_activations = relaxed_load(counters_.subarray_activations);
+  c.adc_conversions = relaxed_load(counters_.adc_conversions);
+  c.cells_programmed = relaxed_load(counters_.cells_programmed);
+  c.write_pulses = relaxed_load(counters_.write_pulses);
+  return c;
 }
 
 void Crossbar::clamp_cell(std::size_t idx, float level) {
@@ -191,7 +210,7 @@ void Crossbar::clamp_cell(std::size_t idx, float level) {
   const std::size_t s = idx / slice_stride();
   // A nonzero clamp makes the plane non-elidable; a zero clamp leaves the
   // (conservative) flag alone — the cell really does read zero.
-  if (level != 0.0f) slice_zero_[s] = 0;
+  if (level != 0.0f) mark_nonzero(s);
 }
 
 std::size_t Crossbar::inject_column_fault(std::size_t col, nvm::FaultKind kind,
@@ -244,7 +263,7 @@ void Crossbar::advance_age(std::uint64_t ticks) {
   // padding is skipped with every other zero cell.
   const std::size_t S = cfg_.n_slices();
   for (std::size_t s = 0; s < S; ++s) {
-    if (slice_zero_[s]) continue;  // all-zero plane: nothing to decay
+    if (slice_is_zero(s)) continue;  // all-zero plane: nothing to decay
     for (std::size_t idx = s * slice_stride(); idx < (s + 1) * slice_stride(); ++idx) {
       if (cells_[idx] == 0.0f) continue;  // zero decays to zero
       if (!stuck_.empty() && stuck_.find(idx) != stuck_.end()) continue;
@@ -280,7 +299,7 @@ Matrix Crossbar::read_values() const {
   Matrix out(active_rows_, active_cols_, 0.0f);
   for (std::size_t s = 0; s < S; ++s) {
     const double shift = slice_shift_[s];
-    if (slice_zero_[s]) continue;
+    if (slice_is_zero(s)) continue;
     for (std::size_t r = 0; r < active_rows_; ++r) {
       for (std::size_t c = 0; c < active_cols_; ++c) {
         const float* cell = cells_.data() + cell_index(s, r, c);
@@ -307,6 +326,10 @@ Matrix Crossbar::matvec(const Matrix& x) {
   const double denorm = static_cast<double>(cfg_.levels() - 1);
   constexpr std::size_t P = kPitch;
   Matrix y(x.rows(), active_cols_, 0.0f);
+  OpCounters d;
+  d.subarray_activations = x.rows() * S * P;
+  d.adc_conversions = x.rows() * S * P * active_cols_;
+  count(d);
 
   for (std::size_t m = 0; m < x.rows(); ++m) {
     // ADC full scale: the worst-case column current given this input vector
@@ -317,9 +340,7 @@ Matrix Crossbar::matvec(const Matrix& x) {
 
     for (std::size_t s = 0; s < S; ++s) {
       const double shift = slice_shift_[s];
-      counters_.subarray_activations += P;
-      counters_.adc_conversions += P * active_cols_;
-      if (slice_zero_[s]) continue;  // contributes exactly zero
+      if (slice_is_zero(s)) continue;  // contributes exactly zero
       for (std::size_t c = 0; c < active_cols_; ++c) {
         double acc_pos = 0.0, acc_neg = 0.0;
         for (std::size_t r = 0; r < active_rows_; ++r) {
@@ -380,8 +401,8 @@ void sweep_tile(const Matrix& x, const std::size_t* idx, const float* stripe, st
 /// tile reads one contiguous `rows × kBlk` stripe, and consecutive blocks of
 /// a slice are consecutive stripes: slices are the outer loop so that the
 /// sweep walks each plane front to back while its pages are hot.
-void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
-                            std::size_t col_offset) {
+void Crossbar::fused_matvec(const Matrix& x, Matrix& y, Scratch& scratch,
+                            const PassSpans* spans, std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
   const std::size_t B = x.rows();
   const double denorm = static_cast<double>(cfg_.levels() - 1);
@@ -406,47 +427,52 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
   const bool adc_on = cfg_.adc_bits != 0;
   const double n_codes = static_cast<double>((1ull << cfg_.adc_bits) - 1);
   const std::size_t n_blk = n_blocks();
-  lsb_.resize(B);
-  block_rows_.clear();
+  std::vector<double>& lsb = scratch.lsb;
+  std::vector<std::size_t>& block_rows = scratch.block_rows;
+  std::vector<std::size_t>& block_start = scratch.block_start;
+  lsb.resize(B);
+  block_rows.clear();
   std::size_t computed_cols = 0, reading_rows = 0;
   for (std::size_t m = 0; m < B; ++m) {
     const auto [kb, ke] = keys(m);
     const std::size_t hi = std::min(ke, col_offset + active_cols_);
-    const std::size_t before = block_rows_.size();
+    const std::size_t before = block_rows.size();
     for (std::size_t k = std::max(kb, col_offset); k < hi;) {
       const std::size_t bk = (k - col_offset) / kBlockColumns;
       const std::size_t k1 = std::min(hi, col_offset + (bk + 1) * kBlockColumns);
       if (spans == nullptr || spans->any_candidate(m, k - kb, k1 - kb)) {
-        block_rows_.push_back(bk * B + m);
+        block_rows.push_back(bk * B + m);
         computed_cols += std::min(active_cols_, (bk + 1) * kBlockColumns) - bk * kBlockColumns;
       }
       k = k1;
     }
-    if (block_rows_.size() == before) continue;
+    if (block_rows.size() == before) continue;
     ++reading_rows;
     const float* xrow = x.data() + m * x.cols();
     double abs_in = 0.0;
     for (std::size_t i = 0; i < x.cols(); ++i) abs_in += std::fabs(xrow[i]);
     const double fullscale = abs_in * denorm;
-    lsb_[m] = adc_on && fullscale > 0.0 ? fullscale / n_codes : 0.0;
+    lsb[m] = adc_on && fullscale > 0.0 ? fullscale / n_codes : 0.0;
   }
-  std::sort(block_rows_.begin(), block_rows_.end());
-  block_start_.assign(n_blk + 1, 0);
-  for (std::size_t& e : block_rows_) {
-    ++block_start_[e / B + 1];
+  std::sort(block_rows.begin(), block_rows.end());
+  block_start.assign(n_blk + 1, 0);
+  for (std::size_t& e : block_rows) {
+    ++block_start[e / B + 1];
     e %= B;
   }
-  std::partial_sum(block_start_.begin(), block_start_.end(), block_start_.begin());
+  std::partial_sum(block_start.begin(), block_start.end(), block_start.begin());
 
   // A plane activation is shared by every column of the wave, so each row
   // that reads a block here pays one per slice and polarity; ADC conversions
   // advance for each computed (row, column) pair, so pruning shows up in the
   // cost model exactly where the hardware saves — column reads.
-  counters_.subarray_activations += reading_rows * S * P;
-  counters_.adc_conversions += S * P * computed_cols;
+  OpCounters d;
+  d.subarray_activations = reading_rows * S * P;
+  d.adc_conversions = S * P * computed_cols;
+  count(d);
 
   for (std::size_t s = 0; s < S; ++s) {
-    if (slice_zero_[s]) continue;  // contributes exactly zero
+    if (slice_is_zero(s)) continue;  // contributes exactly zero
     const double shift = slice_shift_[s];
     for (std::size_t bk = 0; bk < n_blk; ++bk) {
       const std::size_t c_lo = bk * kBlockColumns;
@@ -458,10 +484,11 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
       // rounded products: an FMA that fused a product into the subtraction
       // would move bits.
       const auto fold = [&](std::size_t m, const double* acc) {
-        const double lsb = lsb_[m];
+        const double lsb_m = lsb[m];
         double q[kBlk];
-        if (lsb > 0.0) {
-          for (std::size_t j = 0; j < kBlk; ++j) q[j] = round_half_away(acc[j] / lsb) * lsb;
+        if (lsb_m > 0.0) {
+          for (std::size_t j = 0; j < kBlk; ++j)
+            q[j] = round_half_away(acc[j] / lsb_m) * lsb_m;
         } else {
           for (std::size_t j = 0; j < kBlk; ++j) q[j] = acc[j];
         }
@@ -474,8 +501,8 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
         }
       };
       const float* stripe = cells_.data() + cell_index(s, 0, c_lo);
-      const std::size_t* idx = block_rows_.data() + block_start_[bk];
-      const std::size_t* end = block_rows_.data() + block_start_[bk + 1];
+      const std::size_t* idx = block_rows.data() + block_start[bk];
+      const std::size_t* end = block_rows.data() + block_start[bk + 1];
       for (; end - idx >= 4; idx += 4) sweep_tile<4>(x, idx, stripe, active_rows_, fold);
       switch (end - idx) {
         case 3: sweep_tile<3>(x, idx, stripe, active_rows_, fold); break;
@@ -487,8 +514,8 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, const PassSpans* spans,
   }
 }
 
-void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const PassSpans* spans,
-                                 std::size_t col_offset) {
+void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, Scratch& scratch,
+                                 const PassSpans* spans, std::size_t col_offset) {
   NVCIM_CHECK_MSG(active_rows_ > 0, "crossbar not programmed");
   NVCIM_CHECK_MSG(x.cols() == active_rows_, "input width " << x.cols() << " != programmed rows "
                                                            << active_rows_);
@@ -496,7 +523,7 @@ void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, const PassSpans* sp
                   "pass spans cover " << spans->rows() << " rows, batch has " << x.rows());
   y.resize(x.rows(), spans != nullptr ? spans->width() : active_cols_);
   y.fill(0.0f);
-  fused_matvec(x, y, spans, col_offset);
+  fused_matvec(x, y, scratch, spans, col_offset);
 }
 
 Matrix Crossbar::matvec_batch(const Matrix& x) {

@@ -57,10 +57,14 @@ class CimRetriever {
   /// change. n_keys() reports the capacity (score-row width) in this mode.
   void store_mutable(std::size_t key_size, std::size_t capacity, const Rng& rng);
 
-  /// Program `keys` into key columns [col_begin, col_begin + keys.size())
-  /// of every scale bank (each key pooled per scale first, exactly as
-  /// store() lays keys out). Requires store_mutable() and capacity.
-  void program_keys(std::size_t col_begin, const std::vector<Matrix>& keys);
+  /// Program keys[0, n) into key columns [col_begin, col_begin + n) of
+  /// every scale bank (each key pooled per scale first, exactly as store()
+  /// lays keys out). Requires store_mutable() and capacity. Calls over
+  /// disjoint columns may run at once (see cim::Accelerator::program_keys).
+  void program_keys(std::size_t col_begin, const Matrix* keys, std::size_t n);
+  void program_keys(std::size_t col_begin, const std::vector<Matrix>& keys) {
+    program_keys(col_begin, keys.data(), keys.size());
+  }
 
   /// Grow mutable capacity to at least `n` key columns (whole subarrays).
   void ensure_capacity(std::size_t n);

@@ -99,19 +99,18 @@ void CimRetriever::store_mutable(std::size_t key_size, std::size_t capacity, con
   n_keys_ = banks_[0]->n_keys();  // capacity rounded up to whole subarrays
 }
 
-void CimRetriever::program_keys(std::size_t col_begin, const std::vector<Matrix>& keys) {
+void CimRetriever::program_keys(std::size_t col_begin, const Matrix* keys, std::size_t n) {
   NVCIM_CHECK_MSG(mutable_mode_, "program_keys requires store_mutable");
-  NVCIM_CHECK_MSG(!keys.empty(), "no keys to program");
-  for (const Matrix& k : keys)
-    NVCIM_CHECK_MSG(k.size() == key_size_, "keys must share a common size");
-  NVCIM_CHECK_MSG(col_begin + keys.size() <= n_keys_,
+  NVCIM_CHECK_MSG(n > 0, "no keys to program");
+  for (std::size_t i = 0; i < n; ++i)
+    NVCIM_CHECK_MSG(keys[i].size() == key_size_, "keys must share a common size");
+  NVCIM_CHECK_MSG(col_begin + n <= n_keys_,
                   "columns exceed capacity " << n_keys_ << " — grow with ensure_capacity()");
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     const std::size_t scale = bank_scales_[b];
     const std::size_t pooled_len = (key_size_ + scale - 1) / scale;
-    Matrix pooled(keys.size(), pooled_len);
-    for (std::size_t i = 0; i < keys.size(); ++i)
-      pooled.set_row(i, average_pool_flat(keys[i], scale));
+    Matrix pooled(n, pooled_len);
+    for (std::size_t i = 0; i < n; ++i) pooled.set_row(i, average_pool_flat(keys[i], scale));
     banks_[b]->program_keys(pooled, col_begin);
   }
 }

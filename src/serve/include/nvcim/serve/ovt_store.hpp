@@ -1,6 +1,9 @@
 #pragma once
 
+#include <pthread.h>
+
 #include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -122,15 +125,27 @@ struct OvtStoreConfig {
 ///     underloaded shards with the same program-then-publish-then-free
 ///     protocol, so serving never quiesces.
 ///
-/// Thread-safety: per-shard mutexes — queries against different shards
-/// proceed concurrently; queries against one shard serialize (the crossbar
-/// op counters make bank reads non-const). Every column write — build,
-/// admission span, migration, scrub repair — goes through one writer that
-/// programs spans of at most 32 columns, never crossing a subarray, and
-/// holds the shard mutex for one span at a time, so a write excludes that
-/// shard's queries for one span, never a whole slot or pass. Lifecycle
-/// mutations serialize on one store-level mutex. Routing reads an immutable
-/// snapshot and needs no lock.
+/// Thread-safety: one writer-preferring readers–writer lock per shard.
+/// Slot-span passes take it shared, so queries never exclude each other, on
+/// one shard or across shards (each pass keeps its buffers in the caller's
+/// scratch and advances the op counters atomically). Every column write — build, admission span,
+/// migration, scrub repair — goes through one writer that programs spans of
+/// at most 32 columns, never crossing a subarray, one lock hold per span:
+///   - a span of an unpublished slot (a staged admission, a migration's
+///     target) whose kernel blocks all lie inside that slot takes the lock
+///     shared: no pinned reader reads those blocks, so it runs beside
+///     passes and beside the slot's other spans (span_private());
+///   - an unpublished span whose edge block holds a neighbour's columns,
+///     and every rewrite of live columns (scrub repair), take it exclusive,
+///     since the kernel loads whole blocks.
+/// Growth (which may reallocate a bank's tiles), fault injection, kill,
+/// drift and the scrub probes also take it exclusive. Full-width (unmasked)
+/// passes read every column, unpublished ones included: they take the lock
+/// shared but never overlap a shared write (a per-shard gate keeps the two
+/// apart, writes first). Epoch pins stand in for grace periods: a slot's columns are
+/// reused only once every reader that could still read them has drained.
+/// Lifecycle mutations serialize on one store-level mutex, taken before any
+/// shard lock. Routing reads an immutable snapshot and needs no lock.
 class ShardedOvtStore {
  public:
   using UserSlot = serve::UserSlot;
@@ -177,8 +192,9 @@ class ShardedOvtStore {
   // does every placement decision (shard choice, slot allocation, capacity
   // provisioning, router build) under the lifecycle lock and publishes the
   // slot as PENDING; program_span() programs one span of the column writer
-  // under that shard's lock only (callable from any worker, in any order —
-  // each column draws from its own position-derived stream); commit_admit()
+  // under that shard's lock only, shared when the span's blocks are private
+  // (callable from any worker, in any order, several at once — each column
+  // draws from its own position-derived stream); commit_admit()
   // flips the tenant live once every span is programmed. The programmed
   // cells are bit-identical to a synchronous admit_user() and to a
   // from-scratch build with the same placement.
@@ -201,9 +217,10 @@ class ShardedOvtStore {
   StagedAdmission stage_admit(std::size_t user_id, const std::vector<Matrix>& keys);
 
   /// Program one staged span (spans[idx]) into the target shard through the
-  /// column writer. Takes only that shard's lock — serving on other shards
-  /// is untouched, and this shard is blocked for one span, not the whole
-  /// slot.
+  /// column writer. The slot is unpublished, so a span whose blocks lie
+  /// inside it takes the shard lock shared and runs beside that shard's
+  /// queries and the admission's other spans; an edge span sharing a block
+  /// with a neighbour holds the lock exclusive for that span only.
   void program_span(const StagedAdmission& staged, std::size_t idx);
 
   /// Flip a staged tenant live (all spans programmed). Publishes the epoch
@@ -225,9 +242,10 @@ class ShardedOvtStore {
 
   /// Move one user's slot to `to_shard`: program its keys there, republish
   /// the directory, free the old range (epoch-deferred). The keys go
-  /// through the column writer, so the target shard's queries wait for one
-  /// span at a time, not the whole slot. The router is untouched — cluster
-  /// membership is slot-local. The user's post-move results are
+  /// through the column writer into a slot no reader sees yet, so the
+  /// target shard keeps serving beside every span whose blocks lie inside
+  /// that slot, and waits for an edge span only. The router is untouched —
+  /// cluster membership is slot-local. The user's post-move results are
   /// bit-identical to a from-scratch build with that placement.
   void migrate_user(std::size_t user_id, std::size_t to_shard);
 
@@ -296,12 +314,14 @@ class ShardedOvtStore {
   Matrix shard_scores(std::size_t shard, const Matrix& queries);
 
   /// shard_scores() written into caller storage with caller scratch —
-  /// bit-identical, allocation-free once warm. Different shards may be
-  /// queried concurrently (per-shard locking); callers running shards in
-  /// parallel must pass distinct `out`/`scratch` per concurrent call.
+  /// bit-identical, allocation-free once warm. Concurrent calls must pass
+  /// distinct `out`/`scratch`.
   /// With `spans` (slot_spans() or route_candidates()), each row scores only
   /// its own slot into the compact B × spans->width() block, whose column j
   /// of row b is the user-local key j — pick winners with best_candidate().
+  /// Every pass takes the shard lock shared and runs beside other passes.
+  /// A slot-span pass also runs beside unpublished-column writes; a pass
+  /// without `spans` reads every column, so it waits for them.
   void shard_scores_into(std::size_t shard, const Matrix& queries, Matrix& out,
                          retrieval::CimRetriever::Scratch& scratch,
                          const cim::PassSpans* spans = nullptr);
@@ -320,8 +340,18 @@ class ShardedOvtStore {
   static std::size_t best_candidate(const Matrix& scores, std::size_t row,
                                     const cim::PassSpans& spans);
 
-  /// Total crossbar op counters across all shards.
+  /// Total crossbar op counters across all shards (shared shard locks: a
+  /// read never waits for passes or unpublished-column writes).
   cim::OpCounters counters() const;
+
+  /// The column writer's lock rule: true when every kernel block that shard
+  /// columns [c0, c1) fall in lies inside [slot_begin, slot_end). Blocks are
+  /// Crossbar::kBlockColumns groups restarting at every `subarray_cols`
+  /// subarray, the last one ending at the subarray's edge. A write of an
+  /// unpublished slot's span with private blocks takes the shard lock
+  /// shared; any other write takes it exclusive.
+  static bool span_private(std::size_t c0, std::size_t c1, std::size_t slot_begin,
+                           std::size_t slot_end, std::size_t subarray_cols);
 
   // ---- Device-fault tolerance (requires LifecycleConfig::enabled) ----
   //
@@ -384,11 +414,62 @@ class ShardedOvtStore {
   bool user_degraded(std::size_t user_id) const;
 
  private:
+  /// The shard lock: std::shared_mutex's interface over a writer-preferring
+  /// rwlock. While an exclusive locker waits, new shared lockers wait too,
+  /// so a steady stream of passes cannot starve growth, repair or an edge
+  /// write (glibc's default rwlock, behind std::shared_mutex, prefers
+  /// readers). Shared locks must not nest.
+  class SharedMutex {
+   public:
+    SharedMutex();
+    ~SharedMutex();
+    SharedMutex(const SharedMutex&) = delete;
+    SharedMutex& operator=(const SharedMutex&) = delete;
+    void lock();
+    void unlock();
+    void lock_shared();
+    void unlock_shared();
+
+   private:
+    pthread_rwlock_t rw_;
+  };
+
+  /// Keeps apart the two kinds of shared shard-lock holder that must not
+  /// overlap: full-width passes read every column, shared writes write an
+  /// unpublished slot's columns. Any number of holders of one side may hold
+  /// it at once (group mutual exclusion); writes go first, so a waiting
+  /// write holds off new full-width passes. Taken before the shard lock.
+  class ColumnGate {
+   public:
+    enum Side : std::size_t { kFullPass = 0, kSharedWrite = 1 };
+    /// Holds one side of the gate for its lifetime.
+    class Hold {
+     public:
+      Hold(ColumnGate& gate, Side side);
+      ~Hold();
+      Hold(const Hold&) = delete;
+      Hold& operator=(const Hold&) = delete;
+
+     private:
+      ColumnGate& gate_;
+      Side side_;
+    };
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t held_[2] = {0, 0};  ///< holders per side, guarded by mu_
+    std::size_t writes_waiting_ = 0;  ///< guarded by mu_
+  };
+
   struct Shard {
     std::unique_ptr<retrieval::CimRetriever> retriever;
     SlotAllocator allocator;               ///< guarded by lifecycle_mu_
     std::atomic<std::size_t> capacity{0};  ///< score-row width
-    std::mutex mu;
+    /// Shared: passes, unpublished writes with private blocks, counter
+    /// reads. Exclusive: everything else (see the class comment).
+    SharedMutex mu;
+    ColumnGate gate;  ///< full-width passes vs shared writes
   };
 
   std::shared_ptr<const UserRouter> build_router(std::size_t user_id,
@@ -409,19 +490,24 @@ class ShardedOvtStore {
   /// accumulator-block width when two-phase pruning benefits, else 1.
   std::size_t slot_align() const;
   /// The only place a shard's retriever is created or grown: to at least
-  /// `need` key columns (takes the shard lock). Caller holds lifecycle_mu_,
-  /// or is build_shard(), which no other thread can race — writes then
-  /// program under the shard lock alone, never racing a tile-grid grow.
+  /// `need` key columns (takes the shard lock exclusive). Caller holds
+  /// lifecycle_mu_, or is build_shard(), which no other thread can race —
+  /// writes then program under the shard lock alone, never racing a
+  /// tile-grid grow.
   void ensure_shard_capacity_locked(std::size_t shard, std::size_t need);
   /// Cut shard columns [begin, end) into programming spans: at most 32
   /// columns each and never crossing a subarray.
   std::vector<std::pair<std::size_t, std::size_t>> write_spans(std::size_t begin,
                                                                std::size_t end) const;
-  /// The column writer: program keys[0, n) into shard columns
-  /// [begin, begin + n) one write_spans() span at a time, holding the shard
-  /// lock for one span only. Build, admission spans, migration and scrub
-  /// repair all write through it. Capacity must already cover the range.
-  void write_keys(std::size_t shard, std::size_t begin, const Matrix* keys, std::size_t n);
+  /// The column writer: program keys[0, n) into columns [begin, begin + n)
+  /// of `slot` (on slot.shard) one write_spans() span at a time, holding the
+  /// shard lock for one span only. Build, admission spans, migration and
+  /// scrub repair all write through it. `published` says whether a pinned
+  /// reader may read the slot: an unpublished span with span_private()
+  /// blocks takes the lock shared, any other span exclusive. Capacity must
+  /// already cover the range.
+  void write_keys(const UserSlot& slot, std::size_t begin, const Matrix* keys, std::size_t n,
+                  bool published);
 
   OvtStoreConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <exception>
+#include <shared_mutex>
 #include <thread>
 
 #include "nvcim/cim/quant.hpp"
@@ -190,7 +191,7 @@ std::shared_ptr<const UserRouter> ShardedOvtStore::build_router(
 
 void ShardedOvtStore::ensure_shard_capacity_locked(std::size_t shard, std::size_t need) {
   Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SharedMutex> lock(s.mu);
   if (s.retriever == nullptr) {
     s.retriever = std::make_unique<retrieval::CimRetriever>(retriever_config(cfg_));
     s.retriever->store_mutable(key_size_, need, shard_base_rng_[shard]);
@@ -214,17 +215,71 @@ std::vector<std::pair<std::size_t, std::size_t>> ShardedOvtStore::write_spans(
   return spans;
 }
 
-void ShardedOvtStore::write_keys(std::size_t shard, std::size_t begin, const Matrix* keys,
-                                 std::size_t n) {
-  Shard& s = *shards_[shard];
+bool ShardedOvtStore::span_private(std::size_t c0, std::size_t c1, std::size_t slot_begin,
+                                   std::size_t slot_end, std::size_t subarray_cols) {
+  NVCIM_CHECK_MSG(c0 < c1, "empty span [" << c0 << ", " << c1 << ")");
+  constexpr std::size_t block = cim::Crossbar::kBlockColumns;
+  const auto subarray_begin = [&](std::size_t c) { return c / subarray_cols * subarray_cols; };
+  const auto block_begin = [&](std::size_t c) {
+    return subarray_begin(c) + (c - subarray_begin(c)) / block * block;
+  };
+  const std::size_t last = c1 - 1;
+  const std::size_t blocks_end =
+      std::min(block_begin(last) + block, subarray_begin(last) + subarray_cols);
+  return block_begin(c0) >= slot_begin && blocks_end <= slot_end;
+}
+
+ShardedOvtStore::SharedMutex::SharedMutex() {
+  pthread_rwlockattr_t attr;
+  NVCIM_CHECK(pthread_rwlockattr_init(&attr) == 0);
+  int rc = pthread_rwlockattr_setkind_np(&attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP);
+  if (rc == 0) rc = pthread_rwlock_init(&rw_, &attr);
+  pthread_rwlockattr_destroy(&attr);
+  NVCIM_CHECK_MSG(rc == 0, "shard lock init failed (" << rc << ")");
+}
+
+ShardedOvtStore::SharedMutex::~SharedMutex() { pthread_rwlock_destroy(&rw_); }
+
+void ShardedOvtStore::SharedMutex::lock() { NVCIM_CHECK(pthread_rwlock_wrlock(&rw_) == 0); }
+void ShardedOvtStore::SharedMutex::unlock() { pthread_rwlock_unlock(&rw_); }
+void ShardedOvtStore::SharedMutex::lock_shared() { NVCIM_CHECK(pthread_rwlock_rdlock(&rw_) == 0); }
+void ShardedOvtStore::SharedMutex::unlock_shared() { pthread_rwlock_unlock(&rw_); }
+
+ShardedOvtStore::ColumnGate::Hold::Hold(ColumnGate& gate, Side side) : gate_(gate), side_(side) {
+  std::unique_lock<std::mutex> lock(gate_.mu_);
+  if (side_ == kSharedWrite) ++gate_.writes_waiting_;
+  gate_.cv_.wait(lock, [&] {
+    return gate_.held_[1 - side_] == 0 && (side_ == kSharedWrite || gate_.writes_waiting_ == 0);
+  });
+  if (side_ == kSharedWrite) --gate_.writes_waiting_;
+  ++gate_.held_[side_];
+}
+
+ShardedOvtStore::ColumnGate::Hold::~Hold() {
+  std::lock_guard<std::mutex> lock(gate_.mu_);
+  if (--gate_.held_[side_] == 0) gate_.cv_.notify_all();
+}
+
+void ShardedOvtStore::write_keys(const UserSlot& slot, std::size_t begin, const Matrix* keys,
+                                 std::size_t n, bool published) {
+  Shard& s = *shards_[slot.shard];
+  const auto program = [&](std::size_t c0, std::size_t c1) {
+    NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << slot.shard << " not provisioned");
+    s.retriever->program_keys(c0, keys + (c0 - begin), c1 - c0);
+  };
   for (const auto& [c0, c1] : write_spans(begin, begin + n)) {
-    const std::vector<Matrix> span(keys + (c0 - begin), keys + (c1 - begin));
-    // One span's column writes exclude this shard's MVM passes; other
-    // shards keep serving, and readers of this one wait for 32 columns at
-    // most.
-    std::lock_guard<std::mutex> lock(s.mu);
-    NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
-    s.retriever->program_keys(c0, span);
+    // No pinned reader reads an unpublished slot, and the kernel reads
+    // whole blocks: a span whose blocks all lie inside the slot runs beside
+    // this shard's passes and the slot's other spans. Any other span
+    // excludes them for its 32 columns at most.
+    if (!published && span_private(c0, c1, slot.begin, slot.end, cfg_.crossbar.cols)) {
+      const ColumnGate::Hold hold(s.gate, ColumnGate::kSharedWrite);
+      std::shared_lock<SharedMutex> lock(s.mu);
+      program(c0, c1);
+    } else {
+      std::lock_guard<SharedMutex> lock(s.mu);
+      program(c0, c1);
+    }
   }
 }
 
@@ -278,7 +333,8 @@ void ShardedOvtStore::build_shard(std::size_t s, const TenantSnapshot& snap,
   // the writer groups columns.
   for (const std::size_t user : users) {
     const std::vector<Matrix>& keys = user_keys_.at(user);
-    write_keys(s, snap.slot(user).begin, keys.data(), keys.size());
+    const UserSlot& slot = snap.slot(user);
+    write_keys(slot, slot.begin, keys.data(), keys.size(), /*published=*/false);
   }
   if (routed_)
     for (const std::size_t user : users)
@@ -353,7 +409,9 @@ ShardedOvtStore::StagedAdmission ShardedOvtStore::stage_admit(std::size_t user_i
 void ShardedOvtStore::program_span(const StagedAdmission& staged, std::size_t idx) {
   NVCIM_CHECK_MSG(idx < staged.spans.size(), "span " << idx << " out of range");
   const auto [c0, c1] = staged.spans[idx];
-  write_keys(staged.shard, c0, staged.keys->data() + (c0 - staged.begin), c1 - c0);
+  const UserSlot slot{staged.shard, staged.begin, staged.begin + staged.keys->size()};
+  write_keys(slot, c0, staged.keys->data() + (c0 - staged.begin), c1 - c0,
+             /*published=*/false);
 }
 
 void ShardedOvtStore::commit_admit(std::size_t user_id) {
@@ -420,9 +478,10 @@ void ShardedOvtStore::migrate_user(std::size_t user_id, std::size_t to_shard) {
   const std::size_t begin =
       shards_[to_shard]->allocator.allocate(keys.size(), safe, slot_align());
   ensure_shard_capacity_locked(to_shard, begin + keys.size());
-  write_keys(to_shard, begin, keys.data(), keys.size());
+  const UserSlot to{to_shard, begin, begin + keys.size()};
+  write_keys(to, begin, keys.data(), keys.size(), /*published=*/false);
   const std::uint64_t freed_epoch = directory_.update([&](TenantSnapshot& t) {
-    t.slots[user_id] = UserSlot{to_shard, begin, begin + keys.size()};
+    t.slots[user_id] = to;
     // The router is slot-local (member indices are user-local), so migration
     // never re-clusters — router refresh stays incremental by construction.
     t.shard_capacity[to_shard] = shards_[to_shard]->capacity.load(std::memory_order_acquire);
@@ -618,9 +677,13 @@ void ShardedOvtStore::shard_scores_into(std::size_t shard, const Matrix& queries
   NVCIM_CHECK_MSG(built_, "store not built");
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   Shard& s = *shards_[shard];
+  // A slot-span pass reads only its rows' blocks, which no shared write
+  // touches (write_keys); a full-width pass reads every column.
+  std::optional<ColumnGate::Hold> full;
+  if (spans == nullptr) full.emplace(s.gate, ColumnGate::kFullPass);
   // The retriever pointer is read under the shard lock: lifecycle admits
   // may create it (empty shard) or grow it concurrently.
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::shared_lock<SharedMutex> lock(s.mu);
   NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " holds no keys");
   s.retriever->scores_batch_into(queries, out, scratch, spans);
 }
@@ -633,7 +696,8 @@ std::size_t ShardedOvtStore::retrieve_user(std::size_t user_id, const Matrix& qu
   const PinnedDirectory pinned = pin();
   const UserSlot us = pinned.slot(user_id);
   Shard& s = *shards_[us.shard];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const ColumnGate::Hold full(s.gate, ColumnGate::kFullPass);
+  std::shared_lock<SharedMutex> lock(s.mu);
   NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << us.shard << " holds no keys");
   const Matrix scores = s.retriever->scores(query);
   return best_in_slot(scores, 0, us);
@@ -665,9 +729,9 @@ std::size_t ShardedOvtStore::best_candidate(const Matrix& scores, std::size_t ro
 cim::OpCounters ShardedOvtStore::counters() const {
   cim::OpCounters c;
   for (const auto& s : shards_) {
-    // Bank queries mutate the counters, so reading them takes the same
-    // per-shard lock as shard_scores().
-    std::lock_guard<std::mutex> lock(s->mu);
+    // Passes and writes advance the counters atomically; the shared lock
+    // only keeps the retriever and its tiles from growing under the read.
+    std::shared_lock<SharedMutex> lock(s->mu);
     if (s->retriever != nullptr) c += s->retriever->counters();
   }
   return c;
@@ -687,7 +751,7 @@ std::size_t ShardedOvtStore::inject_column_fault(std::size_t shard, std::size_t 
                                                  std::uint64_t seed) {
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SharedMutex> lock(s.mu);
   NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
   return s.retriever->inject_column_fault(col, kind, n_cells, seed);
 }
@@ -695,21 +759,21 @@ std::size_t ShardedOvtStore::inject_column_fault(std::size_t shard, std::size_t 
 void ShardedOvtStore::kill_subarray(std::size_t shard, std::size_t sub) {
   NVCIM_CHECK_MSG(shard < shards_.size(), "shard " << shard << " out of range");
   Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<SharedMutex> lock(s.mu);
   NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
   s.retriever->kill_subarray(sub);
 }
 
 void ShardedOvtStore::set_drift_rate(double rate_per_tick) {
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SharedMutex> lock(s->mu);
     if (s->retriever != nullptr) s->retriever->set_drift_rate(rate_per_tick);
   }
 }
 
 void ShardedOvtStore::advance_age(std::uint64_t ticks) {
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    std::lock_guard<SharedMutex> lock(s->mu);
     if (s->retriever != nullptr) s->retriever->advance_age(ticks);
   }
 }
@@ -738,7 +802,7 @@ ScrubReport ShardedOvtStore::scrub_subarray(std::size_t shard, std::size_t sub) 
       retired[c - begin] = s.allocator.is_quarantined(c, c + 1);
   }
   {
-    std::lock_guard<std::mutex> lock(s.mu);
+    std::lock_guard<SharedMutex> lock(s.mu);
     if (s.retriever == nullptr || end > s.retriever->n_keys()) return report;
     for (std::size_t c = begin; c < end; ++c) {
       if (retired[c - begin]) continue;
@@ -786,13 +850,14 @@ std::vector<std::size_t> ShardedOvtStore::repair_columns(std::size_t shard,
     const UserSlot& slot = snap->slot(*user);
     std::size_t j = i + 1;
     while (j < cols.size() && cols[j] == cols[j - 1] + 1 && cols[j] < slot.end) ++j;
-    write_keys(shard, cols[i], &user_keys_.at(*user)[cols[i] - slot.begin], j - i);
+    write_keys(slot, cols[i], &user_keys_.at(*user)[cols[i] - slot.begin], j - i,
+               /*published=*/true);
     i = j;
   }
   // A stuck cell survives the rewrite either way — the re-probe decides.
   Shard& s = *shards_[shard];
   for (const std::size_t col : cols) {
-    std::lock_guard<std::mutex> slock(s.mu);
+    std::lock_guard<SharedMutex> slock(s.mu);
     NVCIM_CHECK_MSG(s.retriever != nullptr, "shard " << shard << " not provisioned");
     if (s.retriever->probe_column(col).deviant > 0) stuck.push_back(col);
   }

@@ -17,7 +17,8 @@
 //  - one request's OpCounters delta is its slot's block-granular ADC count
 //    and activations of the subarrays its slot overlaps, nothing more, and
 //    scoring a row beside batch-mates neither changes its scores nor its
-//    costs.
+//    costs; three threads running the same passes at once on one shard add
+//    exactly three times one serial run's counts, field by field.
 
 #include <gtest/gtest.h>
 
@@ -577,6 +578,70 @@ TEST(SlotScopedCounters, BatchMatesDoNotChangeARowsCosts) {
   for (std::size_t j = 0; j < kSlotKeys; ++j) {
     EXPECT_EQ(bits(both(0, j)), bits(alone0(0, j))) << j;
     EXPECT_EQ(bits(both(1, j)), bits(alone3(0, j))) << j;
+  }
+}
+
+TEST(SlotScopedCounters, ConcurrentPassesCountExactly) {
+  // Passes share the shard lock and advance the crossbar counters with
+  // atomic adds: three threads running the same slot-span passes at once
+  // must count exactly three serial runs, and score what one run scores.
+  SlotScopedFixture f;
+  serve::OvtStoreConfig cfg;
+  cfg.n_shards = 1;
+  cfg.crossbar.rows = 64;
+  cfg.crossbar.cols = 128;
+  cfg.variation = {nvm::fefet3(), 0.1};
+  serve::ShardedOvtStore store(cfg);
+  for (std::size_t u = 0; u < 4; ++u) store.add_user(u, f.make_deployment(u).keys);
+  Rng br(1581);
+  store.build(br);
+  const serve::PinnedDirectory pinned = store.pin();
+
+  Rng qr(1582);
+  const std::size_t key_size = SlotScopedFixture::kTokens * SlotScopedFixture::kCodeDim;
+  const Matrix queries = Matrix::randn(4, key_size, qr);
+  cim::PassSpans all, some;
+  serve::ShardedOvtStore::slot_spans(*pinned.snap, 0, {0, 1, 2, 3}, all);
+  serve::ShardedOvtStore::slot_spans(*pinned.snap, 0, {3, 1, 3, 0}, some);
+  const auto run = [&](Matrix& last) {
+    retrieval::CimRetriever::Scratch scratch;
+    for (int i = 0; i < 8; ++i) {
+      store.shard_scores_into(0, queries, last, scratch, &all);
+      store.shard_scores_into(0, queries, last, scratch, &some);
+    }
+  };
+  const auto minus = [](const cim::OpCounters& a, const cim::OpCounters& b) {
+    cim::OpCounters d;
+    d.subarray_activations = a.subarray_activations - b.subarray_activations;
+    d.adc_conversions = a.adc_conversions - b.adc_conversions;
+    d.cells_programmed = a.cells_programmed - b.cells_programmed;
+    d.write_pulses = a.write_pulses - b.write_pulses;
+    return d;
+  };
+
+  Matrix serial;
+  const cim::OpCounters c0 = store.counters();
+  run(serial);
+  const cim::OpCounters one = minus(store.counters(), c0);
+  ASSERT_GT(one.subarray_activations, 0u);
+  ASSERT_GT(one.adc_conversions, 0u);
+
+  std::vector<Matrix> outs(3);
+  const cim::OpCounters c1 = store.counters();
+  {
+    std::vector<std::thread> threads;
+    for (Matrix& out : outs) threads.emplace_back([&] { run(out); });
+    for (std::thread& t : threads) t.join();
+  }
+  const cim::OpCounters three = minus(store.counters(), c1);
+  EXPECT_EQ(three.subarray_activations, 3 * one.subarray_activations);
+  EXPECT_EQ(three.adc_conversions, 3 * one.adc_conversions);
+  EXPECT_EQ(three.cells_programmed, 3 * one.cells_programmed);
+  EXPECT_EQ(three.write_pulses, 3 * one.write_pulses);
+  for (const Matrix& out : outs) {
+    ASSERT_TRUE(out.same_shape(serial));
+    for (std::size_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(bits(out.at_flat(i)), bits(serial.at_flat(i))) << i;
   }
 }
 
