@@ -96,12 +96,14 @@ class Crossbar {
   explicit Crossbar(CrossbarConfig cfg = {}) : cfg_(cfg) {}
 
   /// Per-pass kernel buffers, owned by the caller so that passes over one
-  /// subarray can run at once: the per-query ADC LSB and the gathered query
-  /// rows of each column block. Warm scratch makes a pass allocation-free.
+  /// subarray can run at once: the per-query ADC LSB, the gathered query
+  /// rows of each column block and the pass's live slice planes. Warm
+  /// scratch makes a pass allocation-free.
   struct Scratch {
     std::vector<double> lsb;
     std::vector<std::size_t> block_rows;   ///< rows needing each block, block-major
     std::vector<std::size_t> block_start;  ///< block bk's rows: [start[bk], start[bk+1])
+    std::vector<std::size_t> live_slices;  ///< slices not all-zero, ascending
   };
 
   const CrossbarConfig& config() const { return cfg_; }
@@ -154,12 +156,13 @@ class Crossbar {
   Matrix matvec(const Matrix& x);
 
   /// Batched y = x · W with identical semantics (and bit-identical results:
-  /// the per-accumulator addition order over rows is preserved) but a fused
-  /// cache-friendly kernel — per slice plane and column block, input rows
-  /// stream down the block's contiguous [G+ G−] stripe into adjacent
-  /// per-column accumulators in one unit-stride pass, so one sweep serves
-  /// both polarities of up to four queries. Counters advance exactly as B
-  /// calls to matvec would.
+  /// the per-accumulator addition order over rows and the per-output order
+  /// over slices are preserved) but a fused cache-friendly kernel — per
+  /// column block, input rows stream down the block's contiguous [G+ G−]
+  /// stripes into adjacent per-column accumulators in one unit-stride pass,
+  /// so one sweep serves both polarities of up to four (query, slice plane)
+  /// pairs: four queries of one plane, two of two planes, or one query of
+  /// four planes. Counters advance exactly as B calls to matvec would.
   Matrix matvec_batch(const Matrix& x);
 
   /// matvec_batch() written into caller storage — allocation-free once `y`

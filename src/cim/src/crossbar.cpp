@@ -357,50 +357,85 @@ Matrix Crossbar::matvec(const Matrix& x) {
   return y;
 }
 
+// The kernel's tiles are sized for 16 zmm accumulators. Where AVX-512 is on,
+// GCC still prefers 256-bit vectors, and a lone row's four-slice tile would
+// then take all 32 ymm registers and spill; ask for 512-bit ones here. Every
+// operation is lane-wise, so the width moves no bit.
+#if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC target("prefer-vector-width=512")
+#endif
+
 namespace {
 
 constexpr std::size_t kBlk = Crossbar::kAccumulatorLanes;
 
 /// One register tile of the fused kernel: T gathered query rows (`idx` into
-/// `x`) swept down one block's contiguous `rows × kBlk` stripe, each
-/// accumulator summing rows 0..rows-1 in ascending order from zero, then
-/// `fold(m, acc)` per query. The body has one fixed width the compiler keeps
-/// in vector registers: the lanes of a partial block past its last column
-/// are zero padding, so they only sum products with 0, and the fold never
-/// writes them.
-template <std::size_t T, class Fold>
-void sweep_tile(const Matrix& x, const std::size_t* idx, const float* stripe, std::size_t rows,
-                Fold&& fold) {
+/// `x`) swept down the `rows × kBlk` stripes of one block in U live slice
+/// planes (`slices`, ascending; plane s's stripe starts at `block + s *
+/// stride`), each accumulator summing rows 0..rows-1 in ascending order from
+/// zero, then `fold(m, s, acc)` per query and slice with the slices in
+/// ascending order. T·U ≤ 4 accumulator blocks take 16 zmm registers, so a
+/// lone row still keeps 16 independent chains in flight. The body has one
+/// fixed width the compiler keeps in vector registers: the lanes of a
+/// partial block past its last column are zero padding, so they only sum
+/// products with 0, and the fold never writes them.
+template <std::size_t T, std::size_t U, class Fold>
+void sweep_tile(const Matrix& x, const std::size_t* idx, const float* block, std::size_t stride,
+                const std::size_t* slices, std::size_t rows, Fold&& fold) {
+  static_assert(T * U <= 4, "a tile holds at most four accumulator blocks");
   const float* xs[T];
   for (std::size_t t = 0; t < T; ++t) xs[t] = x.data() + idx[t] * x.cols();
-  double acc[T][kBlk] = {};
-  for (std::size_t r = 0; r < rows; ++r, stripe += kBlk) {
+  const float* stripes[U];
+  for (std::size_t u = 0; u < U; ++u) stripes[u] = block + slices[u] * stride;
+  double acc[U][T][kBlk] = {};
+  for (std::size_t r = 0; r < rows; ++r) {
     double v[T];
     for (std::size_t t = 0; t < T; ++t) v[t] = xs[t][r];
-    for (std::size_t j = 0; j < kBlk; ++j) {
-      const double p = stripe[j];
-      for (std::size_t t = 0; t < T; ++t) acc[t][j] += v[t] * p;
+    for (std::size_t u = 0; u < U; ++u) {
+      const float* stripe = stripes[u] + r * kBlk;
+      for (std::size_t j = 0; j < kBlk; ++j) {
+        const double p = stripe[j];
+        for (std::size_t t = 0; t < T; ++t) acc[u][t][j] += v[t] * p;
+      }
     }
   }
-  for (std::size_t t = 0; t < T; ++t) fold(idx[t], acc[t]);
+  for (std::size_t u = 0; u < U; ++u)
+    for (std::size_t t = 0; t < T; ++t) fold(idx[t], slices[u], acc[u][t]);
+}
+
+/// T rows over all `n_live` live slices of one block: U planes per tile,
+/// then the leftover planes in one narrower tile.
+template <std::size_t T, std::size_t U, class Fold>
+void sweep_slices(const Matrix& x, const std::size_t* idx, const float* block,
+                  std::size_t stride, const std::size_t* live, std::size_t n_live,
+                  std::size_t rows, Fold&& fold) {
+  for (; n_live >= U; live += U, n_live -= U)
+    sweep_tile<T, U>(x, idx, block, stride, live, rows, fold);
+  if constexpr (U > 1) {
+    if (n_live > 0) sweep_slices<T, U - 1>(x, idx, block, stride, live, n_live, rows, fold);
+  }
 }
 
 }  // namespace
 
-/// Fused slice kernel, iterated slice → column block → gathered query rows:
-/// each block's stripe of a slice plane is swept once per tile of up to four
-/// rows that need the block (the scalar matvec() re-streams every plane per
-/// query), feeding resident kBlk-wide accumulators, then one ADC/shift pass
-/// with a hoisted per-query LSB folds each row's block into its output row.
-/// It is bit-identical to matvec() because (a) every accumulator element
-/// still sums rows r = 0..R-1 in ascending order starting from zero, and (b)
-/// each output element still receives its per-slice contributions in
-/// ascending slice order — only which independent (query, column) sums are
-/// formed together changed, so neither the batch's row order nor its
-/// grouping into tiles moves a bit. The cells are stored block-major, so a
-/// tile reads one contiguous `rows × kBlk` stripe, and consecutive blocks of
-/// a slice are consecutive stripes: slices are the outer loop so that the
-/// sweep walks each plane front to back while its pages are hot.
+/// Fused slice kernel, iterated column block → tile of gathered query rows →
+/// live slice planes: each block's stripes are swept once per register tile
+/// (the scalar matvec() re-streams every plane per query), feeding resident
+/// kBlk-wide accumulators, then one ADC/shift pass with a hoisted per-query
+/// LSB folds each row's block into its output row. A tile is rows × slices
+/// with at most four accumulator blocks: 4-row tiles take one slice at a
+/// time, a 3-row remainder too, a 2-row remainder two slices, and a lone row
+/// four. Tenants own disjoint blocks, so most blocks are read by one row,
+/// and its four planes give the sweep the independent chains that one plane
+/// lacks. It is bit-identical to matvec() because (a) every accumulator
+/// element still sums rows r = 0..R-1 in ascending order starting from
+/// zero, and (b) every output element lies in exactly one block, whose
+/// tiles fold its per-slice contributions in ascending slice order — only
+/// which independent (query, slice, column) sums are formed together
+/// changed, so neither the batch's row order nor its grouping into tiles
+/// moves a bit. The cells are stored block-major, so each plane's share of a
+/// tile is one contiguous `rows × kBlk` stripe.
 void Crossbar::fused_matvec(const Matrix& x, Matrix& y, Scratch& scratch,
                             const PassSpans* spans, std::size_t col_offset) {
   const std::size_t S = cfg_.n_slices();
@@ -471,48 +506,66 @@ void Crossbar::fused_matvec(const Matrix& x, Matrix& y, Scratch& scratch,
   d.adc_conversions = S * P * computed_cols;
   count(d);
 
-  for (std::size_t s = 0; s < S; ++s) {
-    if (slice_is_zero(s)) continue;  // contributes exactly zero
-    const double shift = slice_shift_[s];
-    for (std::size_t bk = 0; bk < n_blk; ++bk) {
-      const std::size_t c_lo = bk * kBlockColumns;
-      const std::size_t nc = std::min(kBlockColumns, active_cols_ - c_lo);
-      // ADC + shift fold of one query's accumulator block into its output
-      // row: quantize the block into a contiguous array first (the
-      // vectorizable libm-free round), then take the G+ − G− differences of
-      // the row's columns in the block. Like matvec(), it must subtract
-      // rounded products: an FMA that fused a product into the subtraction
-      // would move bits.
-      const auto fold = [&](std::size_t m, const double* acc) {
-        const double lsb_m = lsb[m];
-        double q[kBlk];
-        if (lsb_m > 0.0) {
-          for (std::size_t j = 0; j < kBlk; ++j)
-            q[j] = round_half_away(acc[j] / lsb_m) * lsb_m;
-        } else {
-          for (std::size_t j = 0; j < kBlk; ++j) q[j] = acc[j];
-        }
-        const auto [kb, ke] = keys(m);
-        const std::size_t k_lo = col_offset + c_lo;
-        float* yrow = y.data() + m * y.cols();
-        for (std::size_t k = std::max(k_lo, kb); k < std::min(k_lo + nc, ke); ++k) {
-          const std::size_t j = k - k_lo;
-          yrow[k - kb] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
-        }
-      };
-      const float* stripe = cells_.data() + cell_index(s, 0, c_lo);
-      const std::size_t* idx = block_rows.data() + block_start[bk];
-      const std::size_t* end = block_rows.data() + block_start[bk + 1];
-      for (; end - idx >= 4; idx += 4) sweep_tile<4>(x, idx, stripe, active_rows_, fold);
-      switch (end - idx) {
-        case 3: sweep_tile<3>(x, idx, stripe, active_rows_, fold); break;
-        case 2: sweep_tile<2>(x, idx, stripe, active_rows_, fold); break;
-        case 1: sweep_tile<1>(x, idx, stripe, active_rows_, fold); break;
-        default: break;
+  // The pass's live slices, each flag read once: an all-zero plane
+  // contributes exactly zero. A flag only ever goes 1 → 0, and a pass that
+  // still reads 1 skips a plane that is zero in its own columns (see
+  // mark_nonzero).
+  std::vector<std::size_t>& live = scratch.live_slices;
+  live.clear();
+  for (std::size_t s = 0; s < S; ++s)
+    if (!slice_is_zero(s)) live.push_back(s);
+  const std::size_t n_live = live.size();
+  const std::size_t stride = slice_stride();
+
+  for (std::size_t bk = 0; bk < n_blk; ++bk) {
+    const std::size_t c_lo = bk * kBlockColumns;
+    const std::size_t nc = std::min(kBlockColumns, active_cols_ - c_lo);
+    // ADC + shift fold of one query's accumulator block of slice s into its
+    // output row: quantize the block into a contiguous array first (the
+    // vectorizable libm-free round), then take the G+ − G− differences of
+    // the row's columns in the block. Like matvec(), it must subtract
+    // rounded products: an FMA that fused a product into the subtraction
+    // would move bits.
+    const auto fold = [&](std::size_t m, std::size_t s, const double* acc) {
+      const double lsb_m = lsb[m];
+      const double shift = slice_shift_[s];
+      double q[kBlk];
+      if (lsb_m > 0.0) {
+        for (std::size_t j = 0; j < kBlk; ++j) q[j] = round_half_away(acc[j] / lsb_m) * lsb_m;
+      } else {
+        for (std::size_t j = 0; j < kBlk; ++j) q[j] = acc[j];
       }
+      const auto [kb, ke] = keys(m);
+      const std::size_t k_lo = col_offset + c_lo;
+      float* yrow = y.data() + m * y.cols();
+      for (std::size_t k = std::max(k_lo, kb); k < std::min(k_lo + nc, ke); ++k) {
+        const std::size_t j = k - k_lo;
+        yrow[k - kb] += static_cast<float>(shift * (q[P * j] - q[P * j + 1]));
+      }
+    };
+    const float* block = cells_.data() + cell_index(0, 0, c_lo);
+    const std::size_t* idx = block_rows.data() + block_start[bk];
+    const std::size_t* end = block_rows.data() + block_start[bk + 1];
+    for (; end - idx >= 4; idx += 4)
+      sweep_slices<4, 1>(x, idx, block, stride, live.data(), n_live, active_rows_, fold);
+    switch (end - idx) {
+      case 3:
+        sweep_slices<3, 1>(x, idx, block, stride, live.data(), n_live, active_rows_, fold);
+        break;
+      case 2:
+        sweep_slices<2, 2>(x, idx, block, stride, live.data(), n_live, active_rows_, fold);
+        break;
+      case 1:
+        sweep_slices<1, 4>(x, idx, block, stride, live.data(), n_live, active_rows_, fold);
+        break;
+      default: break;
     }
   }
 }
+
+#if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 void Crossbar::matvec_batch_into(const Matrix& x, Matrix& y, Scratch& scratch,
                                  const PassSpans* spans, std::size_t col_offset) {

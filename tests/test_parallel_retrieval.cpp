@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <vector>
@@ -135,6 +137,126 @@ TEST(FusedKernel, ZeroSliceSkipFiresAndStaysExact) {
   exact.program(Matrix(24, 10, 3.0f), {nvm::fefet3(), 0.0}, rng2);
   const Matrix y = exact.matvec(Matrix(1, 24, 1.0f));
   for (std::size_t c = 0; c < y.cols(); ++c) EXPECT_FLOAT_EQ(y(0, c), 24.0f * 3.0f);
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+TEST(FusedKernel, EveryTileShapeAndLiveSliceCountMatchesScalar) {
+  // The kernel tiles a block's readers four rows at a time over one slice,
+  // and a remainder of 3, 2 or 1 rows over 1, 2 or 4 slices, with narrower
+  // tiles for the leftover slices. value_bits 3..17 gives 1..8 slice
+  // planes; noiseless keys whose digits live only in a chosen subset of
+  // slices (values below 4: slice 0 alone; multiples of 4: all but slice 0;
+  // random subsets with gaps) give every live-slice count, and noisy keys
+  // keep every plane live. Slot-span passes read the three blocks (the last
+  // one partial) with 1, 2, 3, 4, 5 and 9 rows each, unmasked passes read
+  // every block with those batch sizes. Every computed entry equals the
+  // scalar matvec() on a copy bit for bit, and every counter field matches.
+  constexpr std::size_t kRows = 20, kCols = 40, kBlock = cim::Crossbar::kBlockColumns;
+  const std::size_t reader_counts[] = {1, 2, 3, 4, 5, 9};
+  Rng rng(3400);
+  for (std::size_t value_bits = 3; value_bits <= 17; ++value_bits) {
+    cim::CrossbarConfig cfg;
+    cfg.rows = kRows;
+    cfg.cols = kCols;
+    cfg.value_bits = value_bits;
+    const std::size_t S = cfg.n_slices();
+    // Live-slice sets of the noiseless keys: one per count 1..S (empty:
+    // noisy keys, every plane live).
+    std::vector<std::vector<std::size_t>> live_sets = {{}};
+    for (std::size_t n_live = 1; n_live <= S; ++n_live) {
+      std::vector<std::size_t> live;
+      if (n_live == 1) {
+        live = {0};
+      } else if (n_live == S - 1) {
+        for (std::size_t s = 1; s < S; ++s) live.push_back(s);
+      } else {
+        live = rng.sample_without_replacement(S, n_live);
+        std::sort(live.begin(), live.end());
+      }
+      live_sets.push_back(live);
+    }
+    const long qmax = (1L << (value_bits - 1)) - 1;
+    const long top_digit = qmax >> (cim::Crossbar::kBitsPerCell * (S - 1));
+    for (const auto& live : live_sets) {
+      const bool noisy = live.empty();
+      Matrix w(kRows, kCols);
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        long v = 0;
+        if (noisy) {
+          v = static_cast<long>(rng.uniform_index(static_cast<std::size_t>(2 * qmax + 1))) - qmax;
+        } else {
+          for (const std::size_t s : live) {
+            const long hi = s + 1 == S ? top_digit : 3;
+            v += static_cast<long>(rng.uniform_index(static_cast<std::size_t>(hi + 1)))
+                 << (cim::Crossbar::kBitsPerCell * s);
+          }
+          if (rng.uniform() < 0.5) v = -v;
+        }
+        w.at_flat(i) = static_cast<float>(v);
+      }
+      for (const std::size_t adc : {std::size_t{8}, std::size_t{0}}) {
+        cfg.adc_bits = adc;
+        cim::Crossbar kernel(cfg);
+        kernel.program(w, {nvm::fefet3(), noisy ? 0.1 : 0.0}, rng);
+        std::size_t n_live = 0;
+        for (std::size_t s = 0; s < S; ++s) {
+          const bool expect_live =
+              noisy || std::find(live.begin(), live.end(), s) != live.end();
+          ASSERT_EQ(!kernel.slice_is_zero(s), expect_live)
+              << "value_bits " << value_bits << " slice " << s;
+          n_live += expect_live ? 1 : 0;
+        }
+        cim::Crossbar::Scratch scratch;
+        for (std::size_t pass = 0; pass < 2 * std::size(reader_counts); ++pass) {
+          const bool masked = pass < std::size(reader_counts);
+          SCOPED_TRACE(::testing::Message() << "value_bits " << value_bits << " live "
+                                            << n_live << "/" << S << " adc " << adc
+                                            << " pass " << pass);
+          // Masked pass p: block bk is read by reader_counts[(p + bk) % 6]
+          // rows spanning exactly that block. Unmasked pass: B rows.
+          cim::PassSpans spans;
+          std::size_t B = reader_counts[pass % std::size(reader_counts)];
+          if (masked) {
+            for (std::size_t bk = 0; bk * kBlock < kCols; ++bk) {
+              const std::size_t n = reader_counts[(pass + bk) % std::size(reader_counts)];
+              for (std::size_t i = 0; i < n; ++i)
+                spans.add_row(bk * kBlock, std::min(kCols, (bk + 1) * kBlock));
+            }
+            B = spans.rows();
+          }
+          Matrix x = Matrix::randn(B, kRows, rng);
+          if (B > 1)  // one all-zero query row: full scale 0
+            for (std::size_t i = 0; i < kRows; ++i) x(B - 1, i) = 0.0f;
+          cim::Crossbar oracle = kernel;
+          const cim::OpCounters before = kernel.counters();
+          const Matrix ys = oracle.matvec(x);
+          Matrix yk;
+          kernel.matvec_batch_into(x, yk, scratch, masked ? &spans : nullptr, 0);
+          std::size_t computed_cols = 0;
+          for (std::size_t m = 0; m < B; ++m) {
+            const std::size_t b = masked ? spans.begin(m) : 0;
+            const std::size_t e = masked ? spans.end(m) : kCols;
+            computed_cols += e - b;
+            for (std::size_t j = 0; j < yk.cols(); ++j) {
+              const std::uint32_t expect = b + j < e ? float_bits(ys(m, b + j)) : 0u;
+              ASSERT_EQ(float_bits(yk(m, j)), expect) << "(" << m << ", " << j << ")";
+            }
+          }
+          const cim::OpCounters k = kernel.counters(), o = oracle.counters();
+          EXPECT_EQ(k.subarray_activations, o.subarray_activations);
+          EXPECT_EQ((k.adc_conversions - before.adc_conversions) * B * kCols,
+                    (o.adc_conversions - before.adc_conversions) * computed_cols);
+          EXPECT_EQ(k.cells_programmed, o.cells_programmed);
+          EXPECT_EQ(k.write_pulses, o.write_pulses);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
